@@ -14,7 +14,9 @@ alpha is always specified through the integer l with alpha = gamma^(l(q-1)),
 which keeps inputs canonical; raw coefficient vectors are never accepted.
 Machine-readable output is canonical JSON (sorted keys, no whitespace), so
 two runs with the same configuration produce byte-identical bytes.  Exit
-status is 0 exactly when the command's mathematical claim was verified.
+status is 0 exactly when the command's mathematical claim was verified, 1
+when it was not, 2 for rejected input or an unwritable --out path, and 3
+when an internal arithmetic cross-check failed.
 
 The environment variable REDEIPERM_SIZE_BOUND overrides the default bound
 on q^2 that guards table construction and exhaustive checks.
@@ -34,13 +36,14 @@ from .construct import (PermSpec, binomial_condition,
                         binomial_special_condition, build_perm_poly,
                         check_criterion, count_valid_n, cyclotomic_criterion,
                         family_binomial, family_spec, family_trinomial,
-                        is_permutation_bruteforce, sqrt_case,
+                        is_permutation_bruteforce, packed_fn, sqrt_case,
                         trinomial_condition, trinomial_special_condition,
                         CASE_IN)
-from .field_tower import DEFAULT_SIZE_BOUND, Felt, FieldCtx, _prime_factors, make_field
+from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, _prime_factors,
+                          check_field_params, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
                       inverse_table, lift_inverse, mu_inverse)
-from .polyring import Poly, poly_eval, poly_gcd, render_poly
+from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
 
 ENV_SIZE_BOUND = "REDEIPERM_SIZE_BOUND"
@@ -93,29 +96,6 @@ def _emit(doc: dict, text: str, cfg: RunConfig) -> None:
             fh.write(payload)
 
 
-def _render_coeff_list(coeffs: list[int]) -> str:
-    # scalars of the prime field print as plain integers
-    if not any(coeffs[1:]):
-        return str(coeffs[0])
-    return "(" + ",".join(str(c) for c in coeffs) + ")"
-
-
-def _render_pairs(pairs: list, k: int) -> str:
-    """Terms as 'c*x^e + ...', highest exponent first; exponents may be any int."""
-    if not pairs:
-        return "0"
-    unit = [1] + [0] * (2 * k - 1)
-    parts = []
-    for e, coeffs in sorted(pairs, key=lambda t: -t[0]):
-        cs = _render_coeff_list(list(coeffs))
-        if e == 0:
-            parts.append(cs)
-            continue
-        xs = "x" if e == 1 else (f"x^{e}" if e > 0 else f"x^({e})")
-        parts.append(xs if list(coeffs) == unit else f"{cs}*{xs}")
-    return " + ".join(parts)
-
-
 def _unreduced_pairs(spec: PermSpec) -> list[tuple[int, list[int]]]:
     """Term list of x^r * F(x^(q-1), alpha) with nothing normalised."""
     ctx = spec.ctx
@@ -164,9 +144,9 @@ def cmd_construct(cfg: RunConfig, variant: str, n: int, m: int, l: int,
         f"modulus (low to high): {list(ctx.modulus)}",
         f"gamma: {ctx.gamma.to_coeffs()}",
         f"spec: variant {variant}, n = {n}, m = {m}, l = {l}, "
-        f"alpha = {_render_coeff_list(spec.alpha.to_coeffs())}",
+        f"alpha = {render_terms([(0, spec.alpha.coeffs)])}",
         f"exponent r = n + m(q+1) = {spec.r}",
-        f"unreduced: {_render_pairs(unreduced, ctx.k)}",
+        f"unreduced: {render_terms(unreduced)}",
         f"reduced:   {render_poly(poly)}",
         "case: square root of alpha "
         + ("lies in mu_{q+1}" if verdict.case == CASE_IN else "lies outside mu_{q+1}"),
@@ -192,10 +172,8 @@ def cmd_construct(cfg: RunConfig, variant: str, n: int, m: int, l: int,
 # ---------------------------------------------------------------------------
 
 def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
-    for xv in range(ctx.q2):
-        if backward(forward(xv)) != xv:
-            return False
-    return True
+    fwd, back = packed_fn(ctx, forward), packed_fn(ctx, backward)
+    return all(back(fwd(xv)) == xv for xv in range(ctx.q2))
 
 
 def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
@@ -226,8 +204,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
     try:
         if route == "cyclotomic":
             inv_poly = inverse_cyclotomic(spec, cfg.size_bound)
-            back = lambda v: poly_eval(inv_poly, Felt(ctx, v)).val
-            verified = _compose_identity_holds(ctx, evaluator.eval_packed, back)
+            verified = _compose_identity_holds(ctx, evaluator, inv_poly)
             doc["inverse"] = {
                 "route": route,
                 "poly": [[e, c] for e, c in inv_poly.to_pairs()],
@@ -236,9 +213,8 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
             lines.append(f"inverse ({route}): {render_poly(inv_poly)}")
         elif route == "closed":
             minv = mu_inverse(spec)
-            lifted = lift_inverse(spec, minv)
-            verified = _compose_identity_holds(ctx, evaluator.eval_packed,
-                                               lifted.eval_packed)
+            verified = _compose_identity_holds(ctx, evaluator,
+                                               lift_inverse(spec, minv))
             doc["inverse"] = {
                 "route": route,
                 "case": minv.case,
@@ -249,8 +225,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
                          f"inverse exponent {minv.n_inv}")
         elif route == "table":
             table = inverse_table(ctx, evaluator, cfg.size_bound)
-            verified = _compose_identity_holds(ctx, evaluator.eval_packed,
-                                               table.eval_packed)
+            verified = _compose_identity_holds(ctx, evaluator, table)
             doc["inverse"] = {"route": route}
             lines.append("inverse (table): built exhaustively")
         elif route == "all":
@@ -267,8 +242,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
             if verified and "table" not in report["routes"]:
                 # table is ground truth; without it confirm by composition
                 inv_poly = inverse_cyclotomic(spec, cfg.size_bound)
-                back = lambda v: poly_eval(inv_poly, Felt(ctx, v)).val
-                verified = _compose_identity_holds(ctx, evaluator.eval_packed, back)
+                verified = _compose_identity_holds(ctx, evaluator, inv_poly)
         else:
             raise ValueError(f"unknown route {route!r}")
     except (ValueError, ArithmeticError) as exc:
@@ -289,9 +263,17 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
 # ---------------------------------------------------------------------------
 
 def cmd_count(cfg: RunConfig, m: int, k_max: int | None) -> int:
+    check_field_params(cfg.p, cfg.k)
+    top = cfg.k if k_max is None else k_max
+    if top < cfg.k:
+        raise ValueError(f"k-max = {top} is below k = {cfg.k}")
+    # p^b > 2^b > size_bound for b = its bit length, so capping the
+    # exponent there keeps the power small and the comparison exact
+    if cfg.p ** min(top, cfg.size_bound.bit_length()) - 1 > cfg.size_bound:
+        raise ValueError(f"q - 1 = {cfg.p}^{top} - 1 exceeds the size bound "
+                         f"{cfg.size_bound}")
     rows = []
     lines = []
-    top = cfg.k if k_max is None else k_max
     for j in range(cfg.k, top + 1):
         q = cfg.p ** j
         count = count_valid_n(q, m, q - 1)
@@ -518,8 +500,7 @@ def _check_inverse_routes(qs, n_max: int, m_values, size_bound: int) -> None:
                                 f"variant={variant} n={n} m={m} l={l}")
                         _, ev = build_perm_poly(spec)
                         inv = inverse_table(ctx, ev, size_bound)
-                        _ensure(_compose_identity_holds(ctx, ev.eval_packed,
-                                                        inv.eval_packed),
+                        _ensure(_compose_identity_holds(ctx, ev, inv),
                                 "table inverse does not invert")
 
 
@@ -715,9 +696,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "count":
             return cmd_count(cfg, args.m, args.k_max)
         raise SystemExit(2)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an internal cross-check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ s for a square root of alpha, P permutes F_{q^2} exactly when
 
 and the case split does not depend on which root s is chosen.  The module
 decides these criteria, builds the polynomial in reduced coefficient form
-together with an O(1)-per-point evaluator, and provides the ground-truth
-exhaustive bijectivity oracle so the criteria are never trusted blindly.
+together with an O(1)-per-point CosetMap evaluator, and provides the
+ground-truth exhaustive bijectivity oracle so the criteria are never
+trusted blindly; its scan doubles as the table inverse.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .field_tower import DEFAULT_SIZE_BOUND, Felt, FieldCtx
+from .field_tower import Felt, FieldCtx, check_size_bound
 from .polyring import Poly, poly_compose, poly_eval, reduce_functional
 from .redei import _gh_eval_packed, gh_coeffs
 
@@ -131,30 +132,32 @@ def check_criterion(spec: PermSpec) -> PermVerdict:
     return PermVerdict(all(c.passed for c in conditions), case, conditions)
 
 
-class PermEvaluator:
-    """O(1)-per-point evaluator for P(x) = x^r * F(x^(q-1), alpha).
+class CosetMap:
+    """O(1)-per-point evaluator for x -> x^e * T[log x mod (q+1)], 0 -> 0.
 
-    The factor F(x^(q-1), alpha) only depends on the coset of x modulo the
-    (q-1)-th powers, so its q+1 possible values are tabulated once; each
-    evaluation is then a discrete log, a table pick and one multiplication.
+    Every map built or inverted here has the shape x^e * F(x^(q-1)): the
+    factor only depends on the coset of x modulo the (q-1)-th powers, so its
+    q+1 packed values T are tabulated once; each evaluation is then a
+    discrete log, a table pick and one multiplication.  A zero entry of T
+    sends its whole coset to 0.
     """
 
-    __slots__ = ("ctx", "r", "_table")
+    __slots__ = ("ctx", "e", "table")
 
-    def __init__(self, ctx: FieldCtx, r: int, table: list[int]):
+    def __init__(self, ctx: FieldCtx, e: int, table: list[int]):
         self.ctx = ctx
-        self.r = r
-        self._table = table
+        self.e = e
+        self.table = table
 
     def eval_packed(self, xv: int) -> int:
         if xv == 0:
             return 0
         ctx = self.ctx
         t = ctx._log[xv]
-        fv = self._table[t % (ctx.q + 1)]
+        fv = self.table[t % (ctx.q + 1)]
         if fv == 0:
             return 0
-        return ctx._exp[(self.r * t + ctx._log[fv]) % ctx.units]
+        return ctx._exp[(self.e * t + ctx._log[fv]) % ctx.units]
 
     def __call__(self, x: Felt) -> Felt:
         return Felt(self.ctx, self.eval_packed(x.val))
@@ -173,7 +176,7 @@ def coset_factor_table(spec: PermSpec) -> list[int]:
     return out
 
 
-def build_perm_poly(spec: PermSpec) -> tuple[Poly, PermEvaluator]:
+def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     """The reduced coefficient polynomial and a fast point evaluator.
 
     The coefficient form substitutes x^(q-1) into the coefficient
@@ -188,8 +191,35 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, PermEvaluator]:
     f = pair.h if spec.variant == "H" else pair.g
     inner = poly_compose(f, Poly.monomial(ctx, ctx.q - 1))
     poly = reduce_functional(inner.shift(r_norm))
-    evaluator = PermEvaluator(ctx, spec.r % N, coset_factor_table(spec))
-    return poly, evaluator
+    return poly, CosetMap(ctx, spec.r % N, coset_factor_table(spec))
+
+
+def packed_fn(ctx: FieldCtx, f) -> Callable[[int], int]:
+    """f on packed values; f has eval_packed, is a Poly or maps Felt -> Felt."""
+    if hasattr(f, "eval_packed"):
+        return f.eval_packed
+    if isinstance(f, Poly):
+        return lambda xv: poly_eval(f, Felt(ctx, xv)).val
+    return lambda xv: f(Felt(ctx, xv)).val
+
+
+def scan(ctx: FieldCtx, f, size_bound: int | None = None
+         ) -> tuple[list[int], tuple[int, int, int] | None]:
+    """Evaluate f at the packed points 0, 1, ..., q^2-1 in order.
+
+    Returns (inverse table, None) for a bijection.  At the first collision
+    it stops and returns (partial table, (a, b, v)): packed inputs a < b
+    both map to v, and b is the last point evaluated.
+    """
+    check_size_bound(ctx.q2, size_bound)
+    fn = packed_fn(ctx, f)
+    first = [-1] * ctx.q2
+    for xv in range(ctx.q2):
+        v = fn(xv)
+        if first[v] >= 0:
+            return first, (first[v], xv, v)
+        first[v] = xv
+    return first, None
 
 
 def is_permutation_bruteforce(
@@ -197,24 +227,12 @@ def is_permutation_bruteforce(
 ) -> tuple[bool, tuple[Felt, Felt] | None]:
     """Evaluate f on all of F_{q^2}; (True, None) or (False, colliding pair).
 
-    f may be a PermEvaluator, a Poly, or any callable Felt -> Felt.
+    f may be a CosetMap, a Poly, or any callable Felt -> Felt.
     """
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if ctx.q2 > bound:
-        raise ValueError(f"q^2 = {ctx.q2} exceeds the size bound {bound}")
-    if isinstance(f, PermEvaluator):
-        fn = f.eval_packed
-    elif isinstance(f, Poly):
-        fn = lambda xv: poly_eval(f, Felt(ctx, xv)).val
-    else:
-        fn = lambda xv: f(Felt(ctx, xv)).val
-    first = [-1] * ctx.q2
-    for xv in range(ctx.q2):
-        v = fn(xv)
-        if first[v] >= 0:
-            return False, (Felt(ctx, first[v]), Felt(ctx, xv))
-        first[v] = xv
-    return True, None
+    _, collision = scan(ctx, f, size_bound)
+    if collision is None:
+        return True, None
+    return False, (Felt(ctx, collision[0]), Felt(ctx, collision[1]))
 
 
 def cyclotomic_criterion(ctx: FieldCtx, r: int, f: Poly) -> bool:

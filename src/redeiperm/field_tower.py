@@ -40,6 +40,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_field_params(p: int, k: int) -> None:
+    """q = p^k needs an odd prime p and k >= 1."""
+    if not _is_prime(p) or p == 2:
+        raise ValueError(f"p={p} is not an odd prime")
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+
+
+def check_size_bound(q2: int, size_bound: int | None = None) -> None:
+    """Refuse a table or exhaustive scan over q2 points above the size bound."""
+    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
+    if q2 > bound:
+        raise ValueError(f"q^2 = {q2} exceeds the size bound {bound}")
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, by trial division."""
     out = []
@@ -258,11 +273,12 @@ class Felt:
         if isinstance(other, Felt):
             return self.ctx is other.ctx and self.val == other.val
         if isinstance(other, int):
-            return self.val == self.ctx.scalar(other).val
+            # only the canonical scalars 0..p-1, so that equal objects hash equal
+            return 0 <= other < self.ctx.p and self.val == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.k, self.val))
+        return hash(self.val)
 
     def __repr__(self) -> str:
         return f"Felt{self.coeffs}"
@@ -479,13 +495,8 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     repeated construction always yields the same field description.
     Results are cached per (p, k).
     """
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if not _is_prime(p) or p == 2:
-        raise ValueError(f"p={p} is not an odd prime")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if p ** (2 * k) > bound:
-        raise ValueError(f"q^2 = {p ** (2 * k)} exceeds the size bound {bound}")
+    check_field_params(p, k)
+    check_size_bound(p ** (2 * k), size_bound)
 
     cached = _FIELD_CACHE.get((p, k))
     if cached is not None:

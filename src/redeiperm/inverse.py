@@ -37,9 +37,10 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .construct import (CASE_IN, PermEvaluator, PermSpec, build_perm_poly,
-                        check_criterion, coset_factor_table, sqrt_case)
-from .field_tower import DEFAULT_SIZE_BOUND, Felt, FieldCtx
+from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
+                        check_criterion, coset_factor_table, packed_fn, scan,
+                        sqrt_case)
+from .field_tower import Felt, FieldCtx, check_size_bound
 from .polyring import Poly
 from .redei import _gh_eval_packed
 
@@ -115,9 +116,7 @@ def inverse_cyclotomic(spec: PermSpec, size_bound: int | None = None) -> Poly:
     has (q+1)^2 terms, so the field must be within the size bound.
     """
     ctx = spec.ctx
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if ctx.q2 > bound:
-        raise ValueError(f"q^2 = {ctx.q2} exceeds the size bound {bound}")
+    check_size_bound(ctx.q2, size_bound)
     verdict = check_criterion(spec)
     if not verdict.is_perm:
         failed = [c.name for c in verdict.conditions if not c.passed]
@@ -254,35 +253,12 @@ def mu_inverse_eval(inv: MuInverse, x: Felt) -> Felt:
     return value
 
 
-class InverseEvaluator:
-    """O(1)-per-point evaluator for P^{-1}, built by the closed-form lift.
+def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
+    """Lift the coset inverse to a total inverse evaluator on F_{q^2}.
 
     P^{-1}(x) = x^(r'(q^2-q+1)) * F(I(y))^(r'(q-2)) * I(y) with y = x^(q-1)
     depends on x only through its power and its coset, so the coset part is
     tabulated over the q+1 values of y.
-    """
-
-    __slots__ = ("ctx", "_e1", "_table")
-
-    def __init__(self, ctx: FieldCtx, e1: int, table: list[int]):
-        self.ctx = ctx
-        self._e1 = e1
-        self._table = table
-
-    def eval_packed(self, xv: int) -> int:
-        if xv == 0:
-            return 0
-        ctx = self.ctx
-        t = ctx._log[xv]
-        bv = self._table[t % (ctx.q + 1)]
-        return ctx._exp[(self._e1 * t + ctx._log[bv]) % ctx.units]
-
-    def __call__(self, x: Felt) -> Felt:
-        return Felt(self.ctx, self.eval_packed(x.val))
-
-
-def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> InverseEvaluator:
-    """Lift the coset inverse to a total inverse evaluator on F_{q^2}.
 
     Requires gcd(n + m(q+1), q^2-1) = 1.  When the root of alpha lies in
     mu_{q+1} this adds gcd(n, q+1) = 1 on top of the permutation criterion,
@@ -315,7 +291,7 @@ def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> InverseEvaluat
         if fv == 0:
             raise ArithmeticError("coset factor vanishes at a coset inverse")
         table.append(ctx.mul_packed(ctx.pow_packed(fv, e2), iv.val))
-    return InverseEvaluator(ctx, e1, table)
+    return CosetMap(ctx, e1, table)
 
 
 class InverseTable:
@@ -336,26 +312,11 @@ class InverseTable:
 
 def inverse_table(ctx: FieldCtx, f, size_bound: int | None = None) -> InverseTable:
     """Invert f by evaluating it everywhere; errors with a collision witness."""
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if ctx.q2 > bound:
-        raise ValueError(f"q^2 = {ctx.q2} exceeds the size bound {bound}")
-    if isinstance(f, (PermEvaluator, InverseEvaluator, InverseTable)):
-        fn = f.eval_packed
-    elif isinstance(f, Poly):
-        from .polyring import poly_eval
-        fn = lambda xv: poly_eval(f, Felt(ctx, xv)).val
-    else:
-        fn = lambda xv: f(Felt(ctx, xv)).val
-    table = [-1] * ctx.q2
-    first = [-1] * ctx.q2
-    for xv in range(ctx.q2):
-        v = fn(xv)
-        if first[v] >= 0:
-            raise ValueError(
-                f"not a bijection: inputs {Felt(ctx, first[v])!r} and "
-                f"{Felt(ctx, xv)!r} both map to {Felt(ctx, v)!r}")
-        first[v] = xv
-        table[v] = xv
+    table, collision = scan(ctx, f, size_bound)
+    if collision is not None:
+        a, b, v = (Felt(ctx, xv) for xv in collision)
+        raise ValueError(
+            f"not a bijection: inputs {a!r} and {b!r} both map to {v!r}")
     return InverseTable(ctx, table)
 
 
@@ -363,11 +324,12 @@ def inverse_table(ctx: FieldCtx, f, size_bound: int | None = None) -> InverseTab
 # Route agreement.
 # ---------------------------------------------------------------------------
 
-def _value_digest(ctx: FieldCtx, eval_packed) -> str:
+def _value_digest(ctx: FieldCtx, f) -> str:
     h = hashlib.sha256()
     width = (ctx.q2.bit_length() + 7) // 8
+    fn = packed_fn(ctx, f)
     for xv in range(ctx.q2):
-        h.update(eval_packed(xv).to_bytes(width, "little"))
+        h.update(fn(xv).to_bytes(width, "little"))
     return h.hexdigest()
 
 
@@ -382,25 +344,23 @@ def agreement_report(spec: PermSpec,
     and at least one route was computed.
     """
     ctx = spec.ctx
-    from .polyring import poly_eval
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
     _, perm_eval = build_perm_poly(spec)
     for route in routes:
         try:
             if route == "cyclotomic":
-                poly = inverse_cyclotomic(spec, size_bound)
-                fn = lambda xv: poly_eval(poly, Felt(ctx, xv)).val
+                inverse = inverse_cyclotomic(spec, size_bound)
             elif route == "closed":
-                fn = lift_inverse(spec).eval_packed
+                inverse = lift_inverse(spec)
             elif route == "table":
-                fn = inverse_table(ctx, perm_eval, size_bound).eval_packed
+                inverse = inverse_table(ctx, perm_eval, size_bound)
             else:
                 raise ValueError(f"unknown route {route!r}")
         except (ValueError, ArithmeticError) as exc:
             skipped[route] = str(exc)
             continue
-        digests[route] = _value_digest(ctx, fn)
+        digests[route] = _value_digest(ctx, inverse)
     agree = len(set(digests.values())) == 1 if digests else False
     return {
         "spec": spec.to_record(),

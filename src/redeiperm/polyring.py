@@ -305,25 +305,25 @@ def poly_gcd_ext(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return r0 * inv_lead, s0 * inv_lead, t0 * inv_lead
 
 
-def _render_coeff(c: Felt) -> str:
-    coeffs = c.coeffs
-    # scalars of the prime field print as plain integers
-    if not any(coeffs[1:]):
-        return str(coeffs[0])
-    return "(" + ",".join(str(d) for d in coeffs) + ")"
+def render_terms(pairs: Iterable[tuple[int, Sequence[int]]]) -> str:
+    """Human-readable 'c*x^e + ...', highest exponent first.
+
+    pairs holds (exponent, coefficient vector); exponents may have either
+    sign.  Prime-field scalars print as plain integers, a unit coefficient
+    is left out.
+    """
+    parts = []
+    for e, coeffs in sorted(pairs, key=lambda t: -t[0]):
+        cs = (str(coeffs[0]) if not any(coeffs[1:])
+              else "(" + ",".join(str(d) for d in coeffs) + ")")
+        if e == 0:
+            parts.append(cs)
+            continue
+        xs = "x" if e == 1 else (f"x^{e}" if e > 0 else f"x^({e})")
+        parts.append(xs if cs == "1" else f"{cs}*{xs}")
+    return " + ".join(parts) or "0"
 
 
 def render_poly(f: Poly) -> str:
     """Human-readable form, highest exponent first: c*x^e + ..."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(f.terms, reverse=True):
-        c = f.terms[e]
-        cs = _render_coeff(c)
-        if e == 0:
-            parts.append(cs)
-        else:
-            xs = "x" if e == 1 else f"x^{e}"
-            parts.append(xs if c == 1 else f"{cs}*{xs}")
-    return " + ".join(parts)
+    return render_terms((e, c.coeffs) for e, c in f.terms.items())

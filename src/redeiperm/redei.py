@@ -63,19 +63,6 @@ class RedeiPair:
     h: Poly
 
 
-@dataclass(frozen=True)
-class DicksonSpec:
-    """Parameters (n, a) of the Dickson polynomial D_n(x, a)."""
-    n: int
-    a: Felt
-
-    def coeffs(self) -> Poly:
-        return dickson_coeffs(self.n, self.a)
-
-    def eval(self, x: Felt) -> Felt:
-        return dickson_eval(self.n, self.a, x)
-
-
 def _require_alpha(alpha: Felt) -> None:
     if not alpha.in_mu(alpha.ctx.q + 1):
         raise ValueError("alpha must lie in mu_{q+1}")

@@ -45,6 +45,15 @@ def test_construct_text_trivial(capsys):
     assert "reduced:   x" in out
 
 
+def test_construct_text_negative_exponent_and_extension_coeffs(capsys):
+    rc = cli.main(["construct", "--p", "3", "--k", "2", "--variant", "G",
+                   "--n", "5", "--l", "1", "--m", "-2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "alpha = (0,2,2,1)" in out
+    assert "unreduced: x^25 + (0,2,2,1)*x^9 + (1,0,1,2)*x^(-7)" in out
+
+
 def test_construct_golden_q11(capsys):
     rc = cli.main(["construct", "--p", "11", "--variant", "H", "--n", "3",
                    "--m", "0", "--l", "0", "--format", "json"])
@@ -221,6 +230,51 @@ def test_bad_parameters_exit_2(capsys):
     assert "error:" in err
     rc = cli.main(["construct", "--p", "11", "--variant", "H", "--n", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "3", "--k", "0"], "k must be a positive integer"),
+    (["--p", "1"], "p=1 is not an odd prime"),
+    (["--p", "4"], "p=4 is not an odd prime"),
+    (["--p", "3", "--k", "3", "--k-max", "2"], "k-max = 2 is below k = 3"),
+    (["--p", "3", "--k", "2", "--k-max", "5", "--size-bound", "100"],
+     "q - 1 = 3^5 - 1 exceeds the size bound 100"),
+    (["--p", "3", "--k-max", "10000000000000", "--size-bound", "1000"],
+     "q - 1 = 3^10000000000000 - 1 exceeds the size bound 1000"),
+], ids=["k-zero", "p-one", "p-even", "k-max-below-k", "over-size-bound",
+        "huge-k-max"])
+def test_count_refuses_bad_ranges(capsys, argv, message):
+    rc = cli.main(["count", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_arithmetic_check_failure_exits_3(capsys, monkeypatch):
+    from redeiperm import redei
+    real = redei._gh_coeffs_binomial
+
+    def corrupted(n, alpha):
+        g, h = real(n, alpha)
+        return h, g
+
+    monkeypatch.setattr(redei, "_gh_coeffs_binomial", corrupted)
+    rc = cli.main(["construct", "--p", "11", "--variant", "H", "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: recursion and binomial closed form")
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    rc = cli.main(["construct", "--p", "11", "--variant", "H", "--n", "3",
+                   "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert not target.exists()
 
 
 def test_size_bound_flag(capsys):

@@ -13,6 +13,7 @@ from redeiperm import (CASE_IN, CASE_OUT, PermSpec, Poly, binomial_condition,
                        make_field, poly_eval, sqrt_case,
                        transfer_bijectivity, trinomial_condition,
                        trinomial_special_condition)
+from redeiperm.construct import scan
 
 
 def test_spec_validation(q9):
@@ -112,6 +113,18 @@ def test_bruteforce_oracle(q3):
     assert ok
     with pytest.raises(ValueError):
         is_permutation_bruteforce(q3, Poly.x(q3), size_bound=8)
+
+
+def test_scan_returns_inverse_table_or_first_collision(q3, q5):
+    spec = PermSpec("H", 3, 0, q5.alpha_from_l(2))
+    _, ev = build_perm_poly(spec)
+    table, collision = scan(q5, ev)
+    assert collision is None
+    assert [table[ev.eval_packed(v)] for v in range(q5.q2)] == list(range(q5.q2))
+    # x^2 on F_9: 1 and 2 = -1 collide first; the scan stops at 2
+    table, collision = scan(q3, Poly.monomial(q3, 2))
+    assert collision == (1, 2, 1)
+    assert table == [0, 1] + [-1] * 7
 
 
 def test_criterion_matches_oracle_on_subgrid(q3, q7):

@@ -264,10 +264,13 @@ def test_record_roundtrip(q9):
         field_from_record(bad)
 
 
-def test_felt_equality_and_hash(q9):
+def test_felt_equality_and_hash(q9, q11):
     a = q9.scalar(2)
     assert a == 2 and a == q9.scalar(2)
     assert a != q9.scalar(1)
     assert hash(a) == hash(q9.scalar(2))
     assert len({q9.one(), q9.one(), q9.zero()}) == 2
+    # only the canonical scalar 0 <= c < p compares equal, so hashes agree
+    assert q11.one() == 1 and q11.one() != 12 and q11.neg_one() != -1
+    assert len({q11.one(), 1}) == 1 and len({q9.zero(), 0, q9.one()}) == 2
     assert repr(q9.from_coeffs([1, 2])) == "Felt(1, 2, 0, 0)"

@@ -8,8 +8,9 @@ import pytest
 
 from redeiperm import (PermSpec, Poly, agreement_report, bezout,
                        build_perm_poly, check_criterion, gh_eval,
-                       inverse_cyclotomic, inverse_table, lift_inverse,
-                       make_field, mu_inverse, mu_inverse_eval, poly_eval)
+                       inverse_cyclotomic, inverse_table,
+                       is_permutation_bruteforce, lift_inverse, make_field,
+                       mu_inverse, mu_inverse_eval, poly_eval)
 
 
 def _forward_on_mu(spec):
@@ -231,6 +232,16 @@ def test_inverse_table_rejects_collisions(q25):
     cube = Poly.monomial(q25, 3)  # gcd(3, q^2-1) = 3: not a permutation
     with pytest.raises(ValueError, match="both map to"):
         inverse_table(q25, cube)
+
+
+def test_oracle_and_table_name_the_same_collision(q25):
+    cube = Poly.monomial(q25, 3)
+    ok, (a, b) = is_permutation_bruteforce(q25, cube)
+    assert not ok
+    with pytest.raises(ValueError) as exc:
+        inverse_table(q25, cube)
+    assert str(exc.value) == (f"not a bijection: inputs {a!r} and {b!r} "
+                              f"both map to {a ** 3!r}")
 
 
 def test_agreement_report_full(q9):
