@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .field_tower import Felt, FieldCtx, check_size_bound
-from .polyring import Poly, poly_compose, poly_eval, reduce_functional
+from .polyring import (CosetMap, Poly, poly_compose, poly_eval,
+                       reduce_functional)
 from .redei import _gh_eval_packed, gh_coeffs
 
 CASE_IN = "sqrt_in_mu"
@@ -130,37 +131,6 @@ def check_criterion(spec: PermSpec) -> PermVerdict:
             Condition("gcd(n, q+1)", v2, v2 == 1),
         )
     return PermVerdict(all(c.passed for c in conditions), case, conditions)
-
-
-class CosetMap:
-    """O(1)-per-point evaluator for x -> x^e * T[log x mod (q+1)], 0 -> 0.
-
-    Every map built or inverted here has the shape x^e * F(x^(q-1)): the
-    factor only depends on the coset of x modulo the (q-1)-th powers, so its
-    q+1 packed values T are tabulated once; each evaluation is then a
-    discrete log, a table pick and one multiplication.  A zero entry of T
-    sends its whole coset to 0.
-    """
-
-    __slots__ = ("ctx", "e", "table")
-
-    def __init__(self, ctx: FieldCtx, e: int, table: list[int]):
-        self.ctx = ctx
-        self.e = e
-        self.table = table
-
-    def eval_packed(self, xv: int) -> int:
-        if xv == 0:
-            return 0
-        ctx = self.ctx
-        t = ctx._log[xv]
-        fv = self.table[t % (ctx.q + 1)]
-        if fv == 0:
-            return 0
-        return ctx._exp[(self.e * t + ctx._log[fv]) % ctx.units]
-
-    def __call__(self, x: Felt) -> Felt:
-        return Felt(self.ctx, self.eval_packed(x.val))
 
 
 def coset_factor_table(spec: PermSpec) -> list[int]:

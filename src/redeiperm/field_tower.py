@@ -496,7 +496,10 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     Results are cached per (p, k).
     """
     check_field_params(p, k)
-    check_size_bound(p ** (2 * k), size_bound)
+    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
+    if 2 * k > bound.bit_length():  # p^(2k) > 2^(2k) > bound: never build it
+        raise ValueError(f"q^2 = {p}^{2 * k} exceeds the size bound {bound}")
+    check_size_bound(p ** (2 * k), bound)
 
     cached = _FIELD_CACHE.get((p, k))
     if cached is not None:

@@ -23,6 +23,12 @@ even though the permutation itself is certified.
 
 Route "table": exhaustive inversion of the value table, the ground truth.
 
+All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
+poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): the value
+digest tabulates g on mu_{q+1} once (cross-checked against the term sum at
+the q+1 coset representatives) and then costs O(1) per point, O(q^2) over
+the field instead of O(q^3) term by term.
+
 Every closed form is evaluated through its total power form; the rational
 fraction form is evaluated alongside as a cross-check wherever its
 denominator is nonzero, and the two must agree.  All published exponents

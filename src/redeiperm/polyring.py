@@ -11,6 +11,13 @@ reduction modulo x^(q^2) - x used to normalise evaluation maps on F_{q^2},
 and the (extended) Euclidean algorithm for monic gcds.  Exponents stay
 non-negative integers throughout; reduction sends every positive exponent
 into [1, q^2 - 1] so that the value at 0 is never disturbed.
+
+Evaluation cost: a polynomial without constant term whose exponents all
+agree mod q-1 equals x^e * g(x^(q-1)), a map of coset shape (CosetMap).
+poly_eval detects that shape on first use, tabulates g on mu_{q+1} in
+O(q * terms) once per Poly, and then costs O(1) per point (a discrete log,
+a table pick, one multiplication) whatever the number of terms.  Every
+other polynomial is evaluated by the term loop, O(terms) per point.
 """
 
 from __future__ import annotations
@@ -23,13 +30,19 @@ DEFAULT_DEGREE_CAP = 10 ** 6
 
 
 class Poly:
-    """Sparse polynomial; terms maps exponent -> nonzero Felt coefficient."""
+    """Sparse polynomial; terms maps exponent -> nonzero Felt coefficient.
 
-    __slots__ = ("ctx", "terms")
+    terms is never changed after construction: _coset caches the coset form
+    poly_eval derives from it (None until first use, False when f has no
+    coset shape) and takes no part in equality.
+    """
+
+    __slots__ = ("ctx", "terms", "_coset")
 
     def __init__(self, ctx: FieldCtx, terms: dict[int, Felt]):
         self.ctx = ctx
         self.terms = {e: c for e, c in terms.items() if c.val != 0}
+        self._coset = None
 
     # -- constructors --------------------------------------------------------
 
@@ -162,15 +175,97 @@ class Poly:
         return cls.from_terms(ctx, ((int(e), ctx.from_coeffs(c)) for e, c in pairs))
 
 
-def poly_eval(f: Poly, x: Felt) -> Felt:
-    """f(x) by term-wise powering; exact."""
+class CosetMap:
+    """O(1)-per-point evaluator for x -> x^e * T[log x mod (q+1)], 0 -> 0.
+
+    Every map the library builds or inverts has the shape x^e * F(x^(q-1)):
+    the factor only depends on the coset of x modulo the (q-1)-th powers, so
+    its q+1 packed values T are tabulated once; each evaluation is then a
+    discrete log, a table pick and one multiplication.  A zero entry of T
+    sends its whole coset to 0.
+    """
+
+    __slots__ = ("ctx", "e", "table")
+
+    def __init__(self, ctx: FieldCtx, e: int, table: list[int]):
+        self.ctx = ctx
+        self.e = e
+        self.table = table
+
+    @classmethod
+    def from_poly(cls, f: Poly) -> "CosetMap | None":
+        """The coset form of f, or None when f does not have that shape.
+
+        f needs at least one term, no constant term (0 -> c0 does not fit
+        x^e * T) and all exponents congruent mod q-1.  With e0 the least
+        exponent, T[s] = sum_e c_e * gamma^(s(e-e0)) for s = 0..q.  The
+        table is checked against the term loop at the q+1 coset
+        representatives gamma^s, which pins the map down on every point;
+        a mismatch raises ArithmeticError.
+        """
+        ctx = f.ctx
+        if not f.terms or 0 in f.terms:
+            return None
+        e0 = min(f.terms)
+        if any((e - e0) % (ctx.q - 1) for e in f.terms):
+            return None
+        cm = cls(ctx, e0, _coset_table(f, e0))
+        for s in range(ctx.q + 1):
+            xv = ctx._exp[s]
+            if cm.eval_packed(xv) != _eval_terms(f, xv):
+                raise ArithmeticError(
+                    f"coset table disagrees with the term sum at gamma^{s}")
+        return cm
+
+    def eval_packed(self, xv: int) -> int:
+        if xv == 0:
+            return 0
+        ctx = self.ctx
+        t = ctx._log[xv]
+        fv = self.table[t % (ctx.q + 1)]
+        if fv == 0:
+            return 0
+        return ctx._exp[(self.e * t + ctx._log[fv]) % ctx.units]
+
+    def __call__(self, x: Felt) -> Felt:
+        return Felt(self.ctx, self.eval_packed(x.val))
+
+
+def _coset_table(f: Poly, e0: int) -> list[int]:
+    """Packed sum_e c_e * gamma^(s(e-e0)) for s = 0..q; O(q * terms)."""
     ctx = f.ctx
-    xv = x.val
+    exp, log, N, add = ctx._exp, ctx._log, ctx.units, ctx.add_packed
+    steps = [(log[c.val], e - e0) for e, c in f.terms.items()]
+    table = []
+    for s in range(ctx.q + 1):
+        acc = 0
+        for lc, d in steps:
+            acc = add(acc, exp[(lc + s * d) % N])
+        table.append(acc)
+    return table
+
+
+def _eval_terms(f: Poly, xv: int) -> int:
+    """f at the packed point xv by term-wise powering; O(terms)."""
+    ctx = f.ctx
     acc = 0
     add, mul, powp = ctx.add_packed, ctx.mul_packed, ctx.pow_packed
     for e, c in f.terms.items():
         acc = add(acc, mul(c.val, powp(xv, e)))
-    return Felt(ctx, acc)
+    return acc
+
+
+def poly_eval(f: Poly, x: Felt) -> Felt:
+    """f(x), exact.
+
+    A coset-shaped f goes through its CosetMap, built and cross-checked on
+    the first call (O(q * terms)) and cached on f; each point then costs
+    O(1).  Any other f runs the term loop, O(terms) per point.
+    """
+    cm = f._coset
+    if cm is None:
+        cm = f._coset = CosetMap.from_poly(f) or False
+    return Felt(f.ctx, cm.eval_packed(x.val) if cm else _eval_terms(f, x.val))
 
 
 def poly_add(f: Poly, g: Poly) -> Poly:

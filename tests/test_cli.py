@@ -251,6 +251,18 @@ def test_count_refuses_bad_ranges(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("k", ["5000", "3000000"])
+def test_large_k_refused_naming_the_bound(capsys, monkeypatch, k):
+    monkeypatch.delenv(cli.ENV_SIZE_BOUND, raising=False)
+    rc = cli.main(["construct", "--p", "3", "--k", k, "--variant", "H",
+                   "--n", "3", "--m", "0", "--l", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: q^2 = 3^{2 * int(k)} exceeds the size "
+                            f"bound {cli.DEFAULT_SIZE_BOUND}\n")
+
+
 def test_arithmetic_check_failure_exits_3(capsys, monkeypatch):
     from redeiperm import redei
     real = redei._gh_coeffs_binomial

@@ -1,0 +1,169 @@
+"""poly_eval's coset fast path against the term loop it replaces.
+
+A polynomial without constant term whose exponents all agree mod q-1 is
+evaluated through a cached CosetMap; every other polynomial runs the term
+loop.  The two must agree at every point of every small field, the shape
+detection must refuse exactly the polynomials outside the shape, a corrupted
+table must be caught by the build-time cross-check, and the digest of a
+cyclotomic inverse must not fall back to the term loop per point.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from redeiperm import (CosetMap, PermSpec, Poly, build_perm_poly,
+                       check_criterion, cli, construct, inverse_cyclotomic,
+                       make_field, poly_eval, polyring)
+from redeiperm.inverse import _value_digest
+
+# every odd prime power q with q^2 <= 2^12, as (p, k)
+SMALL_FIELDS = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                 41, 43, 47, 53, 59, 61)] + [(3, 2), (5, 2),
+                                                             (3, 3), (7, 2)]
+# the fields every differential test below covers: q = 3, 9, 25, 27, 49
+REQUIRED_FIELDS = [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+def _agrees_with_term_loop(f: Poly) -> None:
+    ctx = f.ctx
+    for xv in range(ctx.q2):
+        assert poly_eval(f, ctx.from_packed(xv)).val == polyring._eval_terms(f, xv)
+
+
+@st.composite
+def coset_polys(draw, fields):
+    """x^e0 * g(x^(q-1)) in coefficient form: a random e0 >= 1, random
+    multiples of q-1 (past q^2 too) and random nonzero coefficients."""
+    ctx = make_field(*draw(st.sampled_from(fields)))
+    q = ctx.q
+    e0 = draw(st.integers(1, ctx.units))
+    js = draw(st.lists(st.integers(0, 2 * (q + 1)), min_size=1, max_size=6))
+    return Poly.from_terms(ctx, [(e0 + (q - 1) * j,
+                                  ctx.from_packed(draw(st.integers(1, ctx.units))))
+                                 for j in js])
+
+
+@settings(max_examples=40)
+@given(coset_polys(REQUIRED_FIELDS))
+def test_coset_shaped_poly_matches_term_loop(f):
+    if not f.is_zero():  # coefficients on one exponent may cancel
+        assert CosetMap.from_poly(f) is not None
+    _agrees_with_term_loop(f)
+    assert f._coset is not None  # built once, on the first point
+
+
+@settings(max_examples=25)
+@given(coset_polys(SMALL_FIELDS))
+def test_coset_shaped_poly_matches_term_loop_every_small_field(f):
+    _agrees_with_term_loop(f)
+
+
+@pytest.mark.parametrize("p,k", REQUIRED_FIELDS)
+def test_cyclotomic_inverses_match_term_loop(p, k):
+    ctx = make_field(p, k)
+    checked = 0
+    for variant in ("H", "G"):
+        for n in (1, 3, 5):
+            for m in (0, 1):
+                for l in (0, 1):
+                    spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
+                    if not check_criterion(spec).is_perm:
+                        continue
+                    inv = inverse_cyclotomic(spec)
+                    assert CosetMap.from_poly(inv) is not None
+                    _agrees_with_term_loop(inv)
+                    _, forward = build_perm_poly(spec)
+                    assert all(poly_eval(inv, forward(a)) == a
+                               for a in ctx.elements())
+                    checked += 1
+    assert checked > 0
+
+
+@st.composite
+def non_coset_polys(draw):
+    """A constant term, or two exponents apart mod q-1, or nothing at all."""
+    ctx = make_field(*draw(st.sampled_from(REQUIRED_FIELDS)))
+    q = ctx.q
+    coeff = st.integers(1, ctx.units).map(ctx.from_packed)
+    kind = draw(st.sampled_from(["constant", "mixed", "zero"]))
+    if kind == "zero":
+        return Poly.zero(ctx)
+    e0 = draw(st.integers(1, ctx.units))
+    terms = [(e0 + (q - 1) * j, draw(coeff))
+             for j in draw(st.lists(st.integers(0, q + 1), max_size=4))]
+    if kind == "constant":
+        terms.append((0, draw(coeff)))
+    else:  # q = 3 has q-1 = 2, so an offset of 1 is always another residue
+        offset = draw(st.integers(1, q - 2)) if q > 3 else 1
+        terms += [(e0, draw(coeff)), (e0 + offset, draw(coeff))]
+    return Poly(ctx, dict(terms))
+
+
+@settings(max_examples=40)
+@given(non_coset_polys())
+def test_other_polys_keep_the_term_loop(f):
+    assert CosetMap.from_poly(f) is None
+    _agrees_with_term_loop(f)
+    assert f._coset is False
+    assert poly_eval(f, f.ctx.zero()) == f.coeff(0)
+
+
+def test_cache_takes_no_part_in_equality(q9):
+    f = Poly.from_terms(q9, [(3, 1), (11, 2)])
+    g = Poly.from_terms(q9, [(11, 2), (3, 1)])
+    poly_eval(f, q9.gamma)
+    assert f._coset and g._coset is None
+    assert f == g
+
+
+def _corrupt_one_entry(monkeypatch):
+    real = polyring._coset_table
+
+    def corrupted(f, e0):
+        table = real(f, e0)
+        table[1] = f.ctx.add_packed(table[1], 1)
+        return table
+
+    monkeypatch.setattr(polyring, "_coset_table", corrupted)
+
+
+def test_corrupted_coset_table_is_caught(q9, monkeypatch):
+    f = inverse_cyclotomic(PermSpec("H", 3, 0, q9.alpha_from_l(2)))
+    _corrupt_one_entry(monkeypatch)
+    with pytest.raises(ArithmeticError, match="coset table disagrees"):
+        CosetMap.from_poly(f)
+    with pytest.raises(ArithmeticError, match="coset table disagrees"):
+        poly_eval(f, q9.gamma)
+
+
+def test_corrupted_coset_table_exits_3(capsys, monkeypatch):
+    _corrupt_one_entry(monkeypatch)
+    rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
+                   "--n", "3", "--l", "2", "--route", "cyclotomic"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: coset table disagrees")
+
+
+def test_cyclotomic_digest_runs_the_term_loop_only_to_cross_check(monkeypatch):
+    """The digest of a cyclotomic inverse on F_{81^2} evaluates q^2 points,
+    but the term loop only runs at the q+1 points of the table check."""
+    ctx = make_field(3, 4)
+    inv = inverse_cyclotomic(PermSpec("H", 13, 0, ctx.alpha_from_l(1)))
+    assert len(inv.terms) == 25
+    calls = {"poly_eval": 0, "term_loop": 0}
+    real_eval, real_terms = construct.poly_eval, polyring._eval_terms
+
+    def counted_eval(f, x):
+        calls["poly_eval"] += 1
+        return real_eval(f, x)
+
+    def counted_terms(f, xv):
+        calls["term_loop"] += 1
+        return real_terms(f, xv)
+
+    monkeypatch.setattr(construct, "poly_eval", counted_eval)
+    monkeypatch.setattr(polyring, "_eval_terms", counted_terms)
+    _value_digest(ctx, inv)
+    assert calls == {"poly_eval": ctx.q2, "term_loop": ctx.q + 1}

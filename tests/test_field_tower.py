@@ -7,6 +7,7 @@ construction search cannot hide.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -247,6 +248,21 @@ def test_make_field_validation():
         make_field(3, 0)
     with pytest.raises(ValueError):
         make_field(3, 4, size_bound=1000)
+
+
+@pytest.mark.parametrize("k", [5000, 3_000_000])
+def test_make_field_refuses_large_k_from_the_estimate(k):
+    """3^(2k) has 4772 digits at k = 5000 and 1.2 MB at k = 3000000; the
+    refusal names the power instead of building and printing it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            make_field(3, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"q^2 = 3^{2 * k} exceeds the size bound {1 << 20}"
+    assert peak < 64 * 1024
 
 
 def test_make_field_is_cached():
