@@ -39,8 +39,8 @@ from .construct import (PermSpec, binomial_condition,
                         is_permutation_bruteforce, packed_fn, sqrt_case,
                         trinomial_condition, trinomial_special_condition,
                         CASE_IN)
-from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, _prime_factors,
-                          check_field_params, make_field)
+from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
+                          field_for_q, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
                       inverse_table, lift_inverse, mu_inverse)
 from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
@@ -64,22 +64,6 @@ class RunConfig:
             raise ValueError("size bound too small for any odd q")
         if self.fmt not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
-
-
-def field_for_q(q: int, size_bound: int | None = None) -> FieldCtx:
-    """The field with exactly q^2 elements, for a prime-power q."""
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        raise ValueError(f"q={q} is not a prime power")
-    p = factors[0]
-    k = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        k += 1
-    if p ** k != q:
-        raise ValueError(f"q={q} is not a prime power")
-    return make_field(p, k, size_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +610,8 @@ def _default_size_bound() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{ENV_SIZE_BOUND} must be an integer, got {raw!r}")
+        raise ValueError(f"{ENV_SIZE_BOUND} must be an integer, "
+                         f"got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -641,7 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=int, required=True, help="odd prime")
             sp.add_argument("--k", type=int, default=1,
                             help="extension degree, q = p^k (default 1)")
-        sp.add_argument("--size-bound", type=int, default=_default_size_bound(),
+        sp.add_argument("--size-bound", type=int, default=None,
                         help="bound on q^2 for tables and exhaustive checks")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
@@ -681,11 +666,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        size_bound = (_default_size_bound() if args.size_bound is None
+                      else args.size_bound)
         if args.command == "selftest":
-            cfg = RunConfig(p=3, k=1, size_bound=args.size_bound,
+            cfg = RunConfig(p=3, k=1, size_bound=size_bound,
                             fmt=args.format, out=args.out, seed=args.seed)
             return cmd_selftest(cfg, args.level)
-        cfg = RunConfig(p=args.p, k=args.k, size_bound=args.size_bound,
+        cfg = RunConfig(p=args.p, k=args.k, size_bound=size_bound,
                         fmt=args.format, out=args.out)
         if args.command == "construct":
             return cmd_construct(cfg, args.variant, args.n, args.m, args.l,

@@ -8,7 +8,11 @@ element, in the same ordering, whose multiplicative order is exactly q^2 - 1.
 
 All q^2 - 1 powers of gamma are tabulated once at construction, so that
 multiplication, inversion, powering and discrete logarithms are O(1) lookups;
-addition goes through a Zech logarithm table (log of 1 + gamma^i).  The size
+addition goes through a Zech logarithm table (log of 1 + gamma^i).  x -> gamma*x
+is F_p-linear, so each power is the digitwise sum of precomputed images of the
+low and high k digits of the one before: a few lookups, not an O(k^2) product.
+Dense products at q + 2 entries cross-check that step.  The Zech table needs
+no arithmetic: 1 + v differs from v only in the constant digit.  The size
 bound on q^2 keeps table construction cheap and guards every exhaustive
 operation downstream.
 
@@ -155,6 +159,43 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return _trim(list(frob)) == x
 
 
+def _digits(v: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of v, low first."""
+    out = []
+    for _ in range(n):
+        v, c = divmod(v, p)
+        out.append(c)
+    return out
+
+
+def _step_tables(p: int, k: int, gamma: Sequence[int],
+                 mod: Sequence[int]) -> tuple[list[int], list[int], list[int], int]:
+    """Tables for one multiplication by gamma on packed values of F_{q^2}.
+
+    Returns (lo_tab, hi_tab, unspread, shift).  lo_tab[lo] is gamma*lo and
+    hi_tab[hi] is gamma*hi*x^k, for k-digit values lo and hi, in a spread
+    encoding that gives each base-p digit its own slot of w bits, w the bit
+    length of 2p - 2, so that lo_tab[lo] + hi_tab[hi] adds digitwise with no
+    carries.  shift = k*w bits hold the low k slots; unspread maps each
+    reachable k-slot sum (digits 0..2p-2) to its packed value reduced mod p.
+    """
+    q = p ** k
+    w = (2 * p - 2).bit_length()
+
+    def spread(coeffs: Sequence[int]) -> int:
+        return sum(c << (i * w) for i, c in enumerate(coeffs))
+
+    gamma_xk = _mulmod(gamma, [0] * k + [1], mod, p)
+    lo_tab = [spread(_mulmod(_trim(_digits(v, p, k)), gamma, mod, p))
+              for v in range(q)]
+    hi_tab = [spread(_mulmod(_trim(_digits(v, p, k)), gamma_xk, mod, p))
+              for v in range(q)]
+    unspread = [0] * (spread([2 * p - 2] * k) + 1)
+    for sums in itertools.product(range(2 * p - 1), repeat=k):
+        unspread[spread(sums)] = sum(c % p * p ** i for i, c in enumerate(sums))
+    return lo_tab, hi_tab, unspread, k * w
+
+
 class Felt:
     """One element of F_{q^2}, stored as an integer packing its coefficients.
 
@@ -172,12 +213,7 @@ class Felt:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        p, v = self.ctx.p, self.val
-        out = []
-        for _ in range(2 * self.ctx.k):
-            v, c = divmod(v, p)
-            out.append(c)
-        return tuple(out)
+        return tuple(_digits(self.val, self.ctx.p, 2 * self.ctx.k))
 
     def to_coeffs(self) -> list[int]:
         return list(self.coeffs)
@@ -304,17 +340,30 @@ class FieldCtx:
         self.units = self.q2 - 1
         self.modulus = modulus
 
-        # exp table: exp[i] is gamma^i packed; built by repeated dense
-        # multiplication, packed once per entry.
-        N = self.units
+        # exp table: exp[i] is gamma^i packed, stepped through its low and
+        # high k digits (lo, hi) by the linear step of _step_tables.
+        N, q = self.units, self.q
         gamma_dense = self._unpack_dense(gamma_packed)
         mod = list(modulus)
+        lo_tab, hi_tab, unspread, shift = _step_tables(p, k, gamma_dense, mod)
+        mask = (1 << shift) - 1
         exp = [0] * N
-        cur = [1]
+        lo, hi = 1, 0
         for i in range(N):
-            exp[i] = self._pack_dense(cur)
-            cur = _mulmod(cur, gamma_dense, mod, p)
-        if self._pack_dense(cur) != 1:
+            exp[i] = lo + q * hi
+            s = lo_tab[lo] + hi_tab[hi]
+            lo = unspread[s & mask]
+            hi = unspread[s >> shift]
+        del lo_tab, hi_tab, unspread
+        last = lo + q * hi  # gamma^N, one step past the table
+        # Independent cross-check of the step by dense multiplication.
+        for i in (*range(0, N, q - 1), N - 1):
+            step = exp[i + 1] if i + 1 < N else last
+            dense = _mulmod(self._unpack_dense(exp[i]), gamma_dense, mod, p)
+            if self._pack_dense(dense) != step:
+                raise ArithmeticError(f"exp table step at index {i} disagrees "
+                                      "with dense multiplication by gamma")
+        if last != 1:
             raise ValueError("gamma does not have full order")
         self._exp = exp
 
@@ -326,12 +375,14 @@ class FieldCtx:
         self._log = log
 
         # Zech table: zech[i] = log(1 + gamma^i), with N as the sentinel
-        # for 1 + gamma^i = 0.
-        zech = [0] * N
-        for i in range(N):
-            s = self._add_digits(1, exp[i])
-            zech[i] = N if s == 0 else log[s]
-        self._zech = zech
+        # for 1 + gamma^i = 0.  Adding 1 changes only the constant digit,
+        # which wraps from p - 1 to 0 without a carry, so log(1 + v) is
+        # succ_log[v] for log rotated by one place within each block of p.
+        succ_log = log[1:]
+        succ_log.append(N)
+        succ_log[p - 1::p] = log[0::p]
+        succ_log[p - 1] = N  # 1 + (p - 1) = 0
+        self._zech = list(map(succ_log.__getitem__, exp))
 
         self.gamma = Felt(self, gamma_packed)
         self.zeta = self.gamma ** (self.q - 1)
@@ -339,12 +390,7 @@ class FieldCtx:
     # -- packing helpers ----------------------------------------------------
 
     def _unpack_dense(self, v: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(2 * self.k):
-            v, c = divmod(v, p)
-            out.append(c)
-        return _trim(out)
+        return _trim(_digits(v, self.p, 2 * self.k))
 
     def _pack_dense(self, coeffs: Sequence[int]) -> int:
         v = 0
@@ -526,9 +572,7 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
             continue
         cand = _trim(list(tail))
         if all(_powmod(cand, cf, mod, p) != [1] for cf in cofactors):
-            gamma_packed = 0
-            for c in reversed(tail):
-                gamma_packed = gamma_packed * p + c
+            gamma_packed = sum(c * p ** i for i, c in enumerate(tail))
             break
     if gamma_packed is None:  # the unit group is cyclic; defensive
         raise ValueError("no primitive element found")
@@ -536,6 +580,17 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     ctx = FieldCtx(p, k, modulus, gamma_packed)
     _FIELD_CACHE[(p, k)] = ctx
     return ctx
+
+
+def field_for_q(q: int, size_bound: int | None = None) -> FieldCtx:
+    """The field with exactly q^2 elements, for a prime-power q."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    p, k = factors[0], 1
+    while p ** k < q:
+        k += 1
+    return make_field(p, k, size_bound)
 
 
 def field_from_record(record: dict, size_bound: int | None = None) -> FieldCtx:

@@ -302,9 +302,19 @@ def test_size_bound_env(capsys, monkeypatch):
     rc = cli.main(["construct", "--p", "5", "--k", "2", "--variant", "H",
                    "--n", "3"])
     assert rc == 2
+    capsys.readouterr()
     monkeypatch.setenv(cli.ENV_SIZE_BOUND, "not-a-number")
-    with pytest.raises(SystemExit):
-        cli.main(["construct", "--p", "5", "--variant", "H", "--n", "3"])
+    rc = cli.main(["construct", "--p", "5", "--variant", "H", "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: REDEIPERM_SIZE_BOUND must be an integer, "
+                            "got 'not-a-number'\n")
+    monkeypatch.setenv(cli.ENV_SIZE_BOUND, "x")
+    rc = cli.main(["count", "--p", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: REDEIPERM_SIZE_BOUND must be an integer, got 'x'\n")
 
 
 def test_unknown_command_exits_via_argparse():

@@ -6,13 +6,15 @@ in-file oracles re-derive the small cases from scratch so a regression in the
 construction search cannot hide.
 """
 
+import hashlib
 import itertools
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from redeiperm import Felt, field_from_record, make_field
+from redeiperm import Felt, cli, field_from_record, field_tower, make_field
+from redeiperm.field_tower import field_for_q
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +292,122 @@ def test_felt_equality_and_hash(q9, q11):
     assert q11.one() == 1 and q11.one() != 12 and q11.neg_one() != -1
     assert len({q11.one(), 1}) == 1 and len({q9.zero(), 0, q9.one()}) == 2
     assert repr(q9.from_coeffs([1, 2])) == "Felt(1, 2, 0, 0)"
+
+
+# ---------------------------------------------------------------------------
+# Table construction: the linear gamma-step against the per-entry build.
+# ---------------------------------------------------------------------------
+
+def _reference_tables(ctx):
+    """exp, log and Zech tables built one dense product per power of gamma
+    and one componentwise addition per Zech entry."""
+    p, N = ctx.p, ctx.units
+    gamma = ctx._unpack_dense(ctx.gamma.val)
+    mod = list(ctx.modulus)
+    exp, cur = [], [1]
+    for _ in range(N):
+        exp.append(ctx._pack_dense(cur))
+        cur = field_tower._mulmod(cur, gamma, mod, p)
+    log = [-1] * ctx.q2
+    for i, v in enumerate(exp):
+        log[v] = i
+    zech = []
+    for v in exp:
+        s = ctx._add_digits(1, v)
+        zech.append(N if s == 0 else log[s])
+    return exp, log, zech
+
+
+# every odd p^k with q^2 <= 2^14: the 30 odd primes up to 127 with k = 1, and
+# (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)
+SMALL_FIELDS = [(p, k) for p in range(3, 128, 2)
+                if all(p % d for d in range(3, p, 2))
+                for k in range(1, 8) if p ** (2 * k) <= 1 << 14]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_tables_match_the_per_entry_build(p, k):
+    ctx = make_field(p, k)
+    exp, log, zech = _reference_tables(ctx)
+    assert ctx._exp == exp
+    assert ctx._log == log
+    assert ctx._zech == zech
+
+
+# sha256 of ",".join(map(str, table)) for exp, log and zech, computed on
+# commit 6c8ead2, whose FieldCtx still built every entry by dense
+# multiplication and the Zech table by componentwise addition.
+PINNED_TABLES = {
+    (1021, 1): ((1, 5, 1), 9190, (
+        "13cf957f90f1a593d12ba05019935dc6892961de8522ba54f6aaeee3b9771584",
+        "987ed57dc910f4dcd9a9d23d9805b6cae4de545e0d1cd69686acf979311440d5",
+        "dfa2a4e77d730b68d798e55c8fee4541e3bc1524c5470a8b3fa916dab898ab1e")),
+    (3, 6): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1), 373977, (
+        "74d8d90dc55892a3472ea3974e5a5a7c2d16996420b2a612e424da61856e9984",
+        "9cde1cd8fd2b131533ca20e8b015560a1898e8572646049b5dc3a5ae0c1c642d",
+        "92ba0618e72d430c98de7cd57c6063ac0047a83a0dea1a2d814076c959547702")),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_TABLES))
+def test_large_tables_match_pinned_digests(monkeypatch, p, k):
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})  # freed afterwards
+    ctx = make_field(p, k)
+    modulus, gamma, digests = PINNED_TABLES[(p, k)]
+    assert ctx.modulus == modulus and ctx.gamma.val == gamma
+    assert tuple(hashlib.sha256(",".join(map(str, t)).encode()).hexdigest()
+                 for t in (ctx._exp, ctx._log, ctx._zech)) == digests
+
+
+def _corrupt_step_tables(monkeypatch, which, index):
+    """Make make_field build with one entry of lo_tab (which = 0) or hi_tab
+    (which = 1) replaced by its neighbour's image."""
+    real = field_tower._step_tables
+
+    def corrupted(*args):
+        tables = real(*args)
+        tab = tables[which]
+        tab[index] = tab[(index + 1) % len(tab)]
+        return tables
+
+    monkeypatch.setattr(field_tower, "_step_tables", corrupted)
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+
+
+def test_corrupt_step_is_caught_by_the_dense_cross_check(monkeypatch):
+    # exp[0] = 1 has low half 1, so lo_tab[1] makes exp[1]
+    _corrupt_step_tables(monkeypatch, 0, 1)
+    with pytest.raises(ArithmeticError, match=r"step at index 0 disagrees"):
+        make_field(3, 2)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (7, 1)])
+def test_every_corrupt_step_entry_is_refused(monkeypatch, p, k):
+    for which, index in itertools.product((0, 1), range(p ** k)):
+        _corrupt_step_tables(monkeypatch, which, index)
+        with pytest.raises((ArithmeticError, ValueError)):
+            make_field(p, k)
+        monkeypatch.undo()
+
+
+def test_corrupt_step_exits_3_from_the_cli(monkeypatch, capsys):
+    _corrupt_step_tables(monkeypatch, 0, 1)
+    rc = cli.main(["construct", "--p", "3", "--k", "2", "--variant", "H",
+                   "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: exp table step at index 0 ")
+
+
+def test_field_for_q():
+    assert field_for_q(9) is make_field(3, 2)
+    assert field_for_q(11) is make_field(11, 1)
+    assert cli.field_for_q is field_for_q
+    for q in (15, 1, 0, 12):
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            field_for_q(q)
+    with pytest.raises(ValueError, match="p=2 is not an odd prime"):
+        field_for_q(8)
+    with pytest.raises(ValueError, match="exceeds the size bound 100"):
+        field_for_q(27, size_bound=100)
