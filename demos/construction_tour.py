@@ -8,8 +8,7 @@ Constructing sparse permutation polynomials of F_{q^2}
 # prime field.  make_field picks a deterministic irreducible modulus
 # and a deterministic generator gamma, so runs are reproducible.
 from redeiperm import (PermSpec, build_perm_poly, check_criterion,
-                       count_valid_n, family_binomial, make_field,
-                       render_poly)
+                       count_valid_n, family_poly, make_field, render_poly)
 
 ctx = make_field(11, 1)
 print(f"field F_{ctx.q2} = F_{ctx.q}^2, modulus {ctx.modulus}, "
@@ -46,10 +45,10 @@ for l in (0, 1):
     print(f"\nF_81, l={l}: case {v.case}, conditions: {names}")
 
 # The shifted choices m = q-3 and m = q-2 collapse the degree-3 family
-# to especially thin shapes.
+# (the binomials, family_poly(ctx, 3, ...)) to especially thin shapes.
 print()
 for m in (ctx.q - 3, ctx.q - 2):
-    p1 = family_binomial(ctx, "P1", m, 1)
+    p1 = family_poly(ctx, 3, "P1", m, 1)
     print(f"m = {m}: P1 reduces to {render_poly(p1)}")
 
 # Roughly half of all inner degrees are admissible; the exact count is

@@ -32,13 +32,10 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .construct import (PermSpec, binomial_condition,
-                        binomial_special_condition, build_perm_poly,
-                        check_criterion, count_valid_n, cyclotomic_criterion,
-                        family_binomial, family_spec, family_trinomial,
-                        is_permutation_bruteforce, packed_fn, sqrt_case,
-                        trinomial_condition, trinomial_special_condition,
-                        CASE_IN)
+from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
+                        count_valid_n, cyclotomic_criterion, family_condition,
+                        family_poly, family_spec, family_special_condition,
+                        is_permutation_bruteforce, packed_fn, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           field_for_q, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
@@ -84,7 +81,7 @@ def _unreduced_pairs(spec: PermSpec) -> list[tuple[int, list[int]]]:
     """Term list of x^r * F(x^(q-1), alpha) with nothing normalised."""
     ctx = spec.ctx
     pair = gh_coeffs(spec.n, spec.alpha)
-    f = pair.h if spec.variant == "H" else pair.g
+    f = (pair.g, pair.h)[spec.gh_index]
     return [(spec.r + (ctx.q - 1) * e, f.terms[e].to_coeffs())
             for e in sorted(f.terms, reverse=True)]
 
@@ -178,8 +175,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
     _, evaluator = build_perm_poly(spec)
 
     if not verdict.is_perm and route != "table":
-        failed = [c.name for c in verdict.conditions if not c.passed]
-        doc["error"] = f"not a permutation; failing conditions: {failed}"
+        doc["error"] = verdict.failure
         lines.append(f"error: {doc['error']}")
         _emit(doc, "\n".join(lines) + "\n", cfg)
         return 1
@@ -393,7 +389,7 @@ def _check_coset_criterion(qs, size_bound: int) -> None:
                     for m in (-1, 0, 1):
                         spec = PermSpec(variant, n, m, alpha)
                         pair = gh_coeffs(n, alpha)
-                        f = pair.h if variant == "H" else pair.g
+                        f = (pair.g, pair.h)[spec.gh_index]
                         got = cyclotomic_criterion(ctx, spec.r, f)
                         want = check_criterion(spec).is_perm
                         _ensure(got == want,
@@ -401,35 +397,23 @@ def _check_coset_criterion(qs, size_bound: int) -> None:
                                 f"m={m} l={l} variant={variant}")
 
 
-def _check_families(binomial_qs, trinomial_qs, size_bound: int) -> None:
-    for q in binomial_qs:
-        ctx = field_for_q(q, size_bound)
-        for m in (q - 3, q - 2, 1, 0):
-            for l in range(q + 1):
-                for variant in ("P1", "P2"):
-                    poly = family_binomial(ctx, variant, m, l)
-                    spec = family_spec(ctx, 3, variant, m, l)
-                    built, ev = build_perm_poly(spec)
-                    _ensure(poly == built, "family binomial != theorem route")
-                    ok, _ = is_permutation_bruteforce(ctx, ev, size_bound)
-                    _ensure(ok == binomial_condition(q, m, l),
-                            f"binomial condition wrong at q={q} m={m} l={l}")
-                    _ensure(ok == binomial_special_condition(q, m, l),
-                            f"binomial special condition wrong at q={q} m={m} l={l}")
-    for q in trinomial_qs:
-        ctx = field_for_q(q, size_bound)
-        for m in (q - 4, q - 3, 1, 0):
-            for l in range(q + 1):
-                for variant in ("P1", "P2"):
-                    poly = family_trinomial(ctx, variant, m, l)
-                    spec = family_spec(ctx, 5, variant, m, l)
-                    built, ev = build_perm_poly(spec)
-                    _ensure(poly == built, "family trinomial != theorem route")
-                    ok, _ = is_permutation_bruteforce(ctx, ev, size_bound)
-                    _ensure(ok == trinomial_condition(q, m, l),
-                            f"trinomial condition wrong at q={q} m={m} l={l}")
-                    _ensure(ok == trinomial_special_condition(q, m, l),
-                            f"trinomial special condition wrong at q={q} m={m} l={l}")
+def _check_families(qs_by_degree: dict, size_bound: int) -> None:
+    for degree, qs in qs_by_degree.items():
+        for q in qs:
+            ctx = field_for_q(q, size_bound)
+            for m in (q - (degree + 3) // 2, q - (degree + 1) // 2, 1, 0):
+                for l in range(q + 1):
+                    for variant in ("P1", "P2"):
+                        at = f"degree {degree} {variant} q={q} m={m} l={l}"
+                        poly = family_poly(ctx, degree, variant, m, l)
+                        built, ev = build_perm_poly(
+                            family_spec(ctx, degree, variant, m, l))
+                        _ensure(poly == built, f"family != theorem route at {at}")
+                        ok, _ = is_permutation_bruteforce(ctx, ev, size_bound)
+                        _ensure(ok == family_condition(q, degree, m, l),
+                                f"family condition wrong at {at}")
+                        _ensure(ok == family_special_condition(q, degree, m, l),
+                                f"special condition wrong at {at}")
 
 
 def _check_proof_identities(qs, n_max: int, size_bound: int) -> None:
@@ -553,9 +537,9 @@ def _selftest_suite(level: str, seed: int, size_bound: int):
          lambda: _check_proof_identities((3, 5) if quick else (3, 5, 7, 9, 11),
                                          7 if quick else 15, size_bound)),
         ("published families and their conditions",
-         lambda: _check_families((5,) if quick else (5, 7, 11, 13),
-                                 (3,) if quick else (3, 7, 9, 13),
-                                 size_bound)),
+         lambda: _check_families(
+             {3: (5,), 5: (3,)} if quick
+             else {3: (5, 7, 11, 13), 5: (3, 7, 9, 13)}, size_bound)),
         ("inverse route agreement and composition",
          lambda: _check_inverse_routes((3, 5) if quick else (3, 5, 7, 9),
                                        5 if quick else 11,

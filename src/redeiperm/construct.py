@@ -17,7 +17,7 @@ Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
 a table-level bijectivity-transfer utility for commutative squares of finite
 maps, the binomial (n=3) and trinomial (n=5) families with their published
-coprimality conditions specialised to small m, and the density count of
+coprimality conditions, all read from one table, and the density count of
 admissible n.
 """
 
@@ -61,6 +61,11 @@ class PermSpec:
         """The outer exponent n + m(q+1), not normalised."""
         return self.n + self.m * (self.ctx.q + 1)
 
+    @property
+    def gh_index(self) -> int:
+        """Position of F in the pair (G_n, H_n): 1 for variant H, 0 for G."""
+        return int(self.variant == "H")
+
     def to_record(self) -> dict:
         return {
             "variant": self.variant,
@@ -85,6 +90,12 @@ class PermVerdict:
     is_perm: bool
     case: str
     conditions: tuple[Condition, ...]
+
+    @property
+    def failure(self) -> str:
+        """Why the spec is refused as a permutation, naming the failing gcds."""
+        failed = [c.name for c in self.conditions if not c.passed]
+        return f"not a permutation; failing conditions: {failed}"
 
     def to_record(self) -> dict:
         return {
@@ -138,7 +149,7 @@ def coset_factor_table(spec: PermSpec) -> list[int]:
     ctx = spec.ctx
     zl = ctx.q - 1  # discrete log of zeta
     av = spec.alpha.val
-    pick = 1 if spec.variant == "H" else 0
+    pick = spec.gh_index
     out = []
     for i in range(ctx.q + 1):
         gv_hv = _gh_eval_packed(ctx, spec.n, av, ctx._exp[(zl * i) % ctx.units])
@@ -158,7 +169,7 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     N = ctx.units
     r_norm = ((spec.r - 1) % N) + 1
     pair = gh_coeffs(spec.n, spec.alpha)
-    f = pair.h if spec.variant == "H" else pair.g
+    f = (pair.g, pair.h)[spec.gh_index]
     inner = poly_compose(f, Poly.monomial(ctx, ctx.q - 1))
     poly = reduce_functional(inner.shift(r_norm))
     return poly, CosetMap(ctx, spec.r % N, coset_factor_table(spec))
@@ -261,126 +272,93 @@ def transfer_bijectivity(f: dict, lam: dict, lam_bar: dict, g_bar: dict) -> bool
 
 
 # ---------------------------------------------------------------------------
-# The n=3 binomial and n=5 trinomial families.
-# ---------------------------------------------------------------------------
+# The n=3 binomial and n=5 trinomial families, keyed by (degree, variant):
+# the theorem variant each instantiates (P1 is G-shaped, P2 is H-shaped) and
+# its terms as rows (a, b, c, j), meaning c * alpha^j * x^(m(q+1) + a*q + b).
+# The rows are copied from the printed forms (family_poly), not derived from
+# G_n and H_n, so comparing family_poly with build_perm_poly checks two paths.
+FAMILIES = {
+    (3, "P1"): ("G", ((3, 0, 1, 0), (1, 2, 3, 1))),
+    (3, "P2"): ("H", ((2, 1, 3, 0), (0, 3, 1, 1))),
+    (5, "P1"): ("G", ((5, 0, 1, 0), (3, 2, 10, 1), (1, 4, 5, 2))),
+    (5, "P2"): ("H", ((4, 1, 5, 0), (2, 3, 10, 1), (0, 5, 1, 2))),
+}
 
-def family_binomial(ctx: FieldCtx, variant: str, m: int, l: int) -> Poly:
-    """The degree-3 family member, reduced; variant P1 is G-shaped, P2 is H-shaped.
 
+def _family(degree: int, variant: str = "P1") -> tuple:
+    """FAMILIES[degree, variant]; ValueError outside the table."""
+    if (degree, variant) not in FAMILIES:
+        raise ValueError(f"no published family ({degree!r}, {variant!r}); "
+                         f"the table holds {sorted(FAMILIES)}")
+    return FAMILIES[degree, variant]
+
+
+def family_poly(ctx: FieldCtx, degree: int, variant: str, m: int, l: int) -> Poly:
+    """The family member FAMILIES[degree, variant] at m, reduced.
+
+    Degree 3 (binomials):
     P1 = x^(m(q+1)+3q) + 3*alpha*x^(m(q+1)+q+2)
     P2 = 3*x^(m(q+1)+2q+1) + alpha*x^(m(q+1)+3)
-
-    with alpha = gamma^(l(q-1)).  Requires 3 not dividing q, otherwise the
-    coefficient 3 vanishes and the shape degenerates.
-    """
-    if ctx.p == 3:
-        raise ValueError("the binomial family needs the characteristic prime to 3")
-    q = ctx.q
-    alpha = ctx.alpha_from_l(l)
-    base = m * (q + 1)
-    if variant == "P1":
-        terms = [(base + 3 * q, ctx.one()), (base + q + 2, 3 * alpha)]
-    elif variant == "P2":
-        terms = [(base + 2 * q + 1, ctx.scalar(3)), (base + 3, alpha)]
-    else:
-        raise ValueError("variant must be 'P1' or 'P2'")
-    _check_family_exponents(terms, ctx)
-    return reduce_functional(Poly.from_terms(ctx, terms))
-
-
-def family_trinomial(ctx: FieldCtx, variant: str, m: int, l: int) -> Poly:
-    """The degree-5 family member, reduced; variant P1 is G-shaped, P2 is H-shaped.
-
+    Degree 5 (trinomials):
     P1 = x^(m(q+1)+5q) + 10*alpha*x^(m(q+1)+3q+2) + 5*alpha^2*x^(m(q+1)+q+4)
     P2 = 5*x^(m(q+1)+4q+1) + 10*alpha*x^(m(q+1)+2q+3) + alpha^2*x^(m(q+1)+5)
 
-    with alpha = gamma^(l(q-1)).  Requires 5 not dividing q.
+    with alpha = gamma^(l(q-1)).  Requires the degree (3 or 5) not to divide q,
+    otherwise the coefficient equal to the degree vanishes and the shape
+    degenerates.  Any m is allowed: the exponents are only defined mod q^2-1.
     """
-    if ctx.p == 5:
-        raise ValueError("the trinomial family needs the characteristic prime to 5")
-    q = ctx.q
-    alpha = ctx.alpha_from_l(l)
-    a2 = alpha * alpha
-    base = m * (q + 1)
-    if variant == "P1":
-        terms = [(base + 5 * q, ctx.one()), (base + 3 * q + 2, 10 * alpha),
-                 (base + q + 4, 5 * a2)]
-    elif variant == "P2":
-        terms = [(base + 4 * q + 1, ctx.scalar(5)), (base + 2 * q + 3, 10 * alpha),
-                 (base + 5, a2)]
-    else:
-        raise ValueError("variant must be 'P1' or 'P2'")
-    _check_family_exponents(terms, ctx)
-    return reduce_functional(Poly.from_terms(ctx, terms))
-
-
-def _check_family_exponents(terms: list, ctx: FieldCtx) -> None:
-    # negative m is fine as long as every exponent stays positive before
-    # reduction; shift the whole family by q^2-1 if it is not
-    low = min(e for e, _ in terms)
-    if low <= 0:
-        shift = ((-low) // ctx.units + 1) * ctx.units
-        for i, (e, c) in enumerate(terms):
-            terms[i] = (e + shift, c)
+    _, rows = _family(degree, variant)
+    if ctx.q % degree == 0:
+        raise ValueError(f"the degree-{degree} family needs the characteristic "
+                         f"prime to {degree}")
+    q, alpha = ctx.q, ctx.alpha_from_l(l)
+    base = m * (q + 1) % ctx.units  # keeps every exponent positive
+    return reduce_functional(Poly.from_terms(
+        ctx, ((base + a * q + b, c * alpha ** j) for a, b, c, j in rows)))
 
 
 def family_spec(ctx: FieldCtx, degree: int, variant: str, m: int, l: int) -> PermSpec:
     """The (variant, n, m, alpha) request matching a family member."""
-    n = {3: 3, 5: 5}[degree]
-    theorem_variant = "G" if variant == "P1" else "H"
-    return PermSpec(theorem_variant, n, m, ctx.alpha_from_l(l))
+    theorem_variant, _ = _family(degree, variant)
+    return PermSpec(theorem_variant, degree, m, ctx.alpha_from_l(l))
 
 
-def binomial_condition(q: int, m: int, l: int) -> bool:
-    """Published permutation condition for the n=3 family, any m."""
+def family_condition(q: int, degree: int, m: int, l: int) -> bool:
+    """Published permutation condition of the family of this degree, any m."""
+    _family(degree)
     if l % 2 == 0:
-        return math.gcd(3 * (2 * m + 3), q - 1) == 1
-    return math.gcd(2 * m + 3, q - 1) == 1 and math.gcd(3, q + 1) == 1
+        return math.gcd(degree * (2 * m + degree), q - 1) == 1
+    return (math.gcd(2 * m + degree, q - 1) == 1
+            and math.gcd(degree, q + 1) == 1)
 
 
-def trinomial_condition(q: int, m: int, l: int) -> bool:
-    """Published permutation condition for the n=5 family, any m."""
-    if l % 2 == 0:
-        return math.gcd(5 * (2 * m + 5), q - 1) == 1
-    return math.gcd(2 * m + 5, q - 1) == 1 and math.gcd(5, q + 1) == 1
+def family_special_condition(q: int, degree: int, m: int, l: int) -> bool:
+    """Congruence form of the family condition at the special m values.
 
-
-def binomial_special_condition(q: int, m: int, l: int) -> bool:
-    """Congruence form of the n=3 condition at the special m values.
-
+    Degree 3:
     m = q-3 and m = q-2: q != 1 mod 3 for even l, q != -1 mod 3 for odd l.
     m = 1: additionally q != 1 mod 5 in both parities.
     m = 0: q != 1 mod 3 for even l; never a permutation for odd l, since
     3 divides one of q-1 and q+1 whenever it does not divide q.
-    """
-    even = l % 2 == 0
-    if m in (q - 3, q - 2):
-        return q % 3 != 1 if even else q % 3 != 2
-    if m == 1:
-        if even:
-            return q % 3 != 1 and q % 5 != 1
-        return q % 3 != 2 and q % 5 != 1
-    if m == 0:
-        return q % 3 != 1 if even else False
-    raise ValueError(f"no specialised condition recorded for m={m}")
 
-
-def trinomial_special_condition(q: int, m: int, l: int) -> bool:
-    """Congruence form of the n=5 condition at the special m values.
-
+    Degree 5:
     m = q-4 and m = q-3: q != 1 mod 5 for even l, q != 4 mod 5 for odd l.
     m = 1: additionally q != 1 mod 7 in both parities.
     m = 0: q != 1 mod 5 for even l, q != 1 and q != 4 mod 5 for odd l.
+
+    The shifted m values are those with 2m + d = +-1 mod q-1 for the
+    degree d; any other m raises ValueError.
     """
-    even = l % 2 == 0
-    if m in (q - 4, q - 3):
-        return q % 5 != 1 if even else q % 5 != 4
+    _family(degree)
+    bad = 1 if l % 2 == 0 else degree - 1  # q = bad mod d puts d in the gcd
+    if m in (q - (degree + 3) // 2, q - (degree + 1) // 2):
+        return q % degree != bad
     if m == 1:
-        if even:
-            return q % 5 != 1 and q % 7 != 1
-        return q % 5 != 4 and q % 7 != 1
+        return q % degree != bad and q % (degree + 2) != 1
     if m == 0:
-        return q % 5 != 1 if even else q % 5 not in (1, 4)
+        if l % 2 and degree == 3:
+            return False  # as published, also when 3 divides q
+        return q % degree not in (1, bad)
     raise ValueError(f"no specialised condition recorded for m={m}")
 
 

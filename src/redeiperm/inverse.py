@@ -125,8 +125,7 @@ def inverse_cyclotomic(spec: PermSpec, size_bound: int | None = None) -> Poly:
     check_size_bound(ctx.q2, size_bound)
     verdict = check_criterion(spec)
     if not verdict.is_perm:
-        failed = [c.name for c in verdict.conditions if not c.passed]
-        raise ValueError(f"not a permutation; failing conditions: {failed}")
+        raise ValueError(verdict.failure)
     q, N = ctx.q, ctx.units
     b = bezout(spec)
     if b.r_prime is None:
@@ -274,8 +273,7 @@ def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
     ctx = spec.ctx
     verdict = check_criterion(spec)
     if not verdict.is_perm:
-        failed = [c.name for c in verdict.conditions if not c.passed]
-        raise ValueError(f"not a permutation; failing conditions: {failed}")
+        raise ValueError(verdict.failure)
     b = bezout(spec)
     if b.r_prime_full is None:
         raise ValueError(
@@ -289,7 +287,7 @@ def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
     e1 = (rp * (q * q - q + 1)) % N
     e2 = (rp * (q - 2)) % N
     av = spec.alpha.val
-    pick = 1 if spec.variant == "H" else 0
+    pick = spec.gh_index
     table = []
     for y in ctx.mu(q + 1):
         iv = mu_inverse_eval(inv, y)

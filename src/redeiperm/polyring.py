@@ -22,7 +22,7 @@ other polynomial is evaluated by the term loop, O(terms) per point.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .field_tower import Felt, FieldCtx
 
@@ -169,11 +169,6 @@ class Poly:
         """Machine form: (exponent, coefficient vector) pairs, ascending."""
         return [(e, self.terms[e].to_coeffs()) for e in sorted(self.terms)]
 
-    @classmethod
-    def from_pairs(cls, ctx: FieldCtx,
-                   pairs: Iterable[Sequence]) -> "Poly":
-        return cls.from_terms(ctx, ((int(e), ctx.from_coeffs(c)) for e, c in pairs))
-
 
 class CosetMap:
     """O(1)-per-point evaluator for x -> x^e * T[log x mod (q+1)], 0 -> 0.
@@ -266,18 +261,6 @@ def poly_eval(f: Poly, x: Felt) -> Felt:
     if cm is None:
         cm = f._coset = CosetMap.from_poly(f) or False
     return Felt(f.ctx, cm.eval_packed(x.val) if cm else _eval_terms(f, x.val))
-
-
-def poly_add(f: Poly, g: Poly) -> Poly:
-    return f + g
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    return f - g
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
 
 
 def poly_pow(f: Poly, e: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Poly:

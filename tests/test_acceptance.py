@@ -19,15 +19,14 @@ from redeiperm import (
     PermSpec,
     Poly,
     agreement_report,
-    binomial_condition,
-    binomial_special_condition,
     build_perm_poly,
     check_criterion,
     count_valid_n,
     dickson_eval,
-    family_binomial,
+    family_condition,
+    family_poly,
     family_spec,
-    family_trinomial,
+    family_special_condition,
     gh_coeffs,
     gh_eval,
     inverse_cyclotomic,
@@ -36,8 +35,6 @@ from redeiperm import (
     poly_eval,
     poly_gcd,
     sqrt_case,
-    trinomial_condition,
-    trinomial_special_condition,
 )
 
 FIELDS_ALL = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2))
@@ -184,12 +181,10 @@ def test_criterion_4_corollary_families(capsys):
     mismatches = []
     checks = 0
     grids = (
-        ((5, 7, 11, 13), family_binomial, binomial_condition,
-         binomial_special_condition, 3, lambda q: (0, 1, q - 3, q - 2)),
-        ((3, 7, 9, 13), family_trinomial, trinomial_condition,
-         trinomial_special_condition, 5, lambda q: (0, 1, q - 4, q - 3)),
+        ((5, 7, 11, 13), 3, lambda q: (0, 1, q - 3, q - 2)),
+        ((3, 7, 9, 13), 5, lambda q: (0, 1, q - 4, q - 3)),
     )
-    for qs, build, condition, special, degree, special_ms in grids:
+    for qs, degree, special_ms in grids:
         for q in qs:
             p, k = (3, 2) if q == 9 else (q, 1)
             ctx = make_field(p, k)
@@ -197,12 +192,13 @@ def test_criterion_4_corollary_families(capsys):
             for variant in ("P1", "P2"):
                 for m in m_values:
                     for l in range(q + 1):
-                        poly = build(ctx, variant, m, l)
+                        poly = family_poly(ctx, degree, variant, m, l)
                         ok, _ = is_permutation_bruteforce(ctx, poly)
-                        stated = condition(q, m, l)
+                        stated = family_condition(q, degree, m, l)
                         if ok != stated:
                             mismatches.append((q, degree, variant, m, l))
-                        if m in special_ms(q) and special(q, m, l) != stated:
+                        if (m in special_ms(q) and
+                                family_special_condition(q, degree, m, l) != stated):
                             mismatches.append(("special", q, degree,
                                                variant, m, l))
                         spec = family_spec(ctx, degree, variant, m, l)

@@ -150,6 +150,25 @@ def test_invert_all_still_agrees_without_closed(capsys):
     assert "agreement: yes" in out
 
 
+def test_invert_all_confirms_by_composition_without_the_table(capsys,
+                                                              monkeypatch):
+    """With the table route refused, route all falls back to composing P
+    with the cyclotomic inverse over the whole field."""
+    from redeiperm import inverse
+
+    def refuse(*args, **kwargs):
+        raise ValueError("table refused for the test")
+
+    monkeypatch.setattr(inverse, "inverse_table", refuse)
+    rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
+                   "--n", "3", "--m", "0", "--l", "2", "--route", "all"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "route table skipped: table refused for the test" in out
+    assert "agreement: yes" in out
+    assert "composition with P is the identity: verified" in out
+
+
 def test_invert_table_on_non_permutation(capsys):
     rc = cli.main(["invert", "--p", "7", "--variant", "H", "--n", "3",
                    "--route", "table"])
@@ -180,6 +199,27 @@ def test_selftest_json(capsys):
     assert doc["passed"] is True
     assert len(doc["checks"]) == 12
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_determinism_check(monkeypatch):
+    """The full-level determinism check passes on the real commands and
+    fails as soon as a second run writes different bytes."""
+    cfg = cli.RunConfig(p=3, k=2, size_bound=cli.DEFAULT_SIZE_BOUND,
+                        fmt="json", out="-")
+    cli._check_determinism(cfg)
+    real = cli.cmd_construct
+    runs = []
+
+    def drifting(*args, **kwargs):
+        runs.append(1)
+        rc = real(*args, **kwargs)
+        print(f"run {len(runs)}")
+        return rc
+
+    monkeypatch.setattr(cli, "cmd_construct", drifting)
+    with pytest.raises(AssertionError, match="two identical runs differ"):
+        cli._check_determinism(cfg)
+    assert len(runs) == 2
 
 
 def test_selftest_detects_corrupted_kernel(capsys, monkeypatch):

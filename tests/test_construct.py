@@ -5,14 +5,12 @@ import math
 
 import pytest
 
-from redeiperm import (CASE_IN, CASE_OUT, PermSpec, Poly, binomial_condition,
-                       binomial_special_condition, build_perm_poly,
+from redeiperm import (CASE_IN, CASE_OUT, PermSpec, Poly, build_perm_poly,
                        check_criterion, coset_factor_table, count_valid_n,
-                       cyclotomic_criterion, family_binomial, family_spec,
-                       family_trinomial, gh_coeffs, is_permutation_bruteforce,
-                       make_field, poly_eval, sqrt_case,
-                       transfer_bijectivity, trinomial_condition,
-                       trinomial_special_condition)
+                       cyclotomic_criterion, family_condition, family_poly,
+                       family_spec, family_special_condition, gh_coeffs,
+                       is_permutation_bruteforce, make_field, poly_eval,
+                       sqrt_case, transfer_bijectivity)
 from redeiperm.construct import scan
 
 
@@ -207,15 +205,12 @@ def test_transfer_bijectivity_on_field_data(q5):
 # ---------------------------------------------------------------------------
 
 def test_family_equals_theorem_route(q5, q7, q13):
-    for ctx, builder, fspec_deg in [(q5, family_binomial, 3),
-                                    (q7, family_binomial, 3),
-                                    (q7, family_trinomial, 5),
-                                    (q13, family_trinomial, 5)]:
+    for ctx, degree in [(q5, 3), (q7, 3), (q7, 5), (q13, 5)]:
         for variant in ("P1", "P2"):
             for m in (-2, 0, 1, ctx.q - 3):
                 for l in (0, 1, 2):
-                    fam = builder(ctx, variant, m, l)
-                    spec = family_spec(ctx, fspec_deg, variant, m, l)
+                    fam = family_poly(ctx, degree, variant, m, l)
+                    spec = family_spec(ctx, degree, variant, m, l)
                     built, _ = build_perm_poly(spec)
                     assert fam == built, (ctx.q, variant, m, l)
 
@@ -224,27 +219,38 @@ def test_family_reduced_special_forms(q7):
     q = q7.q
     alpha = q7.alpha_from_l(2)
     # m = q-3 collapses the binomial P1 to x^{q-2} + 3 alpha x^{q^2-q-1}
-    fam = family_binomial(q7, "P1", q - 3, 2)
+    fam = family_poly(q7, 3, "P1", q - 3, 2)
     assert fam == Poly.from_terms(
         q7, [(q - 2, q7.one()), (q * q - q - 1, 3 * alpha)])
     # m = q-2: P1 becomes x^{2q-1} + 3 alpha x, P2 becomes 3x^q + alpha x^{q^2-q+1}
-    fam = family_binomial(q7, "P1", q - 2, 2)
+    fam = family_poly(q7, 3, "P1", q - 2, 2)
     assert fam == Poly.from_terms(
         q7, [(2 * q - 1, q7.one()), (1, 3 * alpha)])
-    fam = family_binomial(q7, "P2", q - 2, 2)
+    fam = family_poly(q7, 3, "P2", q - 2, 2)
     assert fam == Poly.from_terms(
         q7, [(q, q7.scalar(3)), (q * q - q + 1, alpha)])
 
 
 def test_family_rejects_degenerate_characteristic(q3, q9, q25):
     with pytest.raises(ValueError):
-        family_binomial(q3, "P1", 0, 0)
+        family_poly(q3, 3, "P1", 0, 0)
     with pytest.raises(ValueError):
-        family_binomial(q9, "P2", 0, 0)
+        family_poly(q9, 3, "P2", 0, 0)
     with pytest.raises(ValueError):
-        family_trinomial(q25, "P1", 0, 0)
-    with pytest.raises(ValueError):
-        family_binomial(q7 := make_field(7, 1), "P3", 0, 0)
+        family_poly(q25, 5, "P1", 0, 0)
+
+
+@pytest.mark.parametrize("degree, variant", [(3, "P3"), (4, "P1"), (5, "G")])
+def test_family_outside_the_table_is_refused(q7, degree, variant):
+    with pytest.raises(ValueError, match="no published family"):
+        family_poly(q7, degree, variant, 0, 0)
+    with pytest.raises(ValueError, match="no published family"):
+        family_spec(q7, degree, variant, 0, 0)
+    if variant == "P1":
+        with pytest.raises(ValueError, match="no published family"):
+            family_condition(7, degree, 0, 0)
+        with pytest.raises(ValueError, match="no published family"):
+            family_special_condition(7, degree, 0, 0)
 
 
 def test_family_conditions_match_criterion():
@@ -255,7 +261,7 @@ def test_family_conditions_match_criterion():
             for l in range(q + 2):
                 want = check_criterion(
                     PermSpec("G", 3, m, ctx.alpha_from_l(l))).is_perm
-                assert binomial_condition(q, m, l) == want, (q, m, l)
+                assert family_condition(q, 3, m, l) == want, (q, m, l)
     for q, k in [(3, 1), (7, 1), (9, 2), (13, 1)]:
         p = 3 if q == 9 else q
         ctx = make_field(p, k)
@@ -263,7 +269,7 @@ def test_family_conditions_match_criterion():
             for l in range(q + 2):
                 want = check_criterion(
                     PermSpec("H", 5, m, ctx.alpha_from_l(l))).is_perm
-                assert trinomial_condition(q, m, l) == want, (q, m, l)
+                assert family_condition(q, 5, m, l) == want, (q, m, l)
 
 
 def test_special_conditions_match_general_onwide_integer_scan():
@@ -274,30 +280,41 @@ def test_special_conditions_match_general_onwide_integer_scan():
         for l in (0, 1, 2, 3):
             if q % 3:
                 for m in (q - 3, q - 2, 1, 0):
-                    assert binomial_special_condition(q, m, l) == \
-                        binomial_condition(q, m, l), ("binomial", q, m, l)
+                    assert family_special_condition(q, 3, m, l) == \
+                        family_condition(q, 3, m, l), ("binomial", q, m, l)
             if q % 5:
                 for m in (q - 4, q - 3, 1, 0):
-                    assert trinomial_special_condition(q, m, l) == \
-                        trinomial_condition(q, m, l), ("trinomial", q, m, l)
+                    assert family_special_condition(q, 5, m, l) == \
+                        family_condition(q, 5, m, l), ("trinomial", q, m, l)
     with pytest.raises(ValueError):
-        binomial_special_condition(7, 2, 0)
+        family_special_condition(7, 3, 2, 0)
     with pytest.raises(ValueError):
-        trinomial_special_condition(7, 2, 0)
+        family_special_condition(7, 5, 2, 0)
+
+
+def test_special_conditions_when_the_degree_divides_q():
+    """The congruence forms as published, also where the family degenerates:
+    at m = 0 and odd l the degree-3 form is never a permutation."""
+    assert family_special_condition(9, 3, 0, 1) is False
+    assert family_condition(9, 3, 0, 1) is True
+    assert family_special_condition(9, 3, 0, 0) is True
+    assert family_special_condition(25, 5, 0, 1) is True
+    assert family_special_condition(27, 3, 1, 1) is True
+    assert family_special_condition(125, 5, 122, 2) is True
 
 
 def test_family_conditions_against_bruteforce(q5, q9):
     for variant in ("P1", "P2"):
         for m in (0, 1, q5.q - 3, q5.q - 2):
             for l in range(q5.q + 1):
-                fam = family_binomial(q5, variant, m, l)
+                fam = family_poly(q5, 3, variant, m, l)
                 ok, _ = is_permutation_bruteforce(q5, fam)
-                assert ok == binomial_condition(q5.q, m, l), (variant, m, l)
+                assert ok == family_condition(q5.q, 3, m, l), (variant, m, l)
         for m in (0, 1, q9.q - 4, q9.q - 3):
             for l in range(q9.q + 1):
-                fam = family_trinomial(q9, variant, m, l)
+                fam = family_poly(q9, 5, variant, m, l)
                 ok, _ = is_permutation_bruteforce(q9, fam)
-                assert ok == trinomial_condition(q9.q, m, l), (variant, m, l)
+                assert ok == family_condition(q9.q, 5, m, l), (variant, m, l)
 
 
 # ---------------------------------------------------------------------------
