@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         count_valid_n, cyclotomic_criterion, family_condition,
                         family_poly, family_spec, family_special_condition,
-                        is_permutation_bruteforce, packed_fn, sqrt_case)
+                        is_permutation_bruteforce, packed_ranges, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           field_for_q, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
@@ -153,8 +153,9 @@ def cmd_construct(cfg: RunConfig, variant: str, n: int, m: int, l: int,
 # ---------------------------------------------------------------------------
 
 def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
-    fwd, back = packed_fn(ctx, forward), packed_fn(ctx, backward)
-    return all(back(fwd(xv)) == xv for xv in range(ctx.q2))
+    back = [v for _, values in packed_ranges(ctx, backward) for v in values]
+    return all(back[v] == xv for start, values in packed_ranges(ctx, forward)
+               for xv, v in enumerate(values, start))
 
 
 def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
@@ -172,13 +173,13 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
         f"spec: variant {variant}, n = {n}, m = {m}, l = {l}",
         "verdict: " + ("permutation" if verdict.is_perm else "not a permutation"),
     ]
-    _, evaluator = build_perm_poly(spec)
-
     if not verdict.is_perm and route != "table":
         doc["error"] = verdict.failure
         lines.append(f"error: {doc['error']}")
         _emit(doc, "\n".join(lines) + "\n", cfg)
         return 1
+
+    _, evaluator = build_perm_poly(spec)
 
     verified = False
     try:

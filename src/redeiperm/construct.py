@@ -13,6 +13,11 @@ together with an O(1)-per-point CosetMap evaluator, and provides the
 ground-truth exhaustive bijectivity oracle so the criteria are never
 trusted blindly; its scan doubles as the table inverse.
 
+Every exhaustive loop (the scan, the route digests, the CLI's composition
+check) reads f through packed_ranges, a range of consecutive points at a
+time: a CosetMap or an InverseTable with no Python call per point, a Poly
+(through poly_eval) or any other callable point by point.
+
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
 a table-level bijectivity-transfer utility for commutative squares of finite
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
 from .field_tower import Felt, FieldCtx, check_size_bound
 from .polyring import (CosetMap, Poly, poly_compose, poly_eval,
@@ -175,13 +180,33 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     return poly, CosetMap(ctx, spec.r % N, coset_factor_table(spec))
 
 
-def packed_fn(ctx: FieldCtx, f) -> Callable[[int], int]:
-    """f on packed values; f has eval_packed, is a Poly or maps Felt -> Felt."""
-    if hasattr(f, "eval_packed"):
-        return f.eval_packed
-    if isinstance(f, Poly):
-        return lambda xv: poly_eval(f, Felt(ctx, xv)).val
-    return lambda xv: f(Felt(ctx, xv)).val
+# The first range has RANGE_START points, each later one as many as all
+# before it, up to RANGE_CAP: a scan that stops at point b has evaluated at
+# most max(2b, RANGE_START) points.
+RANGE_START = 64
+RANGE_CAP = 1 << 14
+
+
+def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
+    """f's packed values at 0, 1, ..., q^2-1 as (start, values) per range.
+
+    f may be a map with eval_range(start, stop) (CosetMap, InverseTable),
+    evaluated a whole range at a time; a Poly, through poly_eval per point;
+    or any callable Felt -> Felt, per point.
+    """
+    if hasattr(f, "eval_range"):
+        values = f.eval_range
+    elif isinstance(f, Poly):
+        def values(start, stop):
+            return [poly_eval(f, Felt(ctx, xv)).val for xv in range(start, stop)]
+    else:
+        def values(start, stop):
+            return [f(Felt(ctx, xv)).val for xv in range(start, stop)]
+    start = 0
+    while start < ctx.q2:
+        stop = min(ctx.q2, start + min(max(start, RANGE_START), RANGE_CAP))
+        yield start, values(start, stop)
+        start = stop
 
 
 def scan(ctx: FieldCtx, f, size_bound: int | None = None
@@ -190,16 +215,17 @@ def scan(ctx: FieldCtx, f, size_bound: int | None = None
 
     Returns (inverse table, None) for a bijection.  At the first collision
     it stops and returns (partial table, (a, b, v)): packed inputs a < b
-    both map to v, and b is the last point evaluated.
+    both map to v, and no point after b enters the table.  Values come a
+    range at a time (packed_ranges), so f may have been evaluated past b,
+    to the end of b's range.
     """
     check_size_bound(ctx.q2, size_bound)
-    fn = packed_fn(ctx, f)
     first = [-1] * ctx.q2
-    for xv in range(ctx.q2):
-        v = fn(xv)
-        if first[v] >= 0:
-            return first, (first[v], xv, v)
-        first[v] = xv
+    for start, values in packed_ranges(ctx, f):
+        for xv, v in enumerate(values, start):
+            if first[v] >= 0:
+                return first, (first[v], xv, v)
+            first[v] = xv
     return first, None
 
 

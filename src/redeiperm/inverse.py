@@ -23,11 +23,14 @@ even though the permutation itself is certified.
 
 Route "table": exhaustive inversion of the value table, the ground truth.
 
-All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
-poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): the value
-digest tabulates g on mu_{q+1} once (cross-checked against the term sum at
-the q+1 coset representatives) and then costs O(1) per point, O(q^2) over
-the field instead of O(q^3) term by term.
+Route agreement digests each route's values at all q^2 points, read by
+construct.packed_ranges: the closed route's CosetMap and the InverseTable a
+whole range at a time, the cyclotomic Poly by poly_eval per point.  All
+exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
+poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
+tabulated on mu_{q+1} once (cross-checked against the term sum at the q+1
+coset representatives) and each point costs O(1), O(q^2) over the field
+instead of O(q^3) term by term.
 
 Every closed form is evaluated through its total power form; the rational
 fraction form is evaluated alongside as a cross-check wherever its
@@ -41,11 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
-                        check_criterion, coset_factor_table, packed_fn, scan,
-                        sqrt_case)
+                        check_criterion, coset_factor_table, packed_ranges,
+                        scan, sqrt_case)
 from .field_tower import Felt, FieldCtx, check_size_bound
 from .polyring import Poly
 from .redei import _gh_eval_packed
@@ -307,8 +312,8 @@ class InverseTable:
         self.ctx = ctx
         self._table = table
 
-    def eval_packed(self, xv: int) -> int:
-        return self._table[xv]
+    def eval_range(self, start: int, stop: int) -> list[int]:
+        return self._table[start:stop]
 
     def __call__(self, x: Felt) -> Felt:
         return Felt(self.ctx, self._table[x.val])
@@ -328,12 +333,26 @@ def inverse_table(ctx: FieldCtx, f, size_bound: int | None = None) -> InverseTab
 # Route agreement.
 # ---------------------------------------------------------------------------
 
+def _little_endian(values: list[int], width: int) -> bytearray:
+    """b"".join(v.to_bytes(width, "little") for v in values), built in C:
+    pack into the narrowest array item of at least width bytes, then drop
+    the high byte of every item until width bytes are left."""
+    packed = array(next(c for c in "BHIQ" if array(c).itemsize >= width), values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    out = bytearray(packed)
+    for size in range(packed.itemsize, width, -1):
+        del out[size - 1::size]
+    return out
+
+
 def _value_digest(ctx: FieldCtx, f) -> str:
+    """sha256 of f's packed values at 0, ..., q^2-1, each little-endian in
+    the byte width of q^2; fed to the hash one range at a time."""
     h = hashlib.sha256()
     width = (ctx.q2.bit_length() + 7) // 8
-    fn = packed_fn(ctx, f)
-    for xv in range(ctx.q2):
-        h.update(fn(xv).to_bytes(width, "little"))
+    for _, values in packed_ranges(ctx, f):
+        h.update(_little_endian(values, width))
     return h.hexdigest()
 
 

@@ -18,6 +18,9 @@ poly_eval detects that shape on first use, tabulates g on mu_{q+1} in
 O(q * terms) once per Poly, and then costs O(1) per point (a discrete log,
 a table pick, one multiplication) whatever the number of terms.  Every
 other polynomial is evaluated by the term loop, O(terms) per point.
+poly_eval is one Python call per point; a CosetMap held directly also
+evaluates a whole range of consecutive points in one comprehension
+(CosetMap.eval_range), which is how the exhaustive loops read it.
 """
 
 from __future__ import annotations
@@ -177,15 +180,18 @@ class CosetMap:
     the factor only depends on the coset of x modulo the (q-1)-th powers, so
     its q+1 packed values T are tabulated once; each evaluation is then a
     discrete log, a table pick and one multiplication.  A zero entry of T
-    sends its whole coset to 0.
+    sends its whole coset to 0.  eval_range runs the same arithmetic over a
+    slice of the log table in one comprehension, with the logs of T taken
+    once per map.
     """
 
-    __slots__ = ("ctx", "e", "table")
+    __slots__ = ("ctx", "e", "table", "_table_logs")
 
     def __init__(self, ctx: FieldCtx, e: int, table: list[int]):
         self.ctx = ctx
         self.e = e
         self.table = table
+        self._table_logs = [ctx._log[v] if v else None for v in table]
 
     @classmethod
     def from_poly(cls, f: Poly) -> "CosetMap | None":
@@ -221,6 +227,16 @@ class CosetMap:
         if fv == 0:
             return 0
         return ctx._exp[(self.e * t + ctx._log[fv]) % ctx.units]
+
+    def eval_range(self, start: int, stop: int) -> list[int]:
+        """Packed values at the packed points start, ..., stop-1."""
+        ctx = self.ctx
+        exp, e, N, q1, tl = ctx._exp, self.e, ctx.units, ctx.q + 1, self._table_logs
+        out = [0 if (lt := tl[t % q1]) is None else exp[(e * t + lt) % N]
+               for t in ctx._log[max(start, 1):stop]]
+        if start == 0 < stop:  # log 0 is undefined; 0 -> 0
+            out.insert(0, 0)
+        return out
 
     def __call__(self, x: Felt) -> Felt:
         return Felt(self.ctx, self.eval_packed(x.val))

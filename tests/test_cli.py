@@ -141,6 +141,27 @@ def test_invert_closed_refusal(capsys):
     assert "the closed-form lift does not apply" in out
 
 
+def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
+    """A non-permutation is refused before build_perm_poly runs, except on
+    the table route, which scans P for its collision witness."""
+    calls = []
+    real = cli.build_perm_poly
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "build_perm_poly", counted)
+    argv = ["invert", "--p", "7", "--variant", "H", "--n", "3"]
+    for route in ("closed", "cyclotomic", "all"):
+        assert cli.main(argv + ["--route", route]) == 1
+        assert "failing conditions" in capsys.readouterr().out
+    assert calls == []
+    assert cli.main(argv + ["--route", "table"]) == 1
+    assert "both map to" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_invert_all_still_agrees_without_closed(capsys):
     rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "G",
                    "--n", "5", "--route", "all"])
