@@ -11,7 +11,10 @@ and the case split does not depend on which root s is chosen.  The module
 decides these criteria, builds the polynomial in reduced coefficient form
 together with an O(1)-per-point CosetMap evaluator, and provides the
 ground-truth exhaustive bijectivity oracle so the criteria are never
-trusted blindly; its scan doubles as the table inverse.
+trusted blindly; its scan doubles as the table inverse.  The evaluator's
+q+1 coset values F(zeta^i, alpha) come from the closed form
+(x +- sqrt(alpha))^n, not from matrix powering, which only spot-checks
+them (redei.gh_table).
 
 Every exhaustive loop (the scan, the route digests, the CLI's composition
 check) reads f through packed_ranges, a range of consecutive points at a
@@ -35,7 +38,7 @@ from typing import Iterator
 from .field_tower import Felt, FieldCtx, check_size_bound
 from .polyring import (CosetMap, Poly, poly_compose, poly_eval,
                        reduce_functional)
-from .redei import _gh_eval_packed, gh_coeffs
+from .redei import gh_coeffs, gh_table
 
 CASE_IN = "sqrt_in_mu"
 CASE_OUT = "sqrt_not_in_mu"
@@ -150,16 +153,16 @@ def check_criterion(spec: PermSpec) -> PermVerdict:
 
 
 def coset_factor_table(spec: PermSpec) -> list[int]:
-    """Packed values of F(zeta^i, alpha) for i = 0..q, F = H_n or G_n."""
+    """Packed values of F(zeta^i, alpha) for i = 0..q, F = H_n or G_n.
+
+    Built by the closed form (x +- sqrt(alpha))^n and spot-checked against
+    matrix powering (redei.gh_table).
+    """
     ctx = spec.ctx
     zl = ctx.q - 1  # discrete log of zeta
-    av = spec.alpha.val
-    pick = spec.gh_index
-    out = []
-    for i in range(ctx.q + 1):
-        gv_hv = _gh_eval_packed(ctx, spec.n, av, ctx._exp[(zl * i) % ctx.units])
-        out.append(gv_hv[pick])
-    return out
+    exp, N = ctx._exp, ctx.units
+    return gh_table(ctx, spec.n, spec.alpha.val, spec.gh_index,
+                    [exp[(zl * i) % N] for i in range(ctx.q + 1)])
 
 
 def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
@@ -319,6 +322,14 @@ def _family(degree: int, variant: str = "P1") -> tuple:
     return FAMILIES[degree, variant]
 
 
+def _require_degree_prime_to(q: int, degree: int) -> None:
+    """ValueError when the degree divides q: the coefficient equal to the
+    degree vanishes there and the family degenerates."""
+    if q % degree == 0:
+        raise ValueError(f"the degree-{degree} family needs the characteristic "
+                         f"prime to {degree}")
+
+
 def family_poly(ctx: FieldCtx, degree: int, variant: str, m: int, l: int) -> Poly:
     """The family member FAMILIES[degree, variant] at m, reduced.
 
@@ -334,9 +345,7 @@ def family_poly(ctx: FieldCtx, degree: int, variant: str, m: int, l: int) -> Pol
     degenerates.  Any m is allowed: the exponents are only defined mod q^2-1.
     """
     _, rows = _family(degree, variant)
-    if ctx.q % degree == 0:
-        raise ValueError(f"the degree-{degree} family needs the characteristic "
-                         f"prime to {degree}")
+    _require_degree_prime_to(ctx.q, degree)
     q, alpha = ctx.q, ctx.alpha_from_l(l)
     base = m * (q + 1) % ctx.units  # keeps every exponent positive
     return reduce_functional(Poly.from_terms(
@@ -350,8 +359,12 @@ def family_spec(ctx: FieldCtx, degree: int, variant: str, m: int, l: int) -> Per
 
 
 def family_condition(q: int, degree: int, m: int, l: int) -> bool:
-    """Published permutation condition of the family of this degree, any m."""
+    """Published permutation condition of the family of this degree, any m.
+
+    Refused, like family_poly, when the degree divides q.
+    """
     _family(degree)
+    _require_degree_prime_to(q, degree)
     if l % 2 == 0:
         return math.gcd(degree * (2 * m + degree), q - 1) == 1
     return (math.gcd(2 * m + degree, q - 1) == 1
@@ -373,9 +386,11 @@ def family_special_condition(q: int, degree: int, m: int, l: int) -> bool:
     m = 0: q != 1 mod 5 for even l, q != 1 and q != 4 mod 5 for odd l.
 
     The shifted m values are those with 2m + d = +-1 mod q-1 for the
-    degree d; any other m raises ValueError.
+    degree d; any other m raises ValueError, and so does a q divisible by
+    the degree (as in family_poly).
     """
     _family(degree)
+    _require_degree_prime_to(q, degree)
     bad = 1 if l % 2 == 0 else degree - 1  # q = bad mod d puts d in the gcd
     if m in (q - (degree + 3) // 2, q - (degree + 1) // 2):
         return q % degree != bad
@@ -383,7 +398,7 @@ def family_special_condition(q: int, degree: int, m: int, l: int) -> bool:
         return q % degree != bad and q % (degree + 2) != 1
     if m == 0:
         if l % 2 and degree == 3:
-            return False  # as published, also when 3 divides q
+            return False
         return q % degree not in (1, bad)
     raise ValueError(f"no specialised condition recorded for m={m}")
 

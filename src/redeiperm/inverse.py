@@ -53,7 +53,7 @@ from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
                         scan, sqrt_case)
 from .field_tower import Felt, FieldCtx, check_size_bound
 from .polyring import Poly
-from .redei import _gh_eval_packed
+from .redei import _gh_eval_packed, gh_table
 
 
 def _modinv_or_none(a: int, mod: int) -> int | None:
@@ -291,16 +291,12 @@ def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
     rp = b.r_prime_full
     e1 = (rp * (q * q - q + 1)) % N
     e2 = (rp * (q - 2)) % N
-    av = spec.alpha.val
-    pick = spec.gh_index
-    table = []
-    for y in ctx.mu(q + 1):
-        iv = mu_inverse_eval(inv, y)
-        fv = _gh_eval_packed(ctx, spec.n, av, iv.val)[pick]
-        if fv == 0:
-            raise ArithmeticError("coset factor vanishes at a coset inverse")
-        table.append(ctx.mul_packed(ctx.pow_packed(fv, e2), iv.val))
-    return CosetMap(ctx, e1, table)
+    ivs = [mu_inverse_eval(inv, y).val for y in ctx.mu(q + 1)]
+    fvs = gh_table(ctx, spec.n, spec.alpha.val, spec.gh_index, ivs)
+    if 0 in fvs:
+        raise ArithmeticError("coset factor vanishes at a coset inverse")
+    return CosetMap(ctx, e1, [ctx.mul_packed(ctx.pow_packed(fv, e2), iv)
+                              for fv, iv in zip(fvs, ivs)])
 
 
 class InverseTable:

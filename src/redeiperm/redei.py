@@ -12,12 +12,21 @@ and the closed forms are G_n = sum C(n,2i) alpha^i x^(n-2i) and
 H_n = sum C(n,2i+1) alpha^i x^(n-2i-1).  The Redei function is the rational
 map G_n/H_n.
 
-Both computation paths are kept permanently and checked against each other:
-coefficients come from the recursion and from the binomial closed form with
-binomials reduced mod p by Lucas' theorem, and point values come from
-squaring-and-multiplying the 2x2 matrix [[x, alpha], [1, x]].  The binomial
-route sees characteristic-p coefficient vanishing directly, the recursion
-does not, so agreement is a real check and any mismatch raises.
+Two independent paths are kept for each form and checked against each other.
+Coefficients come from the recursion and from the binomial closed form with
+binomials reduced mod p by Lucas' theorem, both on packed coefficient lists;
+the binomial route sees characteristic-p coefficient vanishing directly, the
+recursion does not, so agreement is a real check and any mismatch raises.
+
+Point values come from two routes.  Whole tables (gh_table: the coset table
+of construct and the lift table of inverse) use the definition itself,
+G_n = (u + v)/2 and H_n = (u - v)/(2s) with u, v = (x +- s)^n: three Zech
+steps and two multiples of a log per point.  Squaring-and-multiplying the
+2x2 matrix [[x, alpha], [1, x]], O(log n) products per point, stays the
+independent reference: gh_table recomputes a constant number of its entries
+that way, and gh_eval (hence the selftest's check of (x + s)^n = G_n + H_n*s)
+and the power form of the coset inverse use it alone, the latter because its
+cross-check partner, the rational form, already expands (w +- 1)^n'.
 
 Dickson polynomials of the first kind D_n(x, a) are provided alongside
 (D_0 = 2, D_1 = x, D_n = x*D_{n-1} - a*D_{n-2}) together with their closed
@@ -28,6 +37,7 @@ for odd n, H_n(x, alpha) = D_n(2s, alpha - x^2) / (2s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .field_tower import Felt, FieldCtx
 from .polyring import Poly, poly_eval
@@ -68,36 +78,65 @@ def _require_alpha(alpha: Felt) -> None:
         raise ValueError("alpha must lie in mu_{q+1}")
 
 
-def _gh_coeffs_recursive(n: int, alpha: Felt) -> tuple[Poly, Poly]:
+def _gh_coeffs_recursive(n: int, alpha: Felt) -> tuple[list[int], list[int]]:
+    """Packed coefficients of G_n at x^(n-2i) and of H_n at x^(n-1-2i),
+    i = 0, 1, ..., by iterating G' = x*G + alpha*H, H' = G + x*H.
+
+    G_n and H_n only have exponents of the parity of n resp. n-1, so
+    multiplying by x keeps a list's index: x*G lands on G' at index i and
+    alpha*H at index i+1, while G and x*H both land on H' at index i.  The
+    lists hold discrete logs while iterating, with q^2-1 (the Zech table's
+    sentinel) standing for 0, so a product is one addition and a sum one
+    Zech step.
+    """
     ctx = alpha.ctx
-    g, h = Poly.one(ctx), Poly.zero(ctx)
+    exp, zech, N = ctx._exp, ctx._zech, ctx.units
+    la = ctx._log[alpha.val]
+
+    def plus(pairs):
+        return [a if b == N else b if a == N else
+                (N if (z := zech[(b - a) % N]) == N else (a + z) % N)
+                for a, b in pairs]
+
+    g: list[int] = [0]
+    h: list[int] = []
     for _ in range(n):
-        g, h = g.shift(1) + h * alpha, g + h.shift(1)
+        ah = [N]
+        ah += [N if v == N else (v + la) % N for v in h]
+        g, h = (plus(zip_longest(g, ah, fillvalue=N)),
+                plus(zip_longest(g, h, fillvalue=N)))
+    return ([0 if v == N else exp[v] for v in g],
+            [0 if v == N else exp[v] for v in h])
+
+
+def _gh_coeffs_binomial(n: int, alpha: Felt) -> tuple[list[int], list[int]]:
+    """The lists of _gh_coeffs_recursive from C(n, 2i) alpha^i and
+    C(n, 2i+1) alpha^i, the binomials reduced mod p by Lucas' theorem (a
+    residue mod p is its own packed value)."""
+    ctx = alpha.ctx
+    p, mul, av = ctx.p, ctx.mul_packed, alpha.val
+    g: list[int] = []
+    h: list[int] = []
+    apow = 1
+    for i in range(n // 2 + 1):
+        g.append(mul(binom_mod(n, 2 * i, p), apow))
+        if 2 * i + 1 <= n:
+            h.append(mul(binom_mod(n, 2 * i + 1, p), apow))
+        apow = mul(apow, av)
     return g, h
 
 
-def _gh_coeffs_binomial(n: int, alpha: Felt) -> tuple[Poly, Poly]:
-    ctx = alpha.ctx
-    p = ctx.p
-    g_terms = []
-    h_terms = []
-    apow = ctx.one()
-    for i in range(n // 2 + 1):
-        cg = binom_mod(n, 2 * i, p)
-        if cg:
-            g_terms.append((n - 2 * i, apow * cg))
-        ch = binom_mod(n, 2 * i + 1, p)
-        if ch and 2 * i + 1 <= n:
-            h_terms.append((n - 2 * i - 1, apow * ch))
-        apow = apow * alpha
-    return Poly.from_terms(ctx, g_terms), Poly.from_terms(ctx, h_terms)
+def _parity_poly(ctx: FieldCtx, top: int, coeffs: list[int]) -> Poly:
+    """sum coeffs[i] * x^(top - 2i) as a Poly."""
+    return Poly(ctx, {top - 2 * i: Felt(ctx, c) for i, c in enumerate(coeffs) if c})
 
 
 def gh_coeffs(n: int, alpha: Felt, cap: int = GH_DEGREE_CAP) -> RedeiPair:
     """Coefficient polynomials (G_n, H_n); recursion and closed form agree.
 
     alpha must lie in mu_{q+1}; n is capped to keep the quadratic-time
-    recursion affordable.
+    recursion affordable.  Both paths run on packed coefficient lists and
+    the Polys are built once, from the agreed lists.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -105,12 +144,13 @@ def gh_coeffs(n: int, alpha: Felt, cap: int = GH_DEGREE_CAP) -> RedeiPair:
         raise ValueError(f"n={n} exceeds the coefficient-form cap {cap}")
     _require_alpha(alpha)
     g, h = _gh_coeffs_recursive(n, alpha)
-    g2, h2 = _gh_coeffs_binomial(n, alpha)
-    if g != g2 or h != h2:
+    if (g, h) != _gh_coeffs_binomial(n, alpha):
         raise ArithmeticError(
             "recursion and binomial closed form disagree; the arithmetic "
             "kernel is corrupted")
-    return RedeiPair(n=n, alpha=alpha, g=g, h=h)
+    ctx = alpha.ctx
+    return RedeiPair(n=n, alpha=alpha, g=_parity_poly(ctx, n, g),
+                     h=_parity_poly(ctx, n - 1, h))
 
 
 def _gh_eval_packed(ctx: FieldCtx, n: int, av: int, xv: int) -> tuple[int, int]:
@@ -137,6 +177,69 @@ def _gh_eval_packed(ctx: FieldCtx, n: int, av: int, xv: int) -> tuple[int, int]:
                 add(mul(mc, mb), mul(md, md)),
             )
     return ra, rc
+
+
+def _gh_closed_packed(ctx: FieldCtx, n: int, av: int, pick: int,
+                      points: list[int]) -> list[int]:
+    """G_n (pick 0) or H_n (pick 1) at the packed points, by the closed form.
+
+    With s = gamma^(log alpha / 2), u = (x + s)^n and v = (x - s)^n,
+    G_n = (u + v)/2 and H_n = (u - v)/(2s).  All of it runs on logs: x +- s
+    is one Zech step from log x, the n-th powers are multiples of logs,
+    u +- v is one more Zech step and the scale an added constant.  At
+    x = +-s one of u, v is 0, and n = 0 gives (1, 0) everywhere (0^0 = 1).
+    alpha must lie in mu_{q+1}, whose logs are even.
+    """
+    if n == 0:
+        return [1 - pick] * len(points)
+    exp, log, zech, N = ctx._exp, ctx._log, ctx._zech, ctx.units
+    half = N // 2  # log(-1)
+    ls = log[av] // 2  # log s
+    lsn = ls + half  # log(-s)
+    t = pick * half  # u + v for G, u - v for H
+    c = -(log[2] + pick * ls) % N  # log of 1/2 resp. 1/(2s)
+    out = []
+    for xv in points:
+        if xv:
+            lx = log[xv]
+            zu = zech[(ls - lx) % N]
+            zv = zech[(lsn - lx) % N]
+            lu = None if zu == N else (lx + zu) * n % N
+            lv = None if zv == N else (lx + zv) * n % N
+        else:
+            lu, lv = ls * n % N, lsn * n % N
+        if lu is None:
+            out.append(exp[(lv + t + c) % N])
+        elif lv is None:
+            out.append(exp[(lu + c) % N])
+        else:
+            z = zech[(lv + t - lu) % N]
+            out.append(0 if z == N else exp[(lu + z + c) % N])
+    return out
+
+
+# points at which gh_table checks the closed form against matrix powering
+GH_SPOT_CHECKS = 4
+
+
+def gh_table(ctx: FieldCtx, n: int, av: int, pick: int,
+             points: list[int]) -> list[int]:
+    """G_n (pick 0) or H_n (pick 1) at a list of packed points.
+
+    The values come from the closed form (_gh_closed_packed), O(1) per
+    point.  GH_SPOT_CHECKS of them, spread evenly over the list, are
+    recomputed by matrix powering; a mismatch raises ArithmeticError.
+    """
+    values = _gh_closed_packed(ctx, n, av, pick, points)
+    size = len(points)
+    if len(values) != size:
+        raise ArithmeticError("closed-form G_n/H_n table has the wrong length")
+    for i in {j * size // GH_SPOT_CHECKS for j in range(GH_SPOT_CHECKS)}:
+        if values[i] != _gh_eval_packed(ctx, n, av, points[i])[pick]:
+            raise ArithmeticError(
+                f"closed-form {'GH'[pick]}_{n} disagrees with matrix powering "
+                f"at the packed point {points[i]}")
+    return values
 
 
 def gh_eval(n: int, alpha: Felt, x: Felt) -> tuple[Felt, Felt]:

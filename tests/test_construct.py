@@ -293,14 +293,17 @@ def test_special_conditions_match_general_onwide_integer_scan():
 
 
 def test_special_conditions_when_the_degree_divides_q():
-    """The congruence forms as published, also where the family degenerates:
-    at m = 0 and odd l the degree-3 form is never a permutation."""
-    assert family_special_condition(9, 3, 0, 1) is False
-    assert family_condition(9, 3, 0, 1) is True
-    assert family_special_condition(9, 3, 0, 0) is True
-    assert family_special_condition(25, 5, 0, 1) is True
-    assert family_special_condition(27, 3, 1, 1) is True
-    assert family_special_condition(125, 5, 122, 2) is True
+    """Where the degree divides q the family degenerates: both conditions
+    refuse with family_poly's error instead of answering."""
+    for p, k, degree, m, l in [(3, 2, 3, 0, 1), (3, 2, 3, 0, 0), (5, 2, 5, 0, 1),
+                               (3, 3, 3, 1, 1), (5, 3, 5, 122, 2)]:
+        message = f"the degree-{degree} family needs the characteristic prime to"
+        with pytest.raises(ValueError, match=message):
+            family_condition(p ** k, degree, m, l)
+        with pytest.raises(ValueError, match=message):
+            family_special_condition(p ** k, degree, m, l)
+        with pytest.raises(ValueError, match=message):
+            family_poly(make_field(p, k), degree, "P1", m, l)
 
 
 def test_family_conditions_against_bruteforce(q5, q9):
