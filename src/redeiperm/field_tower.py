@@ -8,13 +8,14 @@ element, in the same ordering, whose multiplicative order is exactly q^2 - 1.
 
 All q^2 - 1 powers of gamma are tabulated once at construction, so that
 multiplication, inversion, powering and discrete logarithms are O(1) lookups;
-addition goes through a Zech logarithm table (log of 1 + gamma^i).  x -> gamma*x
-is F_p-linear, so each power is the digitwise sum of precomputed images of the
-low and high k digits of the one before: a few lookups, not an O(k^2) product.
-Dense products at q + 2 entries cross-check that step.  The Zech table needs
-no arithmetic: 1 + v differs from v only in the constant digit.  The size
-bound on q^2 keeps table construction cheap and guards every exhaustive
-operation downstream.
+addition goes through a Zech logarithm table (log of 1 + gamma^i), and a long
+sum of powers of gamma adds digit slots instead (log_progression_sums).
+x -> gamma*x is F_p-linear, so each power is the digitwise sum of precomputed
+images of the low and high k digits of the one before: a few lookups, not an
+O(k^2) product.  Dense products at q + 2 entries cross-check that step.  The
+Zech table needs no arithmetic: 1 + v differs from v only in the constant
+digit.  The size bound on q^2 keeps table construction cheap and guards every
+exhaustive operation downstream.
 
 On top of the tables the module provides the Frobenius x -> x^q, membership
 in the subgroups mu_ell of ell-th roots of unity, square roots with a
@@ -194,6 +195,11 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
     for sums in itertools.product(range(2 * p - 1), repeat=k):
         unspread[spread(sums)] = sum(c % p * p ** i for i, c in enumerate(sums))
     return lo_tab, hi_tab, unspread, k * w
+
+
+def _slot_width(summands: int, p: int) -> int:
+    """Bits per digit slot so that summands base-p digits add with no carry."""
+    return (summands * (p - 1)).bit_length()
 
 
 class Felt:
@@ -449,6 +455,36 @@ class FieldCtx:
                 raise ZeroDivisionError("negative power of zero")
             return 0
         return self._exp[(self._log[a] * e) % self.units]
+
+    def log_progression_sums(self, bases: Sequence[int], steps: Sequence[int],
+                             count: int) -> list[int]:
+        """Packed sum_i gamma^(bases[i] + j*steps[i]) for j = 0..count-1.
+
+        Field addition is digitwise addition mod p, so each sum is taken in
+        a spread encoding that gives every base-p digit a slot of w bits,
+        w = _slot_width(len(bases), p): len(bases) digits of at most p-1
+        fit in a slot, and one C-level sum() over a comprehension adds all
+        the terms of a j with no carries.  Two q-entry tables spread the
+        low and high k digits of a packed value (as in _step_tables);
+        afterwards every slot of every sum is reduced mod p, one slot
+        position at a time.  No table of q^2 entries is built and no
+        Python call is made per term.
+        """
+        N, p, q, k = self.units, self.p, self.q, self.k
+        w = _slot_width(len(bases), p)
+        lo = [0]
+        for i in range(k):
+            lo = [v | (d << (i * w)) for d in range(p) for v in lo]
+        hi = [v << (k * w) for v in lo]
+        exp, terms = self._exp, list(zip(bases, steps))
+        totals = [sum([lo[(v := exp[(b + j * s) % N]) % q] + hi[v // q]
+                       for b, s in terms]) for j in range(count)]
+        mask, out = (1 << w) - 1, [0] * count
+        for i in range(2 * k):
+            shift, place = i * w, p ** i
+            out = [o + (t >> shift & mask) % p * place
+                   for o, t in zip(out, totals)]
+        return out
 
     # -- element constructors ----------------------------------------------
 

@@ -7,7 +7,12 @@ Route "cyclotomic": a coefficient polynomial with q+1 terms,
 reduced mod x^(q^2) - x, where r = n + m(q+1), the integers r1, t solve
 r*r1 + (q-1)*t = 1, and A_i is H_n(zeta^i, alpha) for variant H (G_n for
 variant G).  The leading scalar is the field identity, because q+1 reduces
-to 1 mod p, but it is computed as a genuine inverse anyway.
+to 1 mod p, but it is computed as a genuine inverse anyway.  The log of
+term (i, j) is linear in j, so the (q+1)^2 terms are summed by the
+digit-slot kernel FieldCtx.log_progression_sums, one C-level sum per
+coefficient.  A few coefficients are recomputed by the term-by-term Zech
+sum, and the polynomial must send P(x) back to x at a few points; a
+mismatch raises ArithmeticError.
 
 Route "closed": the permutation restricted to cosets is inverted on
 mu_{q+1} by one of four closed forms (I1/I2 for variant H, I3/I4 for
@@ -19,7 +24,12 @@ then lifted to all of F_{q^2} by
 with r*r' = 1 mod q^2-1.  The lift needs gcd(r, q^2-1) = 1; in the
 root-in-mu case that amounts to the extra hypothesis gcd(n, q+1) = 1,
 and the route refuses (with the failing gcd) when it does not hold,
-even though the permutation itself is certified.
+even though the permutation itself is certified.  I is tabulated on
+mu_{q+1} once per spec from one closed-form G/H table (redei.gh_table)
+and log-domain powers.  The table must lie in mu_{q+1}, agree with the
+matrix-powered mu_inverse_eval at a few points, and invert
+b -> b^n * F(b)^(q-1) at every b in mu_{q+1}; a failure raises
+ArithmeticError.  mu_inverse_eval stays the per-point reference.
 
 Route "table": exhaustive inversion of the value table, the ground truth.
 
@@ -28,9 +38,10 @@ construct.packed_ranges: the closed route's CosetMap and the InverseTable a
 whole range at a time, the cyclotomic Poly by poly_eval per point.  All
 exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
-tabulated on mu_{q+1} once (cross-checked against the term sum at the q+1
-coset representatives) and each point costs O(1), O(q^2) over the field
-instead of O(q^3) term by term.
+tabulated on mu_{q+1} once, by the same kernel (polyring._coset_table,
+cross-checked against the term sum at the q+1 coset representatives),
+and each point costs O(1), O(q^2) over the field instead of O(q^3) term
+by term.
 
 Every closed form is evaluated through its total power form; the rational
 fraction form is evaluated alongside as a cross-check wherever its
@@ -52,8 +63,8 @@ from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
                         check_criterion, coset_factor_table, packed_ranges,
                         scan, sqrt_case)
 from .field_tower import Felt, FieldCtx, check_size_bound
-from .polyring import Poly
-from .redei import _gh_eval_packed, gh_table
+from .polyring import Poly, _eval_terms
+from .redei import _gh_eval_packed, gh_table, spot_positions
 
 
 def _modinv_or_none(a: int, mod: int) -> int | None:
@@ -125,6 +136,17 @@ def inverse_cyclotomic(spec: PermSpec, size_bound: int | None = None) -> Poly:
 
     Requires the criterion to certify spec as a permutation; the double sum
     has (q+1)^2 terms, so the field must be within the size bound.
+
+    Term (i, j) of the double sum is gamma^(B_i + j*W_i) with
+    B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), so all
+    q+1 coefficients come from one call of the digit-slot kernel
+    FieldCtx.log_progression_sums.  Two independent O(q) checks keep it
+    honest, and either mismatch raises ArithmeticError: GH_SPOT_CHECKS
+    coefficients are recomputed by the term-by-term Zech sum of the
+    formula (_cyclotomic_coefficient), and the polynomial, summed term by
+    term (_eval_terms, not poly_eval), must send P(gamma^s) back to
+    gamma^s at GH_SPOT_CHECKS coset representatives, a check that involves
+    every coefficient.
     """
     ctx = spec.ctx
     check_size_bound(ctx.q2, size_bound)
@@ -138,23 +160,40 @@ def inverse_cyclotomic(spec: PermSpec, size_bound: int | None = None) -> Poly:
     a_table = coset_factor_table(spec)
     if any(v == 0 for v in a_table):
         raise ArithmeticError("coset factor vanishes on mu_{q+1}")
-    inv_q1 = ctx.scalar(q + 1).inv()  # equals one: q+1 = 1 mod p
     exp, log = ctx._exp, ctx._log
-    add, mul = ctx.add_packed, ctx.mul_packed
-    zl = q - 1  # log of zeta
-    r = spec.r
-    terms: dict[int, Felt] = {}
-    for j in range(q + 1):
-        e_j = b.r_prime + (q - 1) * j
-        acc = 0
-        for i in range(q + 1):
-            zpow = exp[zl * ((b.t * i - r * i * j) % (q + 1)) % N]
-            apow = exp[(-log[a_table[i]] * e_j) % N]
-            acc = add(acc, mul(zpow, apow))
-        coeff = inv_q1 * Felt(ctx, acc)
-        if coeff.val:
-            terms[e_j] = coeff
-    return Poly(ctx, terms)
+    a_logs = [log[v] for v in a_table]
+    zl, r, rp = q - 1, spec.r, b.r_prime  # zl: log of zeta
+    sums = ctx.log_progression_sums(
+        [(zl * b.t * i - rp * la) % N for i, la in enumerate(a_logs)],
+        [-zl * (r * i + la) % N for i, la in enumerate(a_logs)], q + 1)
+    for j in spot_positions(q + 1):
+        if sums[j] != _cyclotomic_coefficient(spec, b, a_table, j):
+            raise ArithmeticError(
+                f"cyclotomic coefficient of x^{rp + zl * j} disagrees with "
+                "the term-by-term sum")
+    inv_q1 = ctx.scalar(q + 1).inv()  # equals one: q+1 = 1 mod p
+    inverse = Poly(ctx, {rp + zl * j: inv_q1 * Felt(ctx, v)
+                         for j, v in enumerate(sums) if v})
+    for s in spot_positions(q + 1):
+        yv = exp[(r * s + a_logs[s]) % N]  # P(gamma^s); gamma^(s(q-1)) = zeta^s
+        if _eval_terms(inverse, yv) != exp[s]:
+            raise ArithmeticError(
+                f"cyclotomic inverse does not send P(gamma^{s}) back to gamma^{s}")
+    return inverse
+
+
+def _cyclotomic_coefficient(spec: PermSpec, b: BezoutData, a_table: list[int],
+                            j: int) -> int:
+    """Packed sum_i zeta^(t*i - r*i*j) * A_i^-(r1 + (q-1)j), term by term
+    with add_packed and mul_packed, O(q): the reference for coefficient j."""
+    ctx = spec.ctx
+    q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
+    e_j = b.r_prime + (q - 1) * j
+    acc = 0
+    for i, a in enumerate(a_table):
+        zpow = exp[(q - 1) * ((b.t * i - spec.r * i * j) % (q + 1)) % N]
+        acc = ctx.add_packed(acc, ctx.mul_packed(zpow, exp[(-log[a] * e_j) % N]))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -204,24 +243,22 @@ def mu_inverse(spec: PermSpec, sqrt_choice: Felt | None = None) -> MuInverse:
     return MuInverse(case, spec.n, n_inv, spec.alpha, root)
 
 
-def _mu_inverse_power_form(inv: MuInverse, x: Felt) -> Felt:
-    """Total evaluation path; only integer powers of alpha appear."""
-    ctx = inv.ctx
-    q = ctx.q
-    n, ni, alpha = inv.n, inv.n_inv, inv.alpha
+def _power_form_exponents(inv: MuInverse) -> tuple[int, int, int]:
+    """(pick, shift, scale) with I(x) = alpha^scale * x^n' * F(y)^(q-1),
+    y = alpha^shift * x, F = H_{n'} (pick 1, cases I1/I2) or G_{n'} (pick 0,
+    cases I3/I4): only integer powers of alpha appear."""
+    n, ni = inv.n, inv.n_inv
     if inv.case in ("I1", "I2"):
-        y = alpha ** ((n - 1) // 2) * x
-        _, hv = _gh_eval_packed(ctx, ni, alpha.val, y.val)
-        core = x ** ni * Felt(ctx, hv) ** (q - 1)
-        if inv.case == "I1":
-            return alpha ** ((n * ni - 1) // 2) * core
-        return core
-    y = alpha ** ((n + 1) // 2) * x
-    gv, _ = _gh_eval_packed(ctx, ni, alpha.val, y.val)
-    core = x ** ni * Felt(ctx, gv) ** (q - 1)
-    if inv.case == "I3":
-        return alpha ** (ni + (n * ni + 1) // 2) * core
-    return alpha ** (ni + 1) * core
+        return 1, (n - 1) // 2, (n * ni - 1) // 2 if inv.case == "I1" else 0
+    return 0, (n + 1) // 2, ni + ((n * ni + 1) // 2 if inv.case == "I3" else 1)
+
+
+def _mu_inverse_power_form(inv: MuInverse, x: Felt) -> Felt:
+    """Total evaluation path, F by matrix powering."""
+    ctx, alpha = inv.ctx, inv.alpha
+    pick, shift, scale = _power_form_exponents(inv)
+    fv = _gh_eval_packed(ctx, inv.n_inv, alpha.val, (alpha ** shift * x).val)[pick]
+    return alpha ** scale * x ** inv.n_inv * Felt(ctx, fv) ** (ctx.q - 1)
 
 
 def _mu_inverse_rational_form(inv: MuInverse, x: Felt) -> Felt | None:
@@ -263,17 +300,68 @@ def mu_inverse_eval(inv: MuInverse, x: Felt) -> Felt:
     return value
 
 
+def _mu_inverse_values(inv: MuInverse) -> list[int]:
+    """The power form of mu_inverse_eval at zeta^j, j = 0..q, as one table.
+
+    F(y) (H_{n'} for I1/I2, G_{n'} for I3/I4) comes from one redei.gh_table
+    call at the points y = alpha^((n -+ 1)/2) * zeta^j; the powers of
+    zeta^j, F(y) and alpha are then multiples of discrete logs.
+    """
+    ctx = inv.ctx
+    q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
+    ni, av = inv.n_inv, inv.alpha.val
+    pick, shift, scale = _power_form_exponents(inv)
+    zl, la = q - 1, log[av]
+    fvs = gh_table(ctx, ni, av, pick,
+                   [exp[(shift * la + zl * j) % N] for j in range(q + 1)])
+    if 0 in fvs:
+        raise ArithmeticError("coset inverse left mu_{q+1}")
+    return [exp[(scale * la + zl * (j * ni + log[fv])) % N]
+            for j, fv in enumerate(fvs)]
+
+
+def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> None:
+    """Three independent checks of the mu-inverse table; ArithmeticError on
+    any failure.
+
+    Every entry must lie in mu_{q+1}; GH_SPOT_CHECKS entries must equal
+    mu_inverse_eval (matrix powering, power form against rational form);
+    and I(b^n * A_b^(q-1)) = b must hold for every b = zeta^i, with A_b the
+    coset factor table: the table inverts the forward map on mu_{q+1}.
+    """
+    ctx = inv.ctx
+    q, exp, log = ctx.q, ctx._exp, ctx._log
+    zl = q - 1
+    if len(table) != q + 1 or any(v == 0 or log[v] % zl for v in table):
+        raise ArithmeticError("mu-inverse table leaves mu_{q+1}")
+    for j in spot_positions(q + 1):
+        if table[j] != mu_inverse_eval(inv, Felt(ctx, exp[zl * j])).val:
+            raise ArithmeticError(
+                f"mu-inverse table disagrees with mu_inverse_eval at zeta^{j}")
+    if 0 in a_table:
+        raise ArithmeticError("coset factor vanishes on mu_{q+1}")
+    if [table[(inv.n * i + log[a]) % (q + 1)]
+            for i, a in enumerate(a_table)] != exp[::zl]:
+        raise ArithmeticError(
+            "mu-inverse table does not invert b -> b^n * F(b)^(q-1) on mu_{q+1}")
+
+
 def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
     """Lift the coset inverse to a total inverse evaluator on F_{q^2}.
 
     P^{-1}(x) = x^(r'(q^2-q+1)) * F(I(y))^(r'(q-2)) * I(y) with y = x^(q-1)
     depends on x only through its power and its coset, so the coset part is
-    tabulated over the q+1 values of y.
+    tabulated over the q+1 values of y.  I is tabulated once per spec
+    (_mu_inverse_values: one gh_table call and log-domain powers, no matrix
+    powering per point) and checked by _check_mu_table; F(I(y)) is then read
+    off the coset factor table, since I(y) lies in mu_{q+1}.
 
     Requires gcd(n + m(q+1), q^2-1) = 1.  When the root of alpha lies in
     mu_{q+1} this adds gcd(n, q+1) = 1 on top of the permutation criterion,
     and the refusal names the failing gcd; the other two routes remain
-    available for such specs.
+    available for such specs.  A given inv must be mu_inverse of this spec
+    (either square root of alpha); one built for another field, n, alpha or
+    case is refused with ValueError before any table is built.
     """
     ctx = spec.ctx
     verdict = check_criterion(spec)
@@ -285,18 +373,28 @@ def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
             f"gcd(r, q^2-1) = {math.gcd(spec.r, ctx.units)} != 1 "
             f"(gcd(n, q+1) = {math.gcd(spec.n, ctx.q + 1)}); "
             "the closed-form lift does not apply")
+    expected = mu_inverse(spec)
     if inv is None:
-        inv = mu_inverse(spec)
-    q, N = ctx.q, ctx.units
+        inv = expected
+    differ = [name for name in ("case", "n", "n_inv", "alpha")
+              if getattr(inv, name) != getattr(expected, name)]
+    if inv.sqrt_alpha ** 2 != spec.alpha:
+        differ.append("sqrt_alpha")
+    if differ:
+        field = "" if inv.ctx is ctx else f"field q = {inv.ctx.q}, "
+        raise ValueError(
+            f"the MuInverse ({field}case {inv.case}, n = {inv.n}) was built for "
+            f"another spec; it differs in {', '.join(differ)}")
+    q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
     rp = b.r_prime_full
     e1 = (rp * (q * q - q + 1)) % N
     e2 = (rp * (q - 2)) % N
-    ivs = [mu_inverse_eval(inv, y).val for y in ctx.mu(q + 1)]
-    fvs = gh_table(ctx, spec.n, spec.alpha.val, spec.gh_index, ivs)
-    if 0 in fvs:
-        raise ArithmeticError("coset factor vanishes at a coset inverse")
-    return CosetMap(ctx, e1, [ctx.mul_packed(ctx.pow_packed(fv, e2), iv)
-                              for fv, iv in zip(fvs, ivs)])
+    ivs = _mu_inverse_values(inv)
+    a_table = coset_factor_table(spec)
+    _check_mu_table(inv, ivs, a_table)
+    zl = q - 1  # I(y) = zeta^k with k = log I(y) / (q-1), so F(I(y)) = A_k
+    return CosetMap(ctx, e1, [exp[(e2 * log[a_table[log[iv] // zl]] + log[iv]) % N]
+                              for iv in ivs])
 
 
 class InverseTable:
@@ -358,9 +456,10 @@ def agreement_report(spec: PermSpec,
     """Compute the requested inverse routes and compare their value tables.
 
     Each computed route contributes the digest of its full value table on
-    F_{q^2}; routes whose hypotheses fail are recorded under "skipped" with
-    the refusal reason.  "agree" is true when all computed digests coincide
-    and at least one route was computed.
+    F_{q^2}; routes whose hypotheses fail (ValueError) are recorded under
+    "skipped" with the refusal reason.  A failed internal check
+    (ArithmeticError) is not a refusal and propagates.  "agree" is true
+    when all computed digests coincide and at least one route was computed.
     """
     ctx = spec.ctx
     digests: dict[str, str] = {}
@@ -376,7 +475,7 @@ def agreement_report(spec: PermSpec,
                 inverse = inverse_table(ctx, perm_eval, size_bound)
             else:
                 raise ValueError(f"unknown route {route!r}")
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             skipped[route] = str(exc)
             continue
         digests[route] = _value_digest(ctx, inverse)

@@ -15,12 +15,14 @@ into [1, q^2 - 1] so that the value at 0 is never disturbed.
 Evaluation cost: a polynomial without constant term whose exponents all
 agree mod q-1 equals x^e * g(x^(q-1)), a map of coset shape (CosetMap).
 poly_eval detects that shape on first use, tabulates g on mu_{q+1} in
-O(q * terms) once per Poly, and then costs O(1) per point (a discrete log,
-a table pick, one multiplication) whatever the number of terms.  Every
-other polynomial is evaluated by the term loop, O(terms) per point.
-poly_eval is one Python call per point; a CosetMap held directly also
-evaluates a whole range of consecutive points in one comprehension
-(CosetMap.eval_range), which is how the exhaustive loops read it.
+O(q * terms) once per Poly (FieldCtx.log_progression_sums, checked against
+the term loop at the q+1 coset representatives), and then costs O(1) per
+point (a discrete log, a table pick, one multiplication) whatever the
+number of terms.  Every other polynomial is evaluated by the term loop,
+O(terms) per point.  poly_eval is one Python call per point; a CosetMap
+held directly also evaluates a whole range of consecutive points in one
+comprehension (CosetMap.eval_range), which is how the exhaustive loops
+read it.
 """
 
 from __future__ import annotations
@@ -243,17 +245,17 @@ class CosetMap:
 
 
 def _coset_table(f: Poly, e0: int) -> list[int]:
-    """Packed sum_e c_e * gamma^(s(e-e0)) for s = 0..q; O(q * terms)."""
+    """Packed sum_e c_e * gamma^(s(e-e0)) for s = 0..q; O(q * terms).
+
+    The log of term e at s is log c_e + s*(e-e0), so the whole table is one
+    call of the digit-slot kernel FieldCtx.log_progression_sums.  Its only
+    caller, CosetMap.from_poly, checks the table against the term loop
+    (_eval_terms) at every coset representative.
+    """
     ctx = f.ctx
-    exp, log, N, add = ctx._exp, ctx._log, ctx.units, ctx.add_packed
-    steps = [(log[c.val], e - e0) for e, c in f.terms.items()]
-    table = []
-    for s in range(ctx.q + 1):
-        acc = 0
-        for lc, d in steps:
-            acc = add(acc, exp[(lc + s * d) % N])
-        table.append(acc)
-    return table
+    log = ctx._log
+    return ctx.log_progression_sums([log[c.val] for c in f.terms.values()],
+                                    [e - e0 for e in f.terms], ctx.q + 1)
 
 
 def _eval_terms(f: Poly, xv: int) -> int:

@@ -19,14 +19,15 @@ the binomial route sees characteristic-p coefficient vanishing directly, the
 recursion does not, so agreement is a real check and any mismatch raises.
 
 Point values come from two routes.  Whole tables (gh_table: the coset table
-of construct and the lift table of inverse) use the definition itself,
+of construct and the mu-inverse table of inverse) use the definition itself,
 G_n = (u + v)/2 and H_n = (u - v)/(2s) with u, v = (x +- s)^n: three Zech
 steps and two multiples of a log per point.  Squaring-and-multiplying the
 2x2 matrix [[x, alpha], [1, x]], O(log n) products per point, stays the
 independent reference: gh_table recomputes a constant number of its entries
 that way, and gh_eval (hence the selftest's check of (x + s)^n = G_n + H_n*s)
-and the power form of the coset inverse use it alone, the latter because its
-cross-check partner, the rational form, already expands (w +- 1)^n'.
+and inverse.mu_inverse_eval, the per-point power form of the coset inverse,
+use it alone, the latter because its cross-check partner, the rational
+form, already expands (w +- 1)^n'.
 
 Dickson polynomials of the first kind D_n(x, a) are provided alongside
 (D_0 = 2, D_1 = x, D_n = x*D_{n-1} - a*D_{n-2}) together with their closed
@@ -222,6 +223,11 @@ def _gh_closed_packed(ctx: FieldCtx, n: int, av: int, pick: int,
 GH_SPOT_CHECKS = 4
 
 
+def spot_positions(size: int) -> list[int]:
+    """GH_SPOT_CHECKS indices spread evenly over range(size), ascending."""
+    return sorted({j * size // GH_SPOT_CHECKS for j in range(GH_SPOT_CHECKS)})
+
+
 def gh_table(ctx: FieldCtx, n: int, av: int, pick: int,
              points: list[int]) -> list[int]:
     """G_n (pick 0) or H_n (pick 1) at a list of packed points.
@@ -234,7 +240,7 @@ def gh_table(ctx: FieldCtx, n: int, av: int, pick: int,
     size = len(points)
     if len(values) != size:
         raise ArithmeticError("closed-form G_n/H_n table has the wrong length")
-    for i in {j * size // GH_SPOT_CHECKS for j in range(GH_SPOT_CHECKS)}:
+    for i in spot_positions(size):
         if values[i] != _gh_eval_packed(ctx, n, av, points[i])[pick]:
             raise ArithmeticError(
                 f"closed-form {'GH'[pick]}_{n} disagrees with matrix powering "

@@ -1,0 +1,378 @@
+"""The digit-slot kernel and the two inverse paths built on it, against the
+term-by-term code they replaced.
+
+FieldCtx.log_progression_sums sums powers of gamma digit by digit in a
+carry-free slot encoding.  inverse_cyclotomic and polyring._coset_table sum
+through it, and lift_inverse reads the closed-form inverse on mu_{q+1} from
+one table per spec.  Each is compared with the plain loop it replaced on
+every small field and on the acceptance grid, and each must raise
+ArithmeticError when its fast path is corrupted.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+
+from redeiperm import (Felt, PermSpec, Poly, build_perm_poly, check_criterion,
+                       cli, coset_factor_table, field_tower, inverse,
+                       inverse_cyclotomic, lift_inverse, make_field,
+                       mu_inverse, mu_inverse_eval, polyring, redei)
+from redeiperm.inverse import bezout
+from test_coset_eval import SMALL_FIELDS, coset_polys
+from test_gh_closed import GRID_FIELDS, GRID_MS, GRID_NS
+
+
+def _add_loop(ctx, bases, steps, count):
+    """The kernel's sums by one add_packed call per term."""
+    exp, N = ctx._exp, ctx.units
+    out = []
+    for j in range(count):
+        acc = 0
+        for b, s in zip(bases, steps):
+            acc = ctx.add_packed(acc, exp[(b + j * s) % N])
+        out.append(acc)
+    return out
+
+
+def _double_sum_inverse(spec):
+    """inverse_cyclotomic as the (q+1)^2 double sum with one add_packed and
+    one mul_packed call per term, the code the kernel replaced."""
+    ctx = spec.ctx
+    q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
+    b = bezout(spec)
+    a_table = coset_factor_table(spec)
+    inv_q1 = ctx.scalar(q + 1).inv()
+    terms = {}
+    for j in range(q + 1):
+        e_j = b.r_prime + (q - 1) * j
+        acc = 0
+        for i in range(q + 1):
+            zpow = exp[(q - 1) * ((b.t * i - spec.r * i * j) % (q + 1)) % N]
+            apow = exp[(-log[a_table[i]] * e_j) % N]
+            acc = ctx.add_packed(acc, ctx.mul_packed(zpow, apow))
+        coeff = inv_q1 * Felt(ctx, acc)
+        if coeff.val:
+            terms[e_j] = coeff
+    return Poly(ctx, terms)
+
+
+def _coset_table_loop(f, e0):
+    """polyring._coset_table by one add_packed call per term."""
+    ctx = f.ctx
+    log = ctx._log
+    return _add_loop(ctx, [log[c.val] for c in f.terms.values()],
+                     [e - e0 for e in f.terms], ctx.q + 1)
+
+
+def _permutations(ctx, ns, ms, ls):
+    for variant in ("H", "G"):
+        for n in ns:
+            for m in ms:
+                for l in ls:
+                    spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
+                    if check_criterion(spec).is_perm:
+                        yield spec
+
+
+def _sample_ls(q):
+    return sorted({0, 1, 2, q // 3, q})
+
+
+# ---------------------------------------------------------------------------
+# The kernel.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_kernel_matches_the_add_loop(p, k):
+    ctx = make_field(p, k)
+    q, N = ctx.q, ctx.units
+    rnd = random.Random(q)
+    for size in (0, 1, 2, q + 1, 3 * (q + 1)):
+        bases = [rnd.randrange(-N, 2 * N) for _ in range(size)]
+        steps = [rnd.randrange(-N, 2 * N) for _ in range(size)]
+        for count in (0, 1, q + 1):
+            assert (ctx.log_progression_sums(bases, steps, count)
+                    == _add_loop(ctx, bases, steps, count))
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_kernel_digit_slots_hold_the_worst_case(p, k):
+    """Every summand q^2-1 has all digits p-1: each slot reaches its
+    largest sum, summands * (p-1), which is what sets the slot width."""
+    ctx = make_field(p, k)
+    top = ctx._log[ctx.q2 - 1]
+    for size in (1, ctx.q, ctx.q + 1, 2 * ctx.q + 5):
+        got = ctx.log_progression_sums([top] * size, [0] * size, 2)
+        assert got == _add_loop(ctx, [top] * size, [0] * size, 2)
+
+
+def test_kernel_builds_no_field_sized_table():
+    """The spread tables are q entries each: a kernel call on F_{243^2}
+    allocates nothing near the q^2 = 59049 entries of the log table."""
+    ctx = make_field(3, 5)
+    bases, steps = list(range(ctx.q + 1)), list(range(1, ctx.q + 2))
+    tracemalloc.start()
+    try:
+        ctx.log_progression_sums(bases, steps, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ctx.q2  # bytes; a list of q^2 entries takes 8*q^2 or more
+
+
+# ---------------------------------------------------------------------------
+# inverse_cyclotomic against the double sum.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,k", GRID_FIELDS)
+def test_cyclotomic_inverse_matches_the_double_sum_on_the_grid(p, k):
+    ctx = make_field(p, k)
+    checked = 0
+    for spec in _permutations(ctx, GRID_NS, GRID_MS, range(ctx.q + 1)):
+        assert inverse_cyclotomic(spec) == _double_sum_inverse(spec), spec
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_cyclotomic_inverse_matches_the_double_sum_every_small_field(p, k):
+    ctx = make_field(p, k)
+    for spec in _permutations(ctx, (1, 3, 5, 7), (0, 1), _sample_ls(ctx.q)):
+        assert inverse_cyclotomic(spec) == _double_sum_inverse(spec), spec
+
+
+# ---------------------------------------------------------------------------
+# The mu-inverse table against mu_inverse_eval.
+# ---------------------------------------------------------------------------
+
+def _mu_specs(ctx, ns, ms, ls):
+    """Permutations with a closed-form inverse on mu_{q+1} (odd n and a
+    solvable inverse exponent), whether or not the lift applies."""
+    for spec in _permutations(ctx, ns, ms, ls):
+        try:
+            mu_inverse(spec)
+        except ValueError:
+            continue
+        yield spec
+
+
+def _assert_mu_table_matches_eval(spec):
+    ctx = spec.ctx
+    for root in ctx.sqrt(spec.alpha):
+        inv = mu_inverse(spec, sqrt_choice=root)
+        table = inverse._mu_inverse_values(inv)
+        assert table == [mu_inverse_eval(inv, y).val
+                         for y in ctx.mu(ctx.q + 1)], (spec, root)
+        inverse._check_mu_table(inv, table, coset_factor_table(spec))
+
+
+@pytest.mark.parametrize("p,k", GRID_FIELDS)
+def test_mu_table_matches_mu_inverse_eval_on_the_grid(p, k):
+    ctx = make_field(p, k)
+    cases = set()
+    for spec in _mu_specs(ctx, GRID_NS, GRID_MS, range(ctx.q + 1)):
+        _assert_mu_table_matches_eval(spec)
+        cases.add(mu_inverse(spec).case)
+    assert cases
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_mu_table_matches_mu_inverse_eval_every_small_field(p, k):
+    ctx = make_field(p, k)
+    for spec in _mu_specs(ctx, (1, 3, 5, 7), (0, 1), _sample_ls(ctx.q)):
+        _assert_mu_table_matches_eval(spec)
+
+
+# ---------------------------------------------------------------------------
+# _coset_table against the term loop.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60)
+@given(coset_polys(SMALL_FIELDS))
+def test_coset_table_matches_the_term_loop(f):
+    if f.terms:
+        e0 = min(f.terms)
+        assert polyring._coset_table(f, e0) == _coset_table_loop(f, e0)
+
+
+@pytest.mark.parametrize("p,k", GRID_FIELDS)
+def test_coset_table_of_grid_polynomials_matches_the_term_loop(p, k):
+    ctx = make_field(p, k)
+    for spec in _permutations(ctx, GRID_NS, (0, 1), _sample_ls(ctx.q)):
+        for f in (build_perm_poly(spec)[0], inverse_cyclotomic(spec)):
+            e0 = min(f.terms)
+            assert polyring._coset_table(f, e0) == _coset_table_loop(f, e0)
+
+
+# ---------------------------------------------------------------------------
+# Corruption: every new fast path must raise ArithmeticError.
+# ---------------------------------------------------------------------------
+
+# q = 27: 28 summands of digits up to 2 need 6-bit slots, and their typical
+# sums pass 31, so a 5-bit slot carries into the next digit
+NARROW_SLOT_SPEC = (3, 3, "H", 5, 0, 1)
+
+
+def _spec(p, k, variant, n, m, l):
+    ctx = make_field(p, k)
+    return PermSpec(variant, n, m, ctx.alpha_from_l(l))
+
+
+def _narrow_slot(monkeypatch):
+    real = field_tower._slot_width
+    monkeypatch.setattr(field_tower, "_slot_width",
+                        lambda summands, p: real(summands, p) - 1)
+
+
+def _drop_top_digit(monkeypatch):
+    real = field_tower.FieldCtx.log_progression_sums
+
+    def dropped(self, bases, steps, count):
+        return [v % (self.q2 // self.p)
+                for v in real(self, bases, steps, count)]
+
+    monkeypatch.setattr(field_tower.FieldCtx, "log_progression_sums", dropped)
+
+
+@pytest.mark.parametrize("corrupt", [_narrow_slot, _drop_top_digit])
+def test_corrupted_kernel_fails_the_cyclotomic_checks(monkeypatch, corrupt):
+    spec = _spec(*NARROW_SLOT_SPEC)
+    assert check_criterion(spec).is_perm
+    corrupt(monkeypatch)
+    kernel = field_tower.FieldCtx.log_progression_sums
+    wrong = []
+
+    def spy(self, bases, steps, count):
+        out = kernel(self, bases, steps, count)
+        wrong.append(out != _add_loop(self, bases, steps, count))
+        return out
+
+    monkeypatch.setattr(field_tower.FieldCtx, "log_progression_sums", spy)
+    with pytest.raises(ArithmeticError, match="cyclotomic"):
+        inverse_cyclotomic(spec)
+    assert wrong == [True]  # the injection really changed the sums
+
+
+def test_each_cyclotomic_check_fires_on_its_own(monkeypatch):
+    """Either check alone catches a mismatch: the coefficient spot checks
+    against the term-by-term sum, and the round trip through P."""
+    spec = _spec(*NARROW_SLOT_SPEC)
+    monkeypatch.setattr(inverse, "_cyclotomic_coefficient", lambda *args: -1)
+    with pytest.raises(ArithmeticError, match="term-by-term sum"):
+        inverse_cyclotomic(spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(inverse, "_eval_terms", lambda f, xv: -1)
+    with pytest.raises(ArithmeticError, match="back to gamma"):
+        inverse_cyclotomic(spec)
+
+
+def test_corrupted_kernel_fails_the_coset_table_check(monkeypatch):
+    f = inverse_cyclotomic(_spec(*NARROW_SLOT_SPEC))
+    _drop_top_digit(monkeypatch)
+    with pytest.raises(ArithmeticError, match="coset table disagrees"):
+        polyring.CosetMap.from_poly(f)
+
+
+# q = 25, variant H, n = 7, l = 1: the lift applies (case I2)
+LIFT_SPEC = (5, 2, "H", 7, 0, 1)
+
+
+def _swap_two_entries(monkeypatch):
+    real = inverse._mu_inverse_values
+
+    def swapped(inv):
+        table = real(inv)
+        table[1], table[2] = table[2], table[1]
+        return table
+
+    monkeypatch.setattr(inverse, "_mu_inverse_values", swapped)
+
+
+def _corrupt_off_the_spot_checks(monkeypatch):
+    """Entry 1 of every closed-form G/H table, never one gh_table spot-checks
+    against matrix powering on tables of q+1 = 26 points."""
+    real = redei._gh_closed_packed
+
+    def corrupted(ctx, n, av, pick, points):
+        values = real(ctx, n, av, pick, points)
+        values[1] = ctx.add_packed(values[1], 1)
+        return values
+
+    assert 1 not in redei.spot_positions(26)
+    monkeypatch.setattr(redei, "_gh_closed_packed", corrupted)
+
+
+def _leave_mu(monkeypatch):
+    real = inverse._mu_inverse_values
+
+    def scaled(inv):
+        table = real(inv)
+        table[0] = inv.ctx.mul_packed(table[0], inv.ctx.gamma.val)
+        return table
+
+    monkeypatch.setattr(inverse, "_mu_inverse_values", scaled)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_two_entries, _leave_mu,
+                                     _corrupt_off_the_spot_checks])
+def test_corrupted_mu_table_fails_the_lift_checks(monkeypatch, corrupt):
+    spec = _spec(*LIFT_SPEC)
+    lift_inverse(spec)
+    corrupt(monkeypatch)
+    with pytest.raises(ArithmeticError):
+        lift_inverse(spec)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_two_entries, _narrow_slot])
+def test_corrupted_fast_path_exits_3_from_invert_all(monkeypatch, capsys,
+                                                     corrupt):
+    corrupt(monkeypatch)
+    p, k, variant, n, m, l = (LIFT_SPEC if corrupt is _swap_two_entries
+                              else NARROW_SLOT_SPEC)
+    rc = cli.main(["invert", "--p", str(p), "--k", str(k), "--variant",
+                   variant, "--n", str(n), "--m", str(m), "--l", str(l),
+                   "--route", "all"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# lift_inverse refuses a MuInverse built for another spec.
+# ---------------------------------------------------------------------------
+
+def test_lift_refuses_a_mu_inverse_of_another_spec(monkeypatch):
+    spec = _spec(*LIFT_SPEC)  # q = 25, H, n = 7, m = 0, l = 1
+    other = _spec(5, 2, "H", 11, 1, 3)
+    assert check_criterion(other).is_perm
+    built = []
+    monkeypatch.setattr(inverse, "_mu_inverse_values",
+                        lambda inv: built.append(inv) or [])
+    with pytest.raises(ValueError, match="another spec.*n, n_inv"):
+        lift_inverse(spec, mu_inverse(other))
+    assert built == []  # refused before any table work
+
+
+def test_lift_refuses_another_field_alpha_or_case(q9, q7):
+    spec = _spec(*LIFT_SPEC)
+    ctx = spec.ctx
+    own = mu_inverse(spec)
+    with pytest.raises(ValueError, match="field q = 9"):
+        lift_inverse(spec, mu_inverse(PermSpec("H", 7, 0, q9.alpha_from_l(2))))
+    other_alpha = PermSpec("H", 7, 0, ctx.alpha_from_l(3))
+    assert check_criterion(other_alpha).is_perm
+    with pytest.raises(ValueError, match="alpha"):
+        lift_inverse(spec, mu_inverse(other_alpha))
+    variant_g = PermSpec("G", 7, 0, ctx.alpha_from_l(1))
+    with pytest.raises(ValueError, match="case"):
+        lift_inverse(variant_g, own)
+
+
+def test_lift_accepts_either_square_root(q9):
+    spec = PermSpec("H", 7, 0, q9.alpha_from_l(2))
+    tables = {tuple(lift_inverse(spec, mu_inverse(spec, sqrt_choice=root)).table)
+              for root in q9.sqrt(spec.alpha)}
+    assert tables == {tuple(lift_inverse(spec).table)}
