@@ -26,7 +26,7 @@ print("P^(-1) =", render_poly(inv_poly))
 mu_inv = mu_inverse(spec)
 print("closed form on mu_{q+1}: case", mu_inv.case,
       "with exponent", mu_inv.n_inv)
-closed = lift_inverse(spec, mu_inv)
+closed = lift_inverse(spec)
 
 # Route 3: invert the value table outright.  Quadratic work, but it is
 # the route that cannot be wrong, so it anchors the other two.

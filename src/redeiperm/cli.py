@@ -194,8 +194,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
             lines.append(f"inverse ({route}): {render_poly(inv_poly)}")
         elif route == "closed":
             minv = mu_inverse(spec)
-            verified = _compose_identity_holds(ctx, evaluator,
-                                               lift_inverse(spec, minv))
+            verified = _compose_identity_holds(ctx, evaluator, lift_inverse(spec))
             doc["inverse"] = {
                 "route": route,
                 "case": minv.case,

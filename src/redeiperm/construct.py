@@ -23,8 +23,7 @@ time: a CosetMap or an InverseTable with no Python call per point, a Poly
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
-a table-level bijectivity-transfer utility for commutative squares of finite
-maps, the binomial (n=3) and trinomial (n=5) families with their published
+the binomial (n=3) and trinomial (n=5) families with their published
 coprimality conditions, all read from one table, and the density count of
 admissible n.
 """
@@ -263,41 +262,6 @@ def cyclotomic_criterion(ctx: FieldCtx, r: int, f: Poly) -> bool:
             return False
         seen.add(v.val)
     return len(seen) == q + 1
-
-
-def transfer_bijectivity(f: dict, lam: dict, lam_bar: dict, g_bar: dict) -> bool:
-    """Bijectivity of f: A -> A decided through a commutative square of tables.
-
-    lam: A -> S and lam_bar: A -> S' must be surjective with |S| = |S'|,
-    g_bar: S -> S' must satisfy lam_bar(f(a)) = g_bar(lam(a)) on all of A.
-    Then f is bijective iff g_bar is bijective and f is injective on every
-    fiber lam^{-1}(s).  Preconditions are validated and raise ValueError.
-    """
-    dom = set(f)
-    if set(lam) != dom or set(lam_bar) != dom:
-        raise ValueError("lam and lam_bar must be defined exactly on the domain of f")
-    s_set = set(lam.values())
-    sbar_set = set(lam_bar.values())
-    if set(g_bar) != s_set:
-        raise ValueError("g_bar must be defined exactly on the image of lam")
-    if not set(g_bar.values()) <= sbar_set:
-        raise ValueError("g_bar must map into the image of lam_bar")
-    if len(s_set) != len(sbar_set):
-        raise ValueError("the two quotient sets must have equal size")
-    for a, fa in f.items():
-        if fa not in dom:
-            raise ValueError("f must map its domain into itself")
-        if lam_bar[fa] != g_bar[lam[a]]:
-            raise ValueError("the square does not commute")
-    if len(set(g_bar.values())) != len(s_set):
-        return False
-    fibers: dict = {}
-    for a, fa in f.items():
-        fibers.setdefault(lam[a], set()).add(fa)
-    counts: dict = {}
-    for a in f:
-        counts[lam[a]] = counts.get(lam[a], 0) + 1
-    return all(len(fibers[s]) == counts[s] for s in fibers)
 
 
 # ---------------------------------------------------------------------------

@@ -627,13 +627,3 @@ def field_for_q(q: int, size_bound: int | None = None) -> FieldCtx:
     while p ** k < q:
         k += 1
     return make_field(p, k, size_bound)
-
-
-def field_from_record(record: dict, size_bound: int | None = None) -> FieldCtx:
-    """Rebuild a field from its serialized record, validating determinism."""
-    ctx = make_field(int(record["p"]), int(record["k"]), size_bound)
-    if list(ctx.modulus) != [c % ctx.p for c in record["modulus"]]:
-        raise ValueError("modulus in record does not match deterministic construction")
-    if ctx.gamma.to_coeffs() != [c % ctx.p for c in record["gamma"]]:
-        raise ValueError("gamma in record does not match deterministic construction")
-    return ctx

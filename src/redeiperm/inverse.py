@@ -57,7 +57,7 @@ import hashlib
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
                         check_criterion, coset_factor_table, packed_ranges,
@@ -91,14 +91,7 @@ class BezoutData:
     r_prime_full: int | None
 
     def to_record(self) -> dict:
-        return {
-            "r": self.r,
-            "r_prime": self.r_prime,
-            "t": self.t,
-            "n1": self.n1,
-            "n2": self.n2,
-            "r_prime_full": self.r_prime_full,
-        }
+        return asdict(self)
 
 
 def bezout(spec: PermSpec) -> BezoutData:
@@ -346,22 +339,21 @@ def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> Non
             "mu-inverse table does not invert b -> b^n * F(b)^(q-1) on mu_{q+1}")
 
 
-def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
+def lift_inverse(spec: PermSpec) -> CosetMap:
     """Lift the coset inverse to a total inverse evaluator on F_{q^2}.
 
     P^{-1}(x) = x^(r'(q^2-q+1)) * F(I(y))^(r'(q-2)) * I(y) with y = x^(q-1)
     depends on x only through its power and its coset, so the coset part is
     tabulated over the q+1 values of y.  I is tabulated once per spec
     (_mu_inverse_values: one gh_table call and log-domain powers, no matrix
-    powering per point) and checked by _check_mu_table; F(I(y)) is then read
-    off the coset factor table, since I(y) lies in mu_{q+1}.
+    powering per point) from mu_inverse(spec) and checked by
+    _check_mu_table; F(I(y)) is then read off the coset factor table, since
+    I(y) lies in mu_{q+1}.
 
     Requires gcd(n + m(q+1), q^2-1) = 1.  When the root of alpha lies in
     mu_{q+1} this adds gcd(n, q+1) = 1 on top of the permutation criterion,
     and the refusal names the failing gcd; the other two routes remain
-    available for such specs.  A given inv must be mu_inverse of this spec
-    (either square root of alpha); one built for another field, n, alpha or
-    case is refused with ValueError before any table is built.
+    available for such specs.
     """
     ctx = spec.ctx
     verdict = check_criterion(spec)
@@ -373,18 +365,7 @@ def lift_inverse(spec: PermSpec, inv: MuInverse | None = None) -> CosetMap:
             f"gcd(r, q^2-1) = {math.gcd(spec.r, ctx.units)} != 1 "
             f"(gcd(n, q+1) = {math.gcd(spec.n, ctx.q + 1)}); "
             "the closed-form lift does not apply")
-    expected = mu_inverse(spec)
-    if inv is None:
-        inv = expected
-    differ = [name for name in ("case", "n", "n_inv", "alpha")
-              if getattr(inv, name) != getattr(expected, name)]
-    if inv.sqrt_alpha ** 2 != spec.alpha:
-        differ.append("sqrt_alpha")
-    if differ:
-        field = "" if inv.ctx is ctx else f"field q = {inv.ctx.q}, "
-        raise ValueError(
-            f"the MuInverse ({field}case {inv.case}, n = {inv.n}) was built for "
-            f"another spec; it differs in {', '.join(differ)}")
+    inv = mu_inverse(spec)
     q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
     rp = b.r_prime_full
     e1 = (rp * (q * q - q + 1)) % N
@@ -450,8 +431,10 @@ def _value_digest(ctx: FieldCtx, f) -> str:
     return h.hexdigest()
 
 
-def agreement_report(spec: PermSpec,
-                     routes: tuple[str, ...] = ("cyclotomic", "closed", "table"),
+ROUTES = ("cyclotomic", "closed", "table")
+
+
+def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES,
                      size_bound: int | None = None) -> dict:
     """Compute the requested inverse routes and compare their value tables.
 
@@ -460,7 +443,11 @@ def agreement_report(spec: PermSpec,
     "skipped" with the refusal reason.  A failed internal check
     (ArithmeticError) is not a refusal and propagates.  "agree" is true
     when all computed digests coincide and at least one route was computed.
+    An unknown route name is refused with ValueError before any work.
     """
+    for route in routes:
+        if route not in ROUTES:
+            raise ValueError(f"unknown route {route!r}")
     ctx = spec.ctx
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
@@ -471,10 +458,8 @@ def agreement_report(spec: PermSpec,
                 inverse = inverse_cyclotomic(spec, size_bound)
             elif route == "closed":
                 inverse = lift_inverse(spec)
-            elif route == "table":
-                inverse = inverse_table(ctx, perm_eval, size_bound)
             else:
-                raise ValueError(f"unknown route {route!r}")
+                inverse = inverse_table(ctx, perm_eval, size_bound)
         except ValueError as exc:
             skipped[route] = str(exc)
             continue

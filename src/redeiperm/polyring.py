@@ -8,7 +8,7 @@ terms actually present.
 
 Besides ring arithmetic and composition, the module provides the functional
 reduction modulo x^(q^2) - x used to normalise evaluation maps on F_{q^2},
-and the (extended) Euclidean algorithm for monic gcds.  Exponents stay
+and the Euclidean algorithm for monic gcds.  Exponents stay
 non-negative integers throughout; reduction sends every positive exponent
 into [1, q^2 - 1] so that the value at 0 is never disturbed.
 
@@ -382,23 +382,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         _, r = poly_divmod(a, b)
         a, b = b, r
     return a.monic()
-
-
-def poly_gcd_ext(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, u, v) with d = gcd monic and u*f + v*g = d."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    ctx = f.ctx
-    r0, r1 = f, g
-    s0, s1 = Poly.one(ctx), Poly.zero(ctx)
-    t0, t1 = Poly.zero(ctx), Poly.one(ctx)
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    inv_lead = r0.leading().inv()
-    return r0 * inv_lead, s0 * inv_lead, t0 * inv_lead
 
 
 def render_terms(pairs: Iterable[tuple[int, Sequence[int]]]) -> str:

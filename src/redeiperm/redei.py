@@ -29,10 +29,10 @@ and inverse.mu_inverse_eval, the per-point power form of the coset inverse,
 use it alone, the latter because its cross-check partner, the rational
 form, already expands (w +- 1)^n'.
 
-Dickson polynomials of the first kind D_n(x, a) are provided alongside
-(D_0 = 2, D_1 = x, D_n = x*D_{n-1} - a*D_{n-2}) together with their closed
-form; they tie to the pair via G_n(x, alpha) = D_n(2x, x^2 - alpha) / 2 and,
-for odd n, H_n(x, alpha) = D_n(2s, alpha - x^2) / (2s).
+Dickson polynomials of the first kind D_n(x, a) are evaluated alongside
+(D_0 = 2, D_1 = x, D_n = x*D_{n-1} - a*D_{n-2}); they tie to the pair via
+G_n(x, alpha) = D_n(2x, x^2 - alpha) / 2 and, for odd n,
+H_n(x, alpha) = D_n(2s, alpha - x^2) / (2s).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .field_tower import Felt, FieldCtx
-from .polyring import Poly, poly_eval
+from .polyring import Poly
 
 GH_DEGREE_CAP = 10 ** 4
 
@@ -258,51 +258,6 @@ def gh_eval(n: int, alpha: Felt, x: Felt) -> tuple[Felt, Felt]:
     return Felt(ctx, gv), Felt(ctx, hv)
 
 
-def redei_eval(n: int, alpha: Felt, x: Felt) -> Felt | None:
-    """The Redei function G_n(x)/H_n(x); None at poles (H_n(x) = 0)."""
-    g, h = gh_eval(n, alpha, x)
-    if h.val == 0:
-        return None
-    return g / h
-
-
-def _dickson_coeff_int(n: int, i: int) -> int:
-    """The integer n/(n-i) * C(n-i, i) from the Dickson closed form."""
-    from math import comb
-    num = n * comb(n - i, i)
-    if num % (n - i):
-        raise ArithmeticError("Dickson closed-form coefficient not integral")
-    return num // (n - i)
-
-
-def dickson_coeffs(n: int, a: Felt, cap: int = GH_DEGREE_CAP) -> Poly:
-    """Coefficient form of D_n(x, a); recurrence checked against closed form."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the coefficient-form cap {cap}")
-    ctx = a.ctx
-    if n == 0:
-        return Poly.from_terms(ctx, [(0, 2)])
-    d_prev = Poly.from_terms(ctx, [(0, 2)])
-    d_cur = Poly.x(ctx)
-    for _ in range(n - 1):
-        d_prev, d_cur = d_cur, d_cur.shift(1) - d_prev * a
-    closed_terms = []
-    neg_a_pow = ctx.one()
-    for i in range(n // 2 + 1):
-        c = _dickson_coeff_int(n, i) % ctx.p
-        if c:
-            closed_terms.append((n - 2 * i, neg_a_pow * c))
-        neg_a_pow = neg_a_pow * (-a)
-    closed = Poly.from_terms(ctx, closed_terms)
-    if d_cur != closed:
-        raise ArithmeticError(
-            "Dickson recurrence and closed form disagree; the arithmetic "
-            "kernel is corrupted")
-    return d_cur
-
-
 def dickson_eval(n: int, a: Felt, x: Felt) -> Felt:
     """D_n(x, a) by iterating the recurrence on packed values."""
     if n < 0:
@@ -316,8 +271,3 @@ def dickson_eval(n: int, a: Felt, x: Felt) -> Felt:
     for _ in range(n - 1):
         prev, cur = cur, add(mul(xv, cur), neg(mul(av, prev)))
     return Felt(ctx, cur)
-
-
-def gh_from_poly(pair: RedeiPair, x: Felt) -> tuple[Felt, Felt]:
-    """Evaluate the coefficient form of a pair at a point."""
-    return poly_eval(pair.g, x), poly_eval(pair.h, x)

@@ -1,5 +1,5 @@
 """Criterion decisions, polynomial construction, the coset criterion,
-bijectivity transfer, the published binomial/trinomial families, counting."""
+the published binomial/trinomial families, counting."""
 
 import math
 
@@ -10,7 +10,7 @@ from redeiperm import (CASE_IN, CASE_OUT, PermSpec, Poly, build_perm_poly,
                        cyclotomic_criterion, family_condition, family_poly,
                        family_spec, family_special_condition, gh_coeffs,
                        is_permutation_bruteforce, make_field, poly_eval,
-                       sqrt_case, transfer_bijectivity)
+                       sqrt_case)
 from redeiperm.construct import scan
 
 
@@ -159,45 +159,6 @@ def test_cyclotomic_criterion(q7, q9):
                         fpoly = pair.h if variant == "H" else pair.g
                         assert cyclotomic_criterion(ctx, spec.r, fpoly) == \
                             check_criterion(spec).is_perm
-
-
-def test_transfer_bijectivity_decides():
-    # a commuting square wrapping f(x) = x + 1 on Z/4 via parity
-    f = {0: 1, 1: 2, 2: 3, 3: 0}
-    lam = {0: 0, 1: 1, 2: 0, 3: 1}
-    g_bar = {0: 1, 1: 0}
-    assert transfer_bijectivity(f, lam, lam, g_bar)
-    # collapse: f constant, g_bar constant image
-    f2 = {0: 0, 1: 0, 2: 2, 3: 2}
-    g2 = {0: 0, 1: 0}
-    assert not transfer_bijectivity(f2, lam, lam, g2)
-
-
-def test_transfer_bijectivity_validates_square():
-    f = {0: 1, 1: 0}
-    lam = {0: 0, 1: 0}
-    with pytest.raises(ValueError):  # lam_bar domain mismatch
-        transfer_bijectivity(f, lam, {0: 0}, {0: 0})
-    with pytest.raises(ValueError):  # square does not commute
-        transfer_bijectivity({0: 1, 1: 0}, {0: 0, 1: 1}, {0: 0, 1: 1},
-                             {0: 0, 1: 1})
-    with pytest.raises(ValueError):  # g_bar not on the image of lam
-        transfer_bijectivity(f, lam, lam, {1: 0})
-    with pytest.raises(ValueError):  # f leaves its domain
-        transfer_bijectivity({0: 5, 1: 0}, lam, lam, {0: 0})
-
-
-def test_transfer_bijectivity_on_field_data(q5):
-    """The quotient by mu_{q-1}-cosets decides a monomial permutation."""
-    q = q5.q
-    for r in (3, 7):
-        fmap = {v: q5.pow_packed(v, r) for v in range(q5.q2)}
-        lam = {v: (0 if v == 0 else q5._log[v] % (q + 1)) for v in range(q5.q2)}
-        g_bar = {}
-        for v, s in lam.items():
-            g_bar.setdefault(s, lam[fmap[v]])
-        expected = math.gcd(r, q5.units) == 1
-        assert transfer_bijectivity(fmap, lam, lam, g_bar) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from redeiperm import Felt, cli, field_from_record, field_tower, make_field
+from redeiperm import Felt, cli, field_tower, make_field
 from redeiperm.field_tower import field_for_q
 
 
@@ -269,17 +269,6 @@ def test_make_field_refuses_large_k_from_the_estimate(k):
 
 def test_make_field_is_cached():
     assert make_field(3, 2) is make_field(3, 2)
-
-
-def test_record_roundtrip(q9):
-    rec = q9.to_record()
-    assert field_from_record(rec) is q9
-    bad = dict(rec, gamma=[1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        field_from_record(bad)
-    bad = dict(rec, modulus=[2, 0, 1, 1, 1])
-    with pytest.raises(ValueError):
-        field_from_record(bad)
 
 
 def test_felt_equality_and_hash(q9, q11):

@@ -7,10 +7,10 @@ the forward map is still checked directly."""
 import pytest
 
 from redeiperm import (PermSpec, Poly, agreement_report, bezout,
-                       build_perm_poly, check_criterion, gh_eval,
+                       build_perm_poly, check_criterion, gh_eval, inverse,
                        inverse_cyclotomic, inverse_table,
-                       is_permutation_bruteforce, lift_inverse, make_field,
-                       mu_inverse, mu_inverse_eval, poly_eval)
+                       is_permutation_bruteforce, lift_inverse, mu_inverse,
+                       mu_inverse_eval, poly_eval)
 
 
 def _forward_on_mu(spec):
@@ -261,6 +261,18 @@ def test_agreement_report_subset_of_routes(q9):
     spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
     report = agreement_report(spec, routes=("cyclotomic", "table"))
     assert report["agree"] and set(report["routes"]) == {"cyclotomic", "table"}
+
+
+def test_agreement_report_refuses_an_unknown_route_before_any_work(
+        q9, monkeypatch):
+    calls = []
+    real = inverse.build_perm_poly
+    monkeypatch.setattr(inverse, "build_perm_poly",
+                        lambda spec: calls.append(spec) or real(spec))
+    spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
+    with pytest.raises(ValueError, match="unknown route 'tabel'"):
+        agreement_report(spec, routes=("closed", "tabel"))
+    assert calls == []
 
 
 def test_agreement_report_on_non_permutation(q7):

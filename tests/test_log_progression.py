@@ -340,39 +340,10 @@ def test_corrupted_fast_path_exits_3_from_invert_all(monkeypatch, capsys,
     assert captured.err.startswith("error: ")
 
 
-# ---------------------------------------------------------------------------
-# lift_inverse refuses a MuInverse built for another spec.
-# ---------------------------------------------------------------------------
-
-def test_lift_refuses_a_mu_inverse_of_another_spec(monkeypatch):
-    spec = _spec(*LIFT_SPEC)  # q = 25, H, n = 7, m = 0, l = 1
-    other = _spec(5, 2, "H", 11, 1, 3)
-    assert check_criterion(other).is_perm
-    built = []
-    monkeypatch.setattr(inverse, "_mu_inverse_values",
-                        lambda inv: built.append(inv) or [])
-    with pytest.raises(ValueError, match="another spec.*n, n_inv"):
-        lift_inverse(spec, mu_inverse(other))
-    assert built == []  # refused before any table work
-
-
-def test_lift_refuses_another_field_alpha_or_case(q9, q7):
-    spec = _spec(*LIFT_SPEC)
-    ctx = spec.ctx
-    own = mu_inverse(spec)
-    with pytest.raises(ValueError, match="field q = 9"):
-        lift_inverse(spec, mu_inverse(PermSpec("H", 7, 0, q9.alpha_from_l(2))))
-    other_alpha = PermSpec("H", 7, 0, ctx.alpha_from_l(3))
-    assert check_criterion(other_alpha).is_perm
-    with pytest.raises(ValueError, match="alpha"):
-        lift_inverse(spec, mu_inverse(other_alpha))
-    variant_g = PermSpec("G", 7, 0, ctx.alpha_from_l(1))
-    with pytest.raises(ValueError, match="case"):
-        lift_inverse(variant_g, own)
-
-
 def test_lift_accepts_either_square_root(q9):
     spec = PermSpec("H", 7, 0, q9.alpha_from_l(2))
-    tables = {tuple(lift_inverse(spec, mu_inverse(spec, sqrt_choice=root)).table)
-              for root in q9.sqrt(spec.alpha)}
-    assert tables == {tuple(lift_inverse(spec).table)}
+    roots = q9.sqrt(spec.alpha)
+    assert len(roots) == 2
+    tables = {tuple(inverse._mu_inverse_values(
+        mu_inverse(spec, sqrt_choice=root))) for root in roots}
+    assert len(tables) == 1
