@@ -19,7 +19,8 @@ when it was not, 2 for rejected input or an unwritable --out path, and 3
 when an internal arithmetic cross-check failed.
 
 The environment variable REDEIPERM_SIZE_BOUND overrides the default bound
-on q^2 that guards table construction and exhaustive checks.
+on q^2 (on q - 1 for count) that make_field enforces before it builds the
+tables every exhaustive check reads.  selftest keeps the default bound.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         family_poly, family_spec, family_special_condition,
                         is_permutation_bruteforce, packed_ranges, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
-                          field_for_q, make_field)
+                          check_odd_prime, field_for_q, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
                       inverse_table, lift_inverse, mu_inverse)
 from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
@@ -104,8 +105,8 @@ def cmd_construct(cfg: RunConfig, variant: str, n: int, m: int, l: int,
     poly, evaluator = build_perm_poly(spec)
     oracle_doc: dict = {"ran": False}
     verified = True
-    if run_oracle and ctx.q2 <= cfg.size_bound:
-        ok, witness = is_permutation_bruteforce(ctx, evaluator, cfg.size_bound)
+    if run_oracle:
+        ok, witness = is_permutation_bruteforce(ctx, evaluator)
         oracle_doc = {"ran": True, "is_perm": ok}
         if witness is not None:
             oracle_doc["witness"] = [witness[0].to_coeffs(), witness[1].to_coeffs()]
@@ -184,7 +185,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
     verified = False
     try:
         if route == "cyclotomic":
-            inv_poly = inverse_cyclotomic(spec, cfg.size_bound)
+            inv_poly = inverse_cyclotomic(spec)
             verified = _compose_identity_holds(ctx, evaluator, inv_poly)
             doc["inverse"] = {
                 "route": route,
@@ -204,12 +205,12 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
             lines.append(f"inverse ({route}): case {minv.case}, "
                          f"inverse exponent {minv.n_inv}")
         elif route == "table":
-            table = inverse_table(ctx, evaluator, cfg.size_bound)
+            table = inverse_table(ctx, evaluator)
             verified = _compose_identity_holds(ctx, evaluator, table)
             doc["inverse"] = {"route": route}
             lines.append("inverse (table): built exhaustively")
         elif route == "all":
-            report = agreement_report(spec, size_bound=cfg.size_bound)
+            report = agreement_report(spec)
             doc["report"] = report
             computed = sorted(report["routes"])
             lines.append(f"routes computed: {', '.join(computed) or 'none'}")
@@ -221,7 +222,7 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
             verified = report["agree"]
             if verified and "table" not in report["routes"]:
                 # table is ground truth; without it confirm by composition
-                inv_poly = inverse_cyclotomic(spec, cfg.size_bound)
+                inv_poly = inverse_cyclotomic(spec)
                 verified = _compose_identity_holds(ctx, evaluator, inv_poly)
         else:
             raise ValueError(f"unknown route {route!r}")
@@ -252,6 +253,7 @@ def cmd_count(cfg: RunConfig, m: int, k_max: int | None) -> int:
     if cfg.p ** min(top, cfg.size_bound.bit_length()) - 1 > cfg.size_bound:
         raise ValueError(f"q - 1 = {cfg.p}^{top} - 1 exceeds the size bound "
                          f"{cfg.size_bound}")
+    check_odd_prime(cfg.p)
     rows = []
     lines = []
     for j in range(cfg.k, top + 1):
@@ -361,9 +363,9 @@ def _check_gh_coprime(ctx: FieldCtx, n_max: int) -> None:
                     f"gcd(G_{n}, H_{n}) != 1 at l={l}")
 
 
-def _check_criterion_grid(qs, n_max: int, m_values, size_bound: int) -> None:
+def _check_criterion_grid(qs, n_max: int, m_values) -> None:
     for q in qs:
-        ctx = field_for_q(q, size_bound)
+        ctx = field_for_q(q)
         for l in range(q + 2):
             alpha = ctx.alpha_from_l(l)
             for variant in ("H", "G"):
@@ -372,16 +374,16 @@ def _check_criterion_grid(qs, n_max: int, m_values, size_bound: int) -> None:
                         spec = PermSpec(variant, n, m, alpha)
                         verdict = check_criterion(spec)
                         _, ev = build_perm_poly(spec)
-                        ok, _ = is_permutation_bruteforce(ctx, ev, size_bound)
+                        ok, _ = is_permutation_bruteforce(ctx, ev)
                         _ensure(
                             ok == verdict.is_perm,
                             f"criterion mismatch at q={q} variant={variant} "
                             f"n={n} m={m} l={l}: oracle={ok}")
 
 
-def _check_coset_criterion(qs, size_bound: int) -> None:
+def _check_coset_criterion(qs) -> None:
     for q in qs:
-        ctx = field_for_q(q, size_bound)
+        ctx = field_for_q(q)
         for l in range(q + 1):
             alpha = ctx.alpha_from_l(l)
             for variant in ("H", "G"):
@@ -397,10 +399,10 @@ def _check_coset_criterion(qs, size_bound: int) -> None:
                                 f"m={m} l={l} variant={variant}")
 
 
-def _check_families(qs_by_degree: dict, size_bound: int) -> None:
+def _check_families(qs_by_degree: dict) -> None:
     for degree, qs in qs_by_degree.items():
         for q in qs:
-            ctx = field_for_q(q, size_bound)
+            ctx = field_for_q(q)
             for m in (q - (degree + 3) // 2, q - (degree + 1) // 2, 1, 0):
                 for l in range(q + 1):
                     for variant in ("P1", "P2"):
@@ -409,16 +411,16 @@ def _check_families(qs_by_degree: dict, size_bound: int) -> None:
                         built, ev = build_perm_poly(
                             family_spec(ctx, degree, variant, m, l))
                         _ensure(poly == built, f"family != theorem route at {at}")
-                        ok, _ = is_permutation_bruteforce(ctx, ev, size_bound)
+                        ok, _ = is_permutation_bruteforce(ctx, ev)
                         _ensure(ok == family_condition(q, degree, m, l),
                                 f"family condition wrong at {at}")
                         _ensure(ok == family_special_condition(q, degree, m, l),
                                 f"special condition wrong at {at}")
 
 
-def _check_proof_identities(qs, n_max: int, size_bound: int) -> None:
+def _check_proof_identities(qs, n_max: int) -> None:
     for q in qs:
-        ctx = field_for_q(q, size_bound)
+        ctx = field_for_q(q)
         mu = ctx.mu(q + 1)
         for l in range(q + 1):
             alpha = ctx.alpha_from_l(l)
@@ -448,9 +450,9 @@ def _check_proof_identities(qs, n_max: int, size_bound: int) -> None:
                                 "ratio^(q+1) != -1 in the root-out case")
 
 
-def _check_inverse_routes(qs, n_max: int, m_values, size_bound: int) -> None:
+def _check_inverse_routes(qs, n_max: int, m_values) -> None:
     for q in qs:
-        ctx = field_for_q(q, size_bound)
+        ctx = field_for_q(q)
         for l in range(q + 1):
             alpha = ctx.alpha_from_l(l)
             for variant in ("H", "G"):
@@ -459,7 +461,7 @@ def _check_inverse_routes(qs, n_max: int, m_values, size_bound: int) -> None:
                         spec = PermSpec(variant, n, m, alpha)
                         if not check_criterion(spec).is_perm:
                             continue
-                        report = agreement_report(spec, size_bound=size_bound)
+                        report = agreement_report(spec)
                         _ensure("cyclotomic" in report["routes"]
                                 and "table" in report["routes"],
                                 "baseline inverse routes missing")
@@ -467,7 +469,7 @@ def _check_inverse_routes(qs, n_max: int, m_values, size_bound: int) -> None:
                                 f"inverse routes disagree at q={q} "
                                 f"variant={variant} n={n} m={m} l={l}")
                         _, ev = build_perm_poly(spec)
-                        inv = inverse_table(ctx, ev, size_bound)
+                        inv = inverse_table(ctx, ev)
                         _ensure(_compose_identity_holds(ctx, ev, inv),
                                 "table inverse does not invert")
 
@@ -480,7 +482,7 @@ def _check_counting(qs) -> None:
                 f"admissible-n ratio {ratio} out of range at q={q}")
 
 
-def _check_determinism(cfg: RunConfig) -> None:
+def _check_determinism(seed: int) -> None:
     import io
     outs = []
     for _ in range(2):
@@ -488,8 +490,8 @@ def _check_determinism(cfg: RunConfig) -> None:
         stdout = sys.stdout
         sys.stdout = buf
         try:
-            sub = RunConfig(p=3, k=2, size_bound=cfg.size_bound, fmt="json",
-                            out="-", seed=cfg.seed)
+            sub = RunConfig(p=3, k=2, size_bound=DEFAULT_SIZE_BOUND,
+                            fmt="json", out="-", seed=seed)
             cmd_construct(sub, "H", 3, 0, 2)
             cmd_invert(sub, "H", 3, 0, 2, "all")
         finally:
@@ -498,11 +500,11 @@ def _check_determinism(cfg: RunConfig) -> None:
     _ensure(outs[0] == outs[1], "two identical runs differ byte-wise")
 
 
-def _selftest_suite(level: str, seed: int, size_bound: int):
+def _selftest_suite(level: str, seed: int):
     rng = random.Random(seed)
     quick = level == "quick"
-    f9 = lambda: make_field(3, 2, size_bound)
-    f3 = lambda: make_field(3, 1, size_bound)
+    f9 = lambda: make_field(3, 2)
+    f3 = lambda: make_field(3, 1)
 
     checks: list[tuple[str, object]] = [
         ("field axioms and Frobenius (q=9)",
@@ -513,52 +515,47 @@ def _selftest_suite(level: str, seed: int, size_bound: int):
         ("square roots vs exhaustive search (q=9)",
          lambda: _check_sqrt(f9())),
         ("expansion identity (x+s)^n = G_n + H_n*s",
-         lambda: [_check_expansion_identity(field_for_q(q, size_bound), rng,
+         lambda: [_check_expansion_identity(field_for_q(q), rng,
                                             100 if quick else 1000)
                   for q in ((3, 9) if quick else (3, 5, 7, 9, 25))]),
         ("Dickson forms and Waring identity",
-         lambda: [_check_dickson_ties(field_for_q(q, size_bound), rng,
+         lambda: [_check_dickson_ties(field_for_q(q), rng,
                                       100 if quick else 1000)
                   for q in ((9,) if quick else (3, 5, 7, 9, 25))]),
         ("coefficient coprimality gcd(G_n, H_n) = 1",
-         lambda: [_check_gh_coprime(field_for_q(q, size_bound),
+         lambda: [_check_gh_coprime(field_for_q(q),
                                     12 if quick else 30)
                   for q in ((3, 9) if quick else (3, 5, 7, 9))]),
         ("coprimality criterion vs exhaustive oracle",
          lambda: _check_criterion_grid(
              (3, 5) if quick else (3, 5, 7, 9, 11, 13, 25),
              6 if quick else 12,
-             (-1, 0, 1) if quick else (-2, -1, 0, 1, 2, 3),
-             size_bound)),
+             (-1, 0, 1) if quick else (-2, -1, 0, 1, 2, 3))),
         ("coset criterion vs coprimality criterion",
-         lambda: _check_coset_criterion((3, 5) if quick else (3, 5, 7, 9),
-                                        size_bound)),
+         lambda: _check_coset_criterion((3, 5) if quick else (3, 5, 7, 9))),
         ("proof identities on mu_{q+1}",
          lambda: _check_proof_identities((3, 5) if quick else (3, 5, 7, 9, 11),
-                                         7 if quick else 15, size_bound)),
+                                         7 if quick else 15)),
         ("published families and their conditions",
          lambda: _check_families(
              {3: (5,), 5: (3,)} if quick
-             else {3: (5, 7, 11, 13), 5: (3, 7, 9, 13)}, size_bound)),
+             else {3: (5, 7, 11, 13), 5: (3, 7, 9, 13)})),
         ("inverse route agreement and composition",
          lambda: _check_inverse_routes((3, 5) if quick else (3, 5, 7, 9),
                                        5 if quick else 11,
-                                       (0,) if quick else (-2, -1, 0, 1, 2, 3),
-                                       size_bound)),
+                                       (0,) if quick else (-2, -1, 0, 1, 2, 3))),
         ("admissible-n density",
          lambda: _check_counting((9, 27) if quick else (9, 27, 81, 243))),
     ]
     if not quick:
         checks.append((
             "byte-identical repeated runs",
-            lambda: _check_determinism(RunConfig(
-                p=3, k=2, size_bound=size_bound, fmt="json", out="-",
-                seed=seed))))
+            lambda: _check_determinism(seed)))
     return checks
 
 
 def cmd_selftest(cfg: RunConfig, level: str) -> int:
-    checks = _selftest_suite(level, cfg.seed, cfg.size_bound)
+    checks = _selftest_suite(level, cfg.seed)
     results = []
     all_pass = True
     lines = []
@@ -610,8 +607,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=int, required=True, help="odd prime")
             sp.add_argument("--k", type=int, default=1,
                             help="extension degree, q = p^k (default 1)")
-        sp.add_argument("--size-bound", type=int, default=None,
-                        help="bound on q^2 for tables and exhaustive checks")
+            sp.add_argument("--size-bound", type=int, default=None,
+                            help="bound on q^2 for tables and exhaustive checks")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
 
@@ -650,12 +647,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        size_bound = (_default_size_bound() if args.size_bound is None
-                      else args.size_bound)
         if args.command == "selftest":
-            cfg = RunConfig(p=3, k=1, size_bound=size_bound,
+            cfg = RunConfig(p=3, k=1, size_bound=DEFAULT_SIZE_BOUND,
                             fmt=args.format, out=args.out, seed=args.seed)
             return cmd_selftest(cfg, args.level)
+        size_bound = (_default_size_bound() if args.size_bound is None
+                      else args.size_bound)
         cfg = RunConfig(p=args.p, k=args.k, size_bound=size_bound,
                         fmt=args.format, out=args.out)
         if args.command == "construct":

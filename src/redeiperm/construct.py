@@ -18,8 +18,9 @@ them (redei.gh_table).
 
 Every exhaustive loop (the scan, the route digests, the CLI's composition
 check) reads f through packed_ranges, a range of consecutive points at a
-time: a CosetMap or an InverseTable with no Python call per point, a Poly
-(through poly_eval) or any other callable point by point.
+time from f.eval_range: a CosetMap or an InverseTable with no Python call
+per point, a Poly through poly_eval per point.  The size of these loops
+is bounded once, by make_field.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -34,9 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .field_tower import Felt, FieldCtx, check_size_bound
-from .polyring import (CosetMap, Poly, poly_compose, poly_eval,
-                       reduce_functional)
+from .field_tower import Felt, FieldCtx
+from .polyring import CosetMap, Poly, poly_eval, reduce_functional
 from .redei import gh_coeffs, gh_table
 
 CASE_IN = "sqrt_in_mu"
@@ -167,18 +167,18 @@ def coset_factor_table(spec: PermSpec) -> list[int]:
 def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     """The reduced coefficient polynomial and a fast point evaluator.
 
-    The coefficient form substitutes x^(q-1) into the coefficient
-    polynomials and multiplies by x^r with r normalised into [1, q^2-1];
-    the evaluator computes the same map through the coset table.  The two
-    agree pointwise (they are built from independent paths).
+    The coefficient form sends each term c*x^e of the coefficient
+    polynomial to c*x^(r + (q-1)e), with r normalised into [1, q^2-1], and
+    reduces; the evaluator computes the same map through the coset table.
+    The two agree pointwise (they are built from independent paths).
     """
     ctx = spec.ctx
     N = ctx.units
     r_norm = ((spec.r - 1) % N) + 1
     pair = gh_coeffs(spec.n, spec.alpha)
     f = (pair.g, pair.h)[spec.gh_index]
-    inner = poly_compose(f, Poly.monomial(ctx, ctx.q - 1))
-    poly = reduce_functional(inner.shift(r_norm))
+    poly = reduce_functional(Poly.from_terms(
+        ctx, ((r_norm + (ctx.q - 1) * e, c) for e, c in f.terms.items())))
     return poly, CosetMap(ctx, spec.r % N, coset_factor_table(spec))
 
 
@@ -192,27 +192,17 @@ RANGE_CAP = 1 << 14
 def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
     """f's packed values at 0, 1, ..., q^2-1 as (start, values) per range.
 
-    f may be a map with eval_range(start, stop) (CosetMap, InverseTable),
-    evaluated a whole range at a time; a Poly, through poly_eval per point;
-    or any callable Felt -> Felt, per point.
+    f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
+    gives the packed values at the packed points start, ..., stop-1.
     """
-    if hasattr(f, "eval_range"):
-        values = f.eval_range
-    elif isinstance(f, Poly):
-        def values(start, stop):
-            return [poly_eval(f, Felt(ctx, xv)).val for xv in range(start, stop)]
-    else:
-        def values(start, stop):
-            return [f(Felt(ctx, xv)).val for xv in range(start, stop)]
     start = 0
     while start < ctx.q2:
         stop = min(ctx.q2, start + min(max(start, RANGE_START), RANGE_CAP))
-        yield start, values(start, stop)
+        yield start, f.eval_range(start, stop)
         start = stop
 
 
-def scan(ctx: FieldCtx, f, size_bound: int | None = None
-         ) -> tuple[list[int], tuple[int, int, int] | None]:
+def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
     """Evaluate f at the packed points 0, 1, ..., q^2-1 in order.
 
     Returns (inverse table, None) for a bijection.  At the first collision
@@ -221,7 +211,6 @@ def scan(ctx: FieldCtx, f, size_bound: int | None = None
     range at a time (packed_ranges), so f may have been evaluated past b,
     to the end of b's range.
     """
-    check_size_bound(ctx.q2, size_bound)
     first = [-1] * ctx.q2
     for start, values in packed_ranges(ctx, f):
         for xv, v in enumerate(values, start):
@@ -232,13 +221,12 @@ def scan(ctx: FieldCtx, f, size_bound: int | None = None
 
 
 def is_permutation_bruteforce(
-        ctx: FieldCtx, f, size_bound: int | None = None
-) -> tuple[bool, tuple[Felt, Felt] | None]:
+        ctx: FieldCtx, f) -> tuple[bool, tuple[Felt, Felt] | None]:
     """Evaluate f on all of F_{q^2}; (True, None) or (False, colliding pair).
 
-    f may be a CosetMap, a Poly, or any callable Felt -> Felt.
+    f may be a CosetMap, an InverseTable or a Poly (see packed_ranges).
     """
-    _, collision = scan(ctx, f, size_bound)
+    _, collision = scan(ctx, f)
     if collision is None:
         return True, None
     return False, (Felt(ctx, collision[0]), Felt(ctx, collision[1]))

@@ -32,32 +32,22 @@ from typing import Iterator, Sequence
 DEFAULT_SIZE_BOUND = 1 << 20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def check_field_params(p: int, k: int) -> None:
-    """q = p^k needs an odd prime p and k >= 1."""
-    if not _is_prime(p) or p == 2:
+    """q = p^k needs an odd prime p and k >= 1; primality is left to
+    check_odd_prime, run after the size bound has made p small."""
+    if p < 3 or p % 2 == 0:
         raise ValueError(f"p={p} is not an odd prime")
     if k < 1:
         raise ValueError("k must be a positive integer")
 
 
-def check_size_bound(q2: int, size_bound: int | None = None) -> None:
-    """Refuse a table or exhaustive scan over q2 points above the size bound."""
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if q2 > bound:
-        raise ValueError(f"q^2 = {q2} exceeds the size bound {bound}")
+def check_odd_prime(p: int) -> None:
+    """Refuse an odd p >= 3 with an odd divisor d, 3 <= d <= sqrt(p)."""
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            raise ValueError(f"p={p} is not an odd prime")
+        d += 2
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -501,13 +491,6 @@ class FieldCtx:
         """The image of the integer c under the ring map Z -> F_{q^2}."""
         return Felt(self, c % self.p)
 
-    def from_coeffs(self, coeffs: Sequence[int]) -> Felt:
-        if len(coeffs) > 2 * self.k:
-            raise ValueError("coefficient vector too long")
-        vec = [c % self.p for c in coeffs]
-        vec += [0] * (2 * self.k - len(vec))
-        return Felt(self, self._pack_dense(vec))
-
     def from_packed(self, v: int) -> Felt:
         if not 0 <= v < self.q2:
             raise ValueError("packed value out of range")
@@ -575,13 +558,17 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     degree 2k over F_p and gamma is the lexicographically smallest
     primitive element (coefficient tuples compared low degree first), so
     repeated construction always yields the same field description.
-    Results are cached per (p, k).
+    Results are cached per (p, k).  This is the one check of q^2 against
+    the size bound, made on every call: each later loop over the field's
+    points is O(q^2), the size of the tables the field already holds.
     """
     check_field_params(p, k)
     bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
     if 2 * k > bound.bit_length():  # p^(2k) > 2^(2k) > bound: never build it
         raise ValueError(f"q^2 = {p}^{2 * k} exceeds the size bound {bound}")
-    check_size_bound(p ** (2 * k), bound)
+    if p ** (2 * k) > bound:
+        raise ValueError(f"q^2 = {p ** (2 * k)} exceeds the size bound {bound}")
+    check_odd_prime(p)
 
     cached = _FIELD_CACHE.get((p, k))
     if cached is not None:

@@ -34,8 +34,9 @@ ArithmeticError.  mu_inverse_eval stays the per-point reference.
 Route "table": exhaustive inversion of the value table, the ground truth.
 
 Route agreement digests each route's values at all q^2 points, read by
-construct.packed_ranges: the closed route's CosetMap and the InverseTable a
-whole range at a time, the cyclotomic Poly by poly_eval per point.  All
+construct.packed_ranges through eval_range: the closed route's CosetMap and
+the InverseTable a whole range at a time, the cyclotomic Poly by poly_eval
+per point.  All
 exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
 tabulated on mu_{q+1} once, by the same kernel (polyring._coset_table,
@@ -62,7 +63,7 @@ from dataclasses import asdict, dataclass
 from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
                         check_criterion, coset_factor_table, packed_ranges,
                         scan, sqrt_case)
-from .field_tower import Felt, FieldCtx, check_size_bound
+from .field_tower import Felt, FieldCtx
 from .polyring import Poly, _eval_terms
 from .redei import _gh_eval_packed, gh_table, spot_positions
 
@@ -124,11 +125,10 @@ def _verify_bezout(b: BezoutData, q: int, n: int) -> None:
         raise ArithmeticError("r_prime_full is not the inverse of r mod q^2-1")
 
 
-def inverse_cyclotomic(spec: PermSpec, size_bound: int | None = None) -> Poly:
+def inverse_cyclotomic(spec: PermSpec) -> Poly:
     """The coefficient-form inverse, a (q+1)-term polynomial, reduced.
 
-    Requires the criterion to certify spec as a permutation; the double sum
-    has (q+1)^2 terms, so the field must be within the size bound.
+    Requires the criterion to certify spec as a permutation.
 
     Term (i, j) of the double sum is gamma^(B_i + j*W_i) with
     B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), so all
@@ -142,7 +142,6 @@ def inverse_cyclotomic(spec: PermSpec, size_bound: int | None = None) -> Poly:
     every coefficient.
     """
     ctx = spec.ctx
-    check_size_bound(ctx.q2, size_bound)
     verdict = check_criterion(spec)
     if not verdict.is_perm:
         raise ValueError(verdict.failure)
@@ -209,8 +208,9 @@ class MuInverse:
         return self.alpha.ctx
 
 
-def mu_inverse(spec: PermSpec, sqrt_choice: Felt | None = None) -> MuInverse:
-    """Select the applicable closed-form case and exponent for spec."""
+def mu_inverse(spec: PermSpec) -> MuInverse:
+    """Select the applicable closed-form case and exponent for spec;
+    sqrt_alpha is ctx.sqrt(alpha)[0] (no result depends on the sign)."""
     ctx = spec.ctx
     case_in = sqrt_case(spec.alpha) == CASE_IN
     b = bezout(spec)
@@ -230,10 +230,7 @@ def mu_inverse(spec: PermSpec, sqrt_choice: Felt | None = None) -> MuInverse:
                 f"gcd(n, 2(q+1)) = {math.gcd(spec.n, 2 * (ctx.q + 1))} != 1; "
                 "no inverse exponent n2")
         case = "I2" if spec.variant == "H" else "I4"
-    root = ctx.sqrt(spec.alpha)[0] if sqrt_choice is None else sqrt_choice
-    if root * root != spec.alpha:
-        raise ValueError("sqrt_choice is not a square root of alpha")
-    return MuInverse(case, spec.n, n_inv, spec.alpha, root)
+    return MuInverse(case, spec.n, n_inv, spec.alpha, ctx.sqrt(spec.alpha)[0])
 
 
 def _power_form_exponents(inv: MuInverse) -> tuple[int, int, int]:
@@ -394,9 +391,9 @@ class InverseTable:
         return Felt(self.ctx, self._table[x.val])
 
 
-def inverse_table(ctx: FieldCtx, f, size_bound: int | None = None) -> InverseTable:
+def inverse_table(ctx: FieldCtx, f) -> InverseTable:
     """Invert f by evaluating it everywhere; errors with a collision witness."""
-    table, collision = scan(ctx, f, size_bound)
+    table, collision = scan(ctx, f)
     if collision is not None:
         a, b, v = (Felt(ctx, xv) for xv in collision)
         raise ValueError(
@@ -434,8 +431,7 @@ def _value_digest(ctx: FieldCtx, f) -> str:
 ROUTES = ("cyclotomic", "closed", "table")
 
 
-def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES,
-                     size_bound: int | None = None) -> dict:
+def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     """Compute the requested inverse routes and compare their value tables.
 
     Each computed route contributes the digest of its full value table on
@@ -455,11 +451,11 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES,
     for route in routes:
         try:
             if route == "cyclotomic":
-                inverse = inverse_cyclotomic(spec, size_bound)
+                inverse = inverse_cyclotomic(spec)
             elif route == "closed":
                 inverse = lift_inverse(spec)
             else:
-                inverse = inverse_table(ctx, perm_eval, size_bound)
+                inverse = inverse_table(ctx, perm_eval)
         except ValueError as exc:
             skipped[route] = str(exc)
             continue

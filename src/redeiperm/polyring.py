@@ -6,11 +6,13 @@ over the whole range [1, q^2 - 1], so a dense vector would be almost all
 zeros; the sparse form keeps every operation proportional to the number of
 terms actually present.
 
-Besides ring arithmetic and composition, the module provides the functional
-reduction modulo x^(q^2) - x used to normalise evaluation maps on F_{q^2},
-and the Euclidean algorithm for monic gcds.  Exponents stay
-non-negative integers throughout; reduction sends every positive exponent
-into [1, q^2 - 1] so that the value at 0 is never disturbed.
+Polys are built from terms; there are no ring operators, because the
+paper's x^r * F(x^(q-1)) only scales and shifts exponents.  Besides
+evaluation the module provides the functional reduction modulo x^(q^2) - x used to
+normalise evaluation maps on F_{q^2}, and division with remainder for
+monic gcds.  Exponents stay non-negative integers throughout; reduction
+sends every positive exponent into [1, q^2 - 1] so that the value at 0 is
+never disturbed.
 
 Evaluation cost: a polynomial without constant term whose exponents all
 agree mod q-1 equals x^e * g(x^(q-1)), a map of coset shape (CosetMap).
@@ -19,10 +21,10 @@ O(q * terms) once per Poly (FieldCtx.log_progression_sums, checked against
 the term loop at the q+1 coset representatives), and then costs O(1) per
 point (a discrete log, a table pick, one multiplication) whatever the
 number of terms.  Every other polynomial is evaluated by the term loop,
-O(terms) per point.  poly_eval is one Python call per point; a CosetMap
-held directly also evaluates a whole range of consecutive points in one
-comprehension (CosetMap.eval_range), which is how the exhaustive loops
-read it.
+O(terms) per point.  The exhaustive loops read a map a range of
+consecutive points at a time through eval_range: Poly.eval_range calls
+poly_eval once per point, CosetMap.eval_range runs one comprehension over
+the whole range.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .field_tower import Felt, FieldCtx
-
-DEFAULT_DEGREE_CAP = 10 ** 6
 
 
 class Poly:
@@ -100,9 +100,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[max(self.terms)]
 
-    def coeff(self, e: int) -> Felt:
-        return self.terms.get(e, self.ctx.zero())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -111,62 +108,22 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({render_poly(self)})"
 
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.val:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.ctx, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            ctx = self.ctx
-            out: dict[int, int] = {}
-            add = ctx.add_packed
-            mul = ctx.mul_packed
-            for e1, c1 in self.terms.items():
-                v1 = c1.val
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    out[e] = add(out.get(e, 0), mul(v1, c2.val))
-            return Poly(ctx, {e: Felt(ctx, v) for e, v in out.items() if v})
-        if isinstance(other, (Felt, int)):
-            c = other if isinstance(other, Felt) else self.ctx.scalar(other)
-            return Poly(self.ctx, {e: co * c for e, co in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def shift(self, d: int) -> "Poly":
-        """Multiply by x^d (d >= 0): shift every exponent up by d."""
-        if d < 0:
-            raise ValueError("shift must be non-negative")
-        return Poly(self.ctx, {e + d: c for e, c in self.terms.items()})
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         inv_lead = self.leading().inv()
-        return self * inv_lead
+        return Poly(self.ctx, {e: c * inv_lead for e, c in self.terms.items()})
+
+    # -- evaluation ------------------------------------------------------------
 
     def __call__(self, x: Felt) -> Felt:
         return poly_eval(self, x)
+
+    def eval_range(self, start: int, stop: int) -> list[int]:
+        """Packed values at the packed points start, ..., stop-1, by one
+        poly_eval call per point."""
+        ctx = self.ctx
+        return [poly_eval(self, Felt(ctx, xv)).val for xv in range(start, stop)]
 
     # -- serialization -----------------------------------------------------------
 
@@ -281,50 +238,6 @@ def poly_eval(f: Poly, x: Felt) -> Felt:
     return Felt(f.ctx, cm.eval_packed(x.val) if cm else _eval_terms(f, x.val))
 
 
-def poly_pow(f: Poly, e: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Poly:
-    if e < 0:
-        raise ValueError("polynomial powers must be non-negative")
-    if f.degree() * max(e, 1) > degree_cap:
-        raise ValueError("degree cap exceeded in poly_pow")
-    result = Poly.one(f.ctx)
-    acc = f
-    while e:
-        if e & 1:
-            result = result * acc
-        e >>= 1
-        if e:
-            acc = acc * acc
-    return result
-
-
-def poly_compose(f: Poly, g: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Poly:
-    """f(g(x)).
-
-    When g is a monomial c*x^d the composition is exact exponent arithmetic
-    (e -> d*e with coefficient c^e) and no degree cap applies; that is the
-    path used for substituting x^(q-1).  Otherwise the result degree
-    deg(f)*deg(g) must stay within degree_cap.
-    """
-    ctx = f.ctx
-    if len(g.terms) == 1:
-        (d, c), = g.terms.items()
-        return Poly.from_terms(
-            ctx, ((d * e, (c ** e) * co) for e, co in f.terms.items()))
-    if f.is_zero():
-        return Poly.zero(ctx)
-    if f.degree() > 0 and g.degree() > 0 and f.degree() * g.degree() > degree_cap:
-        raise ValueError("degree cap exceeded in poly_compose")
-    # powers of g in ascending exponent order, reusing the previous power
-    result = Poly.zero(ctx)
-    prev_e = 0
-    power = Poly.one(ctx)
-    for e in sorted(f.terms):
-        power = power * poly_pow(g, e - prev_e, degree_cap)
-        prev_e = e
-        result = result + power * f.terms[e]
-    return result
-
-
 def reduce_functional(f: Poly) -> Poly:
     """Reduce exponents so the evaluation map on F_{q^2} is unchanged.
 
@@ -333,18 +246,9 @@ def reduce_functional(f: Poly) -> Poly:
     positive exponents positive preserves f(0).  Coefficients landing on
     the same exponent are summed.
     """
-    ctx = f.ctx
-    N = ctx.units
-    out: dict[int, Felt] = {}
-    for e, c in f.terms.items():
-        er = e if e == 0 else ((e - 1) % N) + 1
-        s = out.get(er)
-        s = c if s is None else s + c
-        if s.val:
-            out[er] = s
-        else:
-            out.pop(er, None)
-    return Poly(ctx, out)
+    N = f.ctx.units
+    return Poly.from_terms(f.ctx, ((e if e == 0 else ((e - 1) % N) + 1, c)
+                                   for e, c in f.terms.items()))
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:

@@ -132,17 +132,18 @@ def _parity_poly(ctx: FieldCtx, top: int, coeffs: list[int]) -> Poly:
     return Poly(ctx, {top - 2 * i: Felt(ctx, c) for i, c in enumerate(coeffs) if c})
 
 
-def gh_coeffs(n: int, alpha: Felt, cap: int = GH_DEGREE_CAP) -> RedeiPair:
+def gh_coeffs(n: int, alpha: Felt) -> RedeiPair:
     """Coefficient polynomials (G_n, H_n); recursion and closed form agree.
 
-    alpha must lie in mu_{q+1}; n is capped to keep the quadratic-time
-    recursion affordable.  Both paths run on packed coefficient lists and
-    the Polys are built once, from the agreed lists.
+    alpha must lie in mu_{q+1}; n is capped at GH_DEGREE_CAP to keep the
+    quadratic-time recursion affordable.  Both paths run on packed
+    coefficient lists and the Polys are built once, from the agreed lists.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the coefficient-form cap {cap}")
+    if n > GH_DEGREE_CAP:
+        raise ValueError(
+            f"n={n} exceeds the coefficient-form cap {GH_DEGREE_CAP}")
     _require_alpha(alpha)
     g, h = _gh_coeffs_recursive(n, alpha)
     if (g, h) != _gh_coeffs_binomial(n, alpha):

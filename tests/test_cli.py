@@ -4,12 +4,15 @@ golden outputs, determinism, and the selftest harness."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from redeiperm import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "v1")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _golden(name: str) -> str:
@@ -213,6 +216,18 @@ def test_selftest_quick(capsys):
     assert "12 checks: 12 passed, 0 failed [quick]" in out
 
 
+def test_selftest_runs_at_the_default_bound(capsys, monkeypatch):
+    """selftest's fields are fixed and small: a small bound in the
+    environment does not reach them, and the flag is not accepted."""
+    monkeypatch.setenv(cli.ENV_SIZE_BOUND, "50")
+    rc = cli.main(["selftest", "--level", "quick"])
+    assert rc == 0
+    assert "12 checks: 12 passed, 0 failed [quick]" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--size-bound", "50"])
+    assert exc.value.code == 2
+
+
 def test_selftest_json(capsys):
     rc = cli.main(["selftest", "--level", "quick", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
@@ -225,9 +240,7 @@ def test_selftest_json(capsys):
 def test_determinism_check(monkeypatch):
     """The full-level determinism check passes on the real commands and
     fails as soon as a second run writes different bytes."""
-    cfg = cli.RunConfig(p=3, k=2, size_bound=cli.DEFAULT_SIZE_BOUND,
-                        fmt="json", out="-")
-    cli._check_determinism(cfg)
+    cli._check_determinism(0)
     real = cli.cmd_construct
     runs = []
 
@@ -239,7 +252,7 @@ def test_determinism_check(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_construct", drifting)
     with pytest.raises(AssertionError, match="two identical runs differ"):
-        cli._check_determinism(cfg)
+        cli._check_determinism(0)
     assert len(runs) == 2
 
 
@@ -263,8 +276,8 @@ def test_selftest_detects_corrupted_coefficients(capsys, monkeypatch):
     """Corrupting the coefficient form must surface at the same check."""
     real = cli.gh_coeffs
 
-    def corrupted(n, alpha, cap=10 ** 4):
-        pair = real(n, alpha, cap)
+    def corrupted(n, alpha):
+        pair = real(n, alpha)
         return dataclasses.replace(pair, g=pair.h, h=pair.g)
 
     monkeypatch.setattr(cli, "gh_coeffs", corrupted)
@@ -322,6 +335,26 @@ def test_large_k_refused_naming_the_bound(capsys, monkeypatch, k):
     assert captured.out == ""
     assert captured.err == (f"error: q^2 = 3^{2 * int(k)} exceeds the size "
                             f"bound {cli.DEFAULT_SIZE_BOUND}\n")
+
+
+HUGE_P = 2 ** 61 - 1  # a Mersenne prime: trial division would take hours
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--p", str(HUGE_P), "--variant", "H", "--n", "3"],
+     f"q^2 = {HUGE_P ** 2} exceeds the size bound {cli.DEFAULT_SIZE_BOUND}"),
+    (["count", "--p", str(HUGE_P)],
+     f"q - 1 = {HUGE_P}^1 - 1 exceeds the size bound {cli.DEFAULT_SIZE_BOUND}"),
+], ids=["construct", "count"])
+def test_huge_p_is_refused_by_the_bound_before_primality(argv, message):
+    env = {k: v for k, v in os.environ.items() if k != cli.ENV_SIZE_BOUND}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-m", "redeiperm.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=10, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_arithmetic_check_failure_exits_3(capsys, monkeypatch):

@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from redeiperm import (CASE_IN, CASE_OUT, PermSpec, Poly, build_perm_poly,
-                       check_criterion, coset_factor_table, count_valid_n,
-                       cyclotomic_criterion, family_condition, family_poly,
-                       family_spec, family_special_condition, gh_coeffs,
+from redeiperm import (CASE_IN, CASE_OUT, CosetMap, InverseTable, PermSpec,
+                       Poly, build_perm_poly, check_criterion,
+                       coset_factor_table, count_valid_n, cyclotomic_criterion,
+                       family_condition, family_poly, family_spec,
+                       family_special_condition, gh_coeffs,
                        is_permutation_bruteforce, make_field, poly_eval,
                        sqrt_case)
 from redeiperm.construct import scan
@@ -106,11 +107,11 @@ def test_bruteforce_oracle(q3):
     assert not ok
     a, b = witness
     assert a != b and a * a == b * b
-    # callable dispatch
-    ok, _ = is_permutation_bruteforce(q3, lambda x: x + 1)
-    assert ok
-    with pytest.raises(ValueError):
-        is_permutation_bruteforce(q3, Poly.x(q3), size_bound=8)
+    # the other map kinds: x -> x + 1 as a table, x^2 as a CosetMap
+    shift = InverseTable(q3, [(x + 1).val for x in q3.elements()])
+    assert is_permutation_bruteforce(q3, shift) == (True, None)
+    ok, (a, b) = is_permutation_bruteforce(q3, CosetMap(q3, 2, [1] * (q3.q + 1)))
+    assert not ok and a != b and a * a == b * b
 
 
 def test_scan_returns_inverse_table_or_first_collision(q3, q5):
@@ -145,7 +146,7 @@ def test_cyclotomic_criterion(q7, q9):
     # gcd(r, q-1) != 1 is decisive
     assert not cyclotomic_criterion(q7, 2, Poly.one(q7))
     # a zero of f on mu_{q+1} kills bijectivity even with gcd(r, q-1) = 1
-    f = Poly.x(q7) - Poly.one(q7)
+    f = Poly.from_terms(q7, [(1, 1), (0, -1)])  # x - 1
     assert not cyclotomic_criterion(q7, 1, f)
     # agreement with the coprimality criterion across a sample
     for ctx in (q7, q9):

@@ -4,13 +4,15 @@ exhaustive value table.  The routes share no arithmetic beyond the field
 tables, so agreement is strong evidence of correctness; composition with
 the forward map is still checked directly."""
 
+import dataclasses
+
 import pytest
 
 from redeiperm import (PermSpec, Poly, agreement_report, bezout,
-                       build_perm_poly, check_criterion, gh_eval, inverse,
-                       inverse_cyclotomic, inverse_table,
-                       is_permutation_bruteforce, lift_inverse, mu_inverse,
-                       mu_inverse_eval, poly_eval)
+                       build_perm_poly, check_criterion, field_tower, gh_eval,
+                       inverse, inverse_cyclotomic, inverse_table,
+                       is_permutation_bruteforce, lift_inverse, make_field,
+                       mu_inverse, mu_inverse_eval, poly_eval)
 
 
 def _forward_on_mu(spec):
@@ -150,13 +152,11 @@ def test_mu_inverse_rejects_even_n(q9):
 
 def test_mu_inverse_sqrt_choice(q9):
     spec = PermSpec("H", 5, 0, q9.alpha_from_l(2))
-    r, s = q9.sqrt(spec.alpha)
-    inv_r = mu_inverse(spec, sqrt_choice=r)
-    inv_s = mu_inverse(spec, sqrt_choice=s)
+    inv_r = mu_inverse(spec)
+    inv_s = dataclasses.replace(inv_r, sqrt_alpha=-inv_r.sqrt_alpha)
+    assert (inv_r.sqrt_alpha, inv_s.sqrt_alpha) == q9.sqrt(spec.alpha)
     for y in q9.mu(q9.q + 1):
         assert mu_inverse_eval(inv_r, y) == mu_inverse_eval(inv_s, y)
-    with pytest.raises(ValueError):
-        mu_inverse(spec, sqrt_choice=q9.one())  # not a root of alpha
 
 
 def test_mu_inverse_special_value(q9):
@@ -273,6 +273,18 @@ def test_agreement_report_refuses_an_unknown_route_before_any_work(
     with pytest.raises(ValueError, match="unknown route 'tabel'"):
         agreement_report(spec, routes=("closed", "tabel"))
     assert calls == []
+
+
+def test_agreement_report_computes_every_route_above_the_default_bound(
+        monkeypatch):
+    """The size bound is make_field's alone: on a field built with a bound
+    above the default, no route is skipped for the field's size."""
+    monkeypatch.setattr(field_tower, "DEFAULT_SIZE_BOUND", 1000)
+    ctx = make_field(3, 4, size_bound=10 ** 4)
+    report = agreement_report(PermSpec("H", 13, 0, ctx.alpha_from_l(1)))
+    assert report["skipped"] == {}
+    assert set(report["routes"]) == {"cyclotomic", "closed", "table"}
+    assert len(set(report["routes"].values())) == 1 and report["agree"]
 
 
 def test_agreement_report_on_non_permutation(q7):

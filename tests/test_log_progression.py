@@ -9,6 +9,7 @@ every small field and on the acceptance grid, and each must raise
 ArithmeticError when its fast path is corrupted.
 """
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -160,8 +161,9 @@ def _mu_specs(ctx, ns, ms, ls):
 
 def _assert_mu_table_matches_eval(spec):
     ctx = spec.ctx
-    for root in ctx.sqrt(spec.alpha):
-        inv = mu_inverse(spec, sqrt_choice=root)
+    first = mu_inverse(spec)
+    for root in (first.sqrt_alpha, -first.sqrt_alpha):
+        inv = dataclasses.replace(first, sqrt_alpha=root)
         table = inverse._mu_inverse_values(inv)
         assert table == [mu_inverse_eval(inv, y).val
                          for y in ctx.mu(ctx.q + 1)], (spec, root)
@@ -342,8 +344,9 @@ def test_corrupted_fast_path_exits_3_from_invert_all(monkeypatch, capsys,
 
 def test_lift_accepts_either_square_root(q9):
     spec = PermSpec("H", 7, 0, q9.alpha_from_l(2))
-    roots = q9.sqrt(spec.alpha)
-    assert len(roots) == 2
+    inv = mu_inverse(spec)
+    roots = (inv.sqrt_alpha, -inv.sqrt_alpha)
+    assert roots == q9.sqrt(spec.alpha)
     tables = {tuple(inverse._mu_inverse_values(
-        mu_inverse(spec, sqrt_choice=root))) for root in roots}
+        dataclasses.replace(inv, sqrt_alpha=root))) for root in roots}
     assert len(tables) == 1

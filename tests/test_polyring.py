@@ -1,14 +1,25 @@
-"""Sparse polynomial ring: arithmetic, division, gcd, composition, reduction."""
+"""Sparse polynomials: construction, evaluation, division, gcd, reduction."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from redeiperm import (Poly, make_field, poly_compose, poly_divmod, poly_eval,
-                       poly_gcd, poly_pow, reduce_functional, render_poly)
+from redeiperm import (Felt, Poly, make_field, poly_divmod, poly_eval,
+                       poly_gcd, reduce_functional, render_poly)
 
 
 def _random_poly(ctx, draw_pairs):
     return Poly.from_terms(ctx, [(e, ctx.from_packed(v)) for e, v in draw_pairs])
+
+
+def _add(f, g):
+    return Poly.from_terms(f.ctx, [*f.terms.items(), *g.terms.items()])
+
+
+def _mul(f, g):
+    """The ring product, term by term: the reference for division and gcd."""
+    return Poly.from_terms(f.ctx, [(e1 + e2, c1 * c2)
+                                   for e1, c1 in f.terms.items()
+                                   for e2, c2 in g.terms.items()])
 
 
 pairs_strategy = st.lists(
@@ -18,7 +29,7 @@ pairs_strategy = st.lists(
 def test_construction_merges_and_validates(q9):
     one = q9.one()
     f = Poly.from_terms(q9, [(2, one), (2, one), (0, one)])
-    assert f.coeff(2) == q9.scalar(2)
+    assert f.terms[2] == q9.scalar(2)
     assert f.degree() == 2
     g = Poly.from_terms(q9, [(3, one), (3, -one)])
     assert g.is_zero() and g.degree() == -1
@@ -32,33 +43,10 @@ def test_construction_merges_and_validates(q9):
 
 def test_basic_shapes(q9):
     x = Poly.x(q9)
-    assert x.degree() == 1 and x.coeff(1) == 1
+    assert x.degree() == 1 and x.terms[1] == 1
     assert Poly.one(q9).degree() == 0
-    assert (x * x + x).to_pairs() == [(1, [1, 0, 0, 0]), (2, [1, 0, 0, 0])]
-    assert x.shift(3).degree() == 4
-    with pytest.raises(ValueError):
-        x.shift(-1)
-
-
-@given(pairs_strategy, pairs_strategy, st.integers(0, 80))
-def test_ring_axioms_pointwise(fp, gp, xv):
-    ctx = make_field(3, 2)
-    f, g = _random_poly(ctx, fp), _random_poly(ctx, gp)
-    x = ctx.from_packed(xv)
-    assert poly_eval(f + g, x) == poly_eval(f, x) + poly_eval(g, x)
-    assert poly_eval(f - g, x) == poly_eval(f, x) - poly_eval(g, x)
-    assert poly_eval(f * g, x) == poly_eval(f, x) * poly_eval(g, x)
-
-
-@given(pairs_strategy, pairs_strategy)
-def test_degree_additivity(fp, gp):
-    ctx = make_field(3, 2)
-    f, g = _random_poly(ctx, fp), _random_poly(ctx, gp)
-    if f.is_zero() or g.is_zero():
-        assert (f * g).is_zero()
-    else:
-        assert (f * g).degree() == f.degree() + g.degree()
-        assert (f * g).leading() == f.leading() * g.leading()
+    assert _add(_mul(x, x), x).to_pairs() == [(1, [1, 0, 0, 0]),
+                                             (2, [1, 0, 0, 0])]
 
 
 def test_eval_conventions(q9):
@@ -66,34 +54,6 @@ def test_eval_conventions(q9):
     assert poly_eval(f, q9.zero()) == 2  # constant term at x = 0
     assert f(q9.one()) == 3 * q9.one()
     assert poly_eval(Poly.zero(q9), q9.gamma) == 0
-
-
-@given(pairs_strategy, pairs_strategy, st.integers(0, 24))
-def test_compose_matches_pointwise(fp, gp, xv):
-    ctx = make_field(5, 1)
-    f = Poly.from_terms(ctx, [(e % 8, ctx.from_packed(v % 25)) for e, v in fp])
-    g = Poly.from_terms(ctx, [(e % 8, ctx.from_packed(v % 25)) for e, v in gp])
-    x = ctx.from_packed(xv)
-    assert poly_eval(poly_compose(f, g), x) == poly_eval(f, poly_eval(g, x))
-
-
-def test_compose_monomial_fast_path(q9):
-    f = Poly.from_terms(q9, [(5, q9.gamma), (2, q9.one()), (0, q9.scalar(2))])
-    g = Poly.monomial(q9, q9.q - 1)
-    h = poly_compose(f, g)
-    assert sorted(h.terms) == [0, 2 * (q9.q - 1), 5 * (q9.q - 1)]
-    # scaled coefficient: (c x^d)^e contributes c^e
-    c = q9.gamma
-    fc = Poly.monomial(q9, 3, c)
-    assert poly_compose(Poly.monomial(q9, 2), fc) == Poly.monomial(q9, 6, c * c)
-
-
-def test_caps_guard_blowup(q9):
-    big = Poly.monomial(q9, 2000) + Poly.x(q9)
-    with pytest.raises(ValueError):
-        poly_pow(big, 2000)
-    with pytest.raises(ValueError):
-        poly_compose(big, big)
 
 
 @given(pairs_strategy, pairs_strategy)
@@ -105,7 +65,7 @@ def test_divmod_identity(fp, gp):
             poly_divmod(f, g)
         return
     quo, rem = poly_divmod(f, g)
-    assert quo * g + rem == f
+    assert _add(_mul(quo, g), rem) == f
     assert rem.degree() < g.degree()
 
 
@@ -127,9 +87,10 @@ def test_gcd_properties(fp, gp):
 
 def test_gcd_known_values(q9):
     x = Poly.x(q9)
-    f = (x + Poly.one(q9)) * (x + Poly.one(q9)) * x
-    g = (x + Poly.one(q9)) * x * x
-    assert poly_gcd(f, g) == (x + Poly.one(q9)) * x
+    x1 = _add(x, Poly.one(q9))
+    f = _mul(_mul(x1, x1), x)
+    g = _mul(_mul(x1, x), x)
+    assert poly_gcd(f, g) == _mul(x1, x)
     assert poly_gcd(f, Poly.zero(q9)) == f.monic()
 
 
@@ -166,13 +127,13 @@ def test_reduce_functional_merges_collisions(q9):
 
 def test_render(q11, q9):
     x = Poly.x(q11)
-    f = Poly.monomial(q11, 23, q11.scalar(3)) + Poly.monomial(q11, 3)
+    f = Poly.from_terms(q11, [(23, 3), (3, 1)])
     assert render_poly(f) == "3*x^23 + x^3"
     assert render_poly(Poly.zero(q11)) == "0"
     assert render_poly(Poly.one(q11)) == "1"
     assert render_poly(x) == "x"
-    assert render_poly(x + Poly.one(q11)) == "x + 1"
-    g = Poly.monomial(q9, 2, q9.gamma) + Poly.one(q9)
+    assert render_poly(_add(x, Poly.one(q11))) == "x + 1"
+    g = Poly.from_terms(q9, [(2, q9.gamma), (0, 1)])
     assert render_poly(g) == "(0,0,1,1)*x^2 + 1"
     h = Poly.monomial(q11, 2, q11.gamma)
     assert render_poly(h) == "(1,4)*x^2"
@@ -182,18 +143,12 @@ def test_to_pairs_is_ascending_and_faithful(q9):
     f = Poly.from_terms(q9, [(7, q9.gamma), (0, q9.one()), (3, q9.scalar(2))])
     pairs = f.to_pairs()
     assert [e for e, _ in pairs] == [0, 3, 7]
-    rebuilt = Poly.from_terms(
-        q9, [(e, q9.from_coeffs(c)) for e, c in pairs])
+    rebuilt = Poly.from_terms(  # a coefficient vector is base-p digits
+        q9, [(e, Felt(q9, sum(d * 3 ** i for i, d in enumerate(c))))
+             for e, c in pairs])
     assert rebuilt == f
 
 
 def test_poly_equality_covers_ctx(q3, q9):
     assert Poly.x(q3) != Poly.x(q9)
     assert Poly.x(q3) == Poly.x(q3)
-
-
-def test_scalar_multiplication(q9):
-    f = Poly.x(q9) + Poly.one(q9)
-    assert f * q9.scalar(2) == f + f
-    assert f * 2 == f + f
-    assert (f * 0).is_zero()
