@@ -55,7 +55,6 @@ class RunConfig:
     size_bound: int
     fmt: str
     out: str
-    seed: int = 0
 
     def __post_init__(self):
         if self.size_bound < 9:
@@ -482,7 +481,7 @@ def _check_counting(qs) -> None:
                 f"admissible-n ratio {ratio} out of range at q={q}")
 
 
-def _check_determinism(seed: int) -> None:
+def _check_determinism() -> None:
     import io
     outs = []
     for _ in range(2):
@@ -491,7 +490,7 @@ def _check_determinism(seed: int) -> None:
         sys.stdout = buf
         try:
             sub = RunConfig(p=3, k=2, size_bound=DEFAULT_SIZE_BOUND,
-                            fmt="json", out="-", seed=seed)
+                            fmt="json", out="-")
             cmd_construct(sub, "H", 3, 0, 2)
             cmd_invert(sub, "H", 3, 0, 2, "all")
         finally:
@@ -550,12 +549,12 @@ def _selftest_suite(level: str, seed: int):
     if not quick:
         checks.append((
             "byte-identical repeated runs",
-            lambda: _check_determinism(seed)))
+            _check_determinism))
     return checks
 
 
-def cmd_selftest(cfg: RunConfig, level: str) -> int:
-    checks = _selftest_suite(level, cfg.seed)
+def cmd_selftest(cfg: RunConfig, level: str, seed: int) -> int:
+    checks = _selftest_suite(level, seed)
     results = []
     all_pass = True
     lines = []
@@ -649,8 +648,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "selftest":
             cfg = RunConfig(p=3, k=1, size_bound=DEFAULT_SIZE_BOUND,
-                            fmt=args.format, out=args.out, seed=args.seed)
-            return cmd_selftest(cfg, args.level)
+                            fmt=args.format, out=args.out)
+            return cmd_selftest(cfg, args.level, args.seed)
         size_bound = (_default_size_bound() if args.size_bound is None
                       else args.size_bound)
         cfg = RunConfig(p=args.p, k=args.k, size_bound=size_bound,

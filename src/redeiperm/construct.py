@@ -235,21 +235,17 @@ def is_permutation_bruteforce(
 def cyclotomic_criterion(ctx: FieldCtx, r: int, f: Poly) -> bool:
     """Does x^r * f(x^(q-1)) permute F_{q^2}?
 
-    True iff gcd(r, q-1) = 1 and b -> b^r * f(b)^(q-1) permutes mu_{q+1}.
-    A zero of f on mu_{q+1} sends the whole coset above b to 0 and the map
-    value out of mu_{q+1}, so permuting (not merely being injective on)
-    mu_{q+1} is the decisive property.
+    True iff gcd(r, q-1) = 1 and b -> b^r * f(b)^(q-1) permutes mu_{q+1}
+    (CosetMap.sigma).  A zero of f on mu_{q+1} sends the whole coset above
+    b to 0 and the map value out of mu_{q+1}, so permuting (not merely
+    being injective on) mu_{q+1} is the decisive property.
     """
     q = ctx.q
     if math.gcd(r, q - 1) != 1:
         return False
-    seen = set()
-    for b in ctx.mu(q + 1):
-        v = (b ** r) * (poly_eval(f, b) ** (q - 1))
-        if v.val == 0:
-            return False
-        seen.add(v.val)
-    return len(seen) == q + 1
+    table = [poly_eval(f, b).val for b in ctx.mu(q + 1)]
+    sigma = CosetMap(ctx, r, table).sigma()
+    return sigma is not None and len(set(sigma)) == q + 1
 
 
 # ---------------------------------------------------------------------------

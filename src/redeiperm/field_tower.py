@@ -27,6 +27,7 @@ Frobenius inside F_{q^2}.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 DEFAULT_SIZE_BOUND = 1 << 20
@@ -50,11 +51,12 @@ def check_odd_prime(p: int) -> None:
         d += 2
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, by trial division."""
+def _prime_factors(n: int, limit: float = math.inf) -> list[int]:
+    """Distinct prime factors of n, by trial division with divisors up to
+    limit; a cofactor left over is listed last as it is, prime or not."""
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= limit:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -606,8 +608,14 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
 
 
 def field_for_q(q: int, size_bound: int | None = None) -> FieldCtx:
-    """The field with exactly q^2 elements, for a prime-power q."""
-    factors = _prime_factors(q)
+    """The field with exactly q^2 elements, for a prime-power q.
+
+    A composite q with q^2 <= bound has a prime factor d with d^4 <= bound,
+    so trial division stops there; a q with no such factor is passed on as
+    a prime, and make_field refuses it by the bound if q^2 exceeds it.
+    """
+    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
+    factors = _prime_factors(q, math.isqrt(math.isqrt(bound)))
     if len(factors) != 1:
         raise ValueError(f"q={q} is not a prime power")
     p, k = factors[0], 1

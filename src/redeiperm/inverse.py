@@ -39,10 +39,9 @@ the InverseTable a whole range at a time, the cyclotomic Poly by poly_eval
 per point.  All
 exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
-tabulated on mu_{q+1} once, by the same kernel (polyring._coset_table,
-cross-checked against the term sum at the q+1 coset representatives),
-and each point costs O(1), O(q^2) over the field instead of O(q^3) term
-by term.
+tabulated on mu_{q+1} once, by the term sum at the q+1 coset
+representatives (CosetMap.from_poly, O(q^2) for q+1 terms), and each
+point costs O(1), O(q^2) over the field instead of O(q^3) term by term.
 
 Every closed form is evaluated through its total power form; the rational
 fraction form is evaluated alongside as a cross-check wherever its
@@ -317,7 +316,7 @@ def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> Non
     Every entry must lie in mu_{q+1}; GH_SPOT_CHECKS entries must equal
     mu_inverse_eval (matrix powering, power form against rational form);
     and I(b^n * A_b^(q-1)) = b must hold for every b = zeta^i, with A_b the
-    coset factor table: the table inverts the forward map on mu_{q+1}.
+    coset factor table: the table inverts the forward map (CosetMap.sigma).
     """
     ctx = inv.ctx
     q, exp, log = ctx.q, ctx._exp, ctx._log
@@ -328,10 +327,10 @@ def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> Non
         if table[j] != mu_inverse_eval(inv, Felt(ctx, exp[zl * j])).val:
             raise ArithmeticError(
                 f"mu-inverse table disagrees with mu_inverse_eval at zeta^{j}")
-    if 0 in a_table:
+    sigma = CosetMap(ctx, inv.n, a_table).sigma()
+    if sigma is None:
         raise ArithmeticError("coset factor vanishes on mu_{q+1}")
-    if [table[(inv.n * i + log[a]) % (q + 1)]
-            for i, a in enumerate(a_table)] != exp[::zl]:
+    if [table[k] for k in sigma] != exp[::zl]:
         raise ArithmeticError(
             "mu-inverse table does not invert b -> b^n * F(b)^(q-1) on mu_{q+1}")
 

@@ -17,14 +17,13 @@ never disturbed.
 Evaluation cost: a polynomial without constant term whose exponents all
 agree mod q-1 equals x^e * g(x^(q-1)), a map of coset shape (CosetMap).
 poly_eval detects that shape on first use, tabulates g on mu_{q+1} in
-O(q * terms) once per Poly (FieldCtx.log_progression_sums, checked against
-the term loop at the q+1 coset representatives), and then costs O(1) per
-point (a discrete log, a table pick, one multiplication) whatever the
-number of terms.  Every other polynomial is evaluated by the term loop,
-O(terms) per point.  The exhaustive loops read a map a range of
-consecutive points at a time through eval_range: Poly.eval_range calls
-poly_eval once per point, CosetMap.eval_range runs one comprehension over
-the whole range.
+O(q * terms) once per Poly (the term loop at the q+1 coset
+representatives), and then costs O(1) per point (a discrete log, a table
+pick, one multiplication) whatever the number of terms.  Every other
+polynomial is evaluated by the term loop, O(terms) per point.  The
+exhaustive loops read a map a range of consecutive points at a time
+through eval_range: Poly.eval_range calls poly_eval once per point,
+CosetMap.eval_range runs one comprehension over the whole range.
 """
 
 from __future__ import annotations
@@ -147,6 +146,9 @@ class CosetMap:
     __slots__ = ("ctx", "e", "table", "_table_logs")
 
     def __init__(self, ctx: FieldCtx, e: int, table: list[int]):
+        if len(table) != ctx.q + 1:
+            raise ValueError(f"a coset table has q+1 = {ctx.q + 1} entries, "
+                             f"not {len(table)}")
         self.ctx = ctx
         self.e = e
         self.table = table
@@ -158,10 +160,10 @@ class CosetMap:
 
         f needs at least one term, no constant term (0 -> c0 does not fit
         x^e * T) and all exponents congruent mod q-1.  With e0 the least
-        exponent, T[s] = sum_e c_e * gamma^(s(e-e0)) for s = 0..q.  The
-        table is checked against the term loop at the q+1 coset
-        representatives gamma^s, which pins the map down on every point;
-        a mismatch raises ArithmeticError.
+        exponent, T[s] = f(gamma^s) * gamma^(-s*e0) for s = 0..q, each
+        f(gamma^s) summed by the term loop (_eval_terms): O(q * terms),
+        and the map equals f at the q+1 coset representatives gamma^s,
+        which pins it down on every point.
         """
         ctx = f.ctx
         if not f.terms or 0 in f.terms:
@@ -169,13 +171,21 @@ class CosetMap:
         e0 = min(f.terms)
         if any((e - e0) % (ctx.q - 1) for e in f.terms):
             return None
-        cm = cls(ctx, e0, _coset_table(f, e0))
-        for s in range(ctx.q + 1):
-            xv = ctx._exp[s]
-            if cm.eval_packed(xv) != _eval_terms(f, xv):
-                raise ArithmeticError(
-                    f"coset table disagrees with the term sum at gamma^{s}")
-        return cm
+        exp, N, mul = ctx._exp, ctx.units, ctx.mul_packed
+        return cls(ctx, e0, [mul(_eval_terms(f, exp[s]), exp[-s * e0 % N])
+                             for s in range(ctx.q + 1)])
+
+    def sigma(self) -> list[int] | None:
+        """sigma[s] = (e*s + log T[s]) mod (q+1), or None when T has a 0.
+
+        b -> b^e * T(b)^(q-1) sends zeta^s to zeta^sigma[s] on mu_{q+1}, and
+        the map permutes F_{q^2} exactly when gcd(e, q-1) = 1 and sigma
+        permutes 0..q (Akbary-Ghioca-Wang).
+        """
+        if None in self._table_logs:
+            return None
+        e, q1 = self.e, self.ctx.q + 1
+        return [(e * s + lt) % q1 for s, lt in enumerate(self._table_logs)]
 
     def eval_packed(self, xv: int) -> int:
         if xv == 0:
@@ -201,20 +211,6 @@ class CosetMap:
         return Felt(self.ctx, self.eval_packed(x.val))
 
 
-def _coset_table(f: Poly, e0: int) -> list[int]:
-    """Packed sum_e c_e * gamma^(s(e-e0)) for s = 0..q; O(q * terms).
-
-    The log of term e at s is log c_e + s*(e-e0), so the whole table is one
-    call of the digit-slot kernel FieldCtx.log_progression_sums.  Its only
-    caller, CosetMap.from_poly, checks the table against the term loop
-    (_eval_terms) at every coset representative.
-    """
-    ctx = f.ctx
-    log = ctx._log
-    return ctx.log_progression_sums([log[c.val] for c in f.terms.values()],
-                                    [e - e0 for e in f.terms], ctx.q + 1)
-
-
 def _eval_terms(f: Poly, xv: int) -> int:
     """f at the packed point xv by term-wise powering; O(terms)."""
     ctx = f.ctx
@@ -228,8 +224,8 @@ def _eval_terms(f: Poly, xv: int) -> int:
 def poly_eval(f: Poly, x: Felt) -> Felt:
     """f(x), exact.
 
-    A coset-shaped f goes through its CosetMap, built and cross-checked on
-    the first call (O(q * terms)) and cached on f; each point then costs
+    A coset-shaped f goes through its CosetMap, built on the first call
+    (O(q * terms)) and cached on f; each point then costs
     O(1).  Any other f runs the term loop, O(terms) per point.
     """
     cm = f._coset

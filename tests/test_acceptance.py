@@ -311,11 +311,12 @@ def test_criterion_8_determinism(capsys):
         ["count", "--p", "3", "--k", "2", "--k-max", "4", "--format", "json"],
         ["selftest", "--level", "quick", "--seed", "7", "--format", "json"],
     ]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     diffs = 0
     for args in commands:
         outs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             proc = subprocess.run(
                 [sys.executable, "-m", "redeiperm.cli"] + args,
                 capture_output=True, env=env, check=False)

@@ -240,7 +240,7 @@ def test_selftest_json(capsys):
 def test_determinism_check(monkeypatch):
     """The full-level determinism check passes on the real commands and
     fails as soon as a second run writes different bytes."""
-    cli._check_determinism(0)
+    cli._check_determinism()
     real = cli.cmd_construct
     runs = []
 
@@ -252,7 +252,7 @@ def test_determinism_check(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_construct", drifting)
     with pytest.raises(AssertionError, match="two identical runs differ"):
-        cli._check_determinism(0)
+        cli._check_determinism()
     assert len(runs) == 2
 
 

@@ -3,16 +3,18 @@
 A polynomial without constant term whose exponents all agree mod q-1 is
 evaluated through a cached CosetMap; every other polynomial runs the term
 loop.  The two must agree at every point of every small field, the shape
-detection must refuse exactly the polynomials outside the shape, a corrupted
-table must be caught by the build-time cross-check, and the digest of a
+detection must refuse exactly the polynomials outside the shape, sigma()
+must be the map a CosetMap induces on mu_{q+1}, and the digest of a
 cyclotomic inverse must not fall back to the term loop per point.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redeiperm import (CosetMap, PermSpec, Poly, build_perm_poly,
-                       check_criterion, cli, inverse_cyclotomic,
+from redeiperm import (CosetMap, Felt, PermSpec, Poly, build_perm_poly,
+                       check_criterion, field_tower, inverse_cyclotomic,
                        make_field, poly_eval, polyring)
 from redeiperm.inverse import _value_digest
 
@@ -116,39 +118,44 @@ def test_cache_takes_no_part_in_equality(q9):
     assert f == g
 
 
-def _corrupt_one_entry(monkeypatch):
-    real = polyring._coset_table
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_sigma_is_the_map_induced_on_mu(p, k):
+    """sigma()[s] is the exponent of b^e * T(b)^(q-1) at b = zeta^s, the
+    Felt-level map on mu_{q+1}; a 0 entry of T makes it None."""
+    ctx = make_field(p, k)
+    q = ctx.q
+    mu = ctx.mu(q + 1)  # zeta^s for s = 0..q
+    rng = random.Random(q)
+    for _ in range(4):
+        e = rng.randrange(-ctx.units, 2 * ctx.units)
+        table = [rng.randrange(1, ctx.q2) for _ in range(q + 1)]
+        assert CosetMap(ctx, e, table).sigma() == [
+            mu.index(b ** e * Felt(ctx, t) ** (q - 1)) for b, t in zip(mu, table)]
+        table[rng.randrange(q + 1)] = 0
+        assert CosetMap(ctx, e, table).sigma() is None
 
-    def corrupted(f, e0):
-        table = real(f, e0)
-        table[1] = f.ctx.add_packed(table[1], 1)
-        return table
 
-    monkeypatch.setattr(polyring, "_coset_table", corrupted)
+def test_a_table_of_the_wrong_length_is_refused(q9):
+    for size in (0, q9.q, q9.q + 2, q9.q + 5):
+        with pytest.raises(ValueError, match=f"q\\+1 = 10 entries, not {size}"):
+            CosetMap(q9, 1, [1] * size)
 
 
-def test_corrupted_coset_table_is_caught(q9, monkeypatch):
+def test_from_poly_needs_no_digit_slot_kernel(q9, monkeypatch):
     f = inverse_cyclotomic(PermSpec("H", 3, 0, q9.alpha_from_l(2)))
-    _corrupt_one_entry(monkeypatch)
-    with pytest.raises(ArithmeticError, match="coset table disagrees"):
-        CosetMap.from_poly(f)
-    with pytest.raises(ArithmeticError, match="coset table disagrees"):
-        poly_eval(f, q9.gamma)
 
+    def refused(*args):
+        raise AssertionError("log_progression_sums called")
 
-def test_corrupted_coset_table_exits_3(capsys, monkeypatch):
-    _corrupt_one_entry(monkeypatch)
-    rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
-                   "--n", "3", "--l", "2", "--route", "cyclotomic"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.out == ""
-    assert captured.err.startswith("error: coset table disagrees")
+    monkeypatch.setattr(field_tower.FieldCtx, "log_progression_sums", refused)
+    cm = CosetMap.from_poly(f)
+    assert [cm.eval_packed(xv) for xv in range(q9.q2)] == [
+        polyring._eval_terms(f, xv) for xv in range(q9.q2)]
 
 
 def test_cyclotomic_digest_runs_the_term_loop_only_to_cross_check(monkeypatch):
     """The digest of a cyclotomic inverse on F_{81^2} evaluates q^2 points,
-    but the term loop only runs at the q+1 points of the table check."""
+    but the term loop only runs at the q+1 points that build the table."""
     ctx = make_field(3, 4)
     inv = inverse_cyclotomic(PermSpec("H", 13, 0, ctx.alpha_from_l(1)))
     assert len(inv.terms) == 25

@@ -8,6 +8,9 @@ construction search cannot hide.
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -407,3 +410,24 @@ def test_field_for_q():
         field_for_q(8)
     with pytest.raises(ValueError, match="exceeds the size bound 100"):
         field_for_q(27, size_bound=100)
+
+
+HUGE_PRIME = 2 ** 61 - 1  # trial division up to its square root takes minutes
+
+
+@pytest.mark.parametrize("q,message", [
+    (HUGE_PRIME, f"q^2 = {HUGE_PRIME ** 2} exceeds the size bound "
+                 f"{field_tower.DEFAULT_SIZE_BOUND}"),
+    (3 * HUGE_PRIME, f"q={3 * HUGE_PRIME} is not a prime power"),
+    (37 * 41, f"q^2 = {1517 ** 2} exceeds the size bound "
+              f"{field_tower.DEFAULT_SIZE_BOUND}"),
+], ids=["prime", "small-factor", "large-factors"])
+def test_field_for_q_refuses_a_huge_q_before_trial_division(q, message):
+    code = ("from redeiperm.field_tower import field_for_q\n"
+            f"try:\n    field_for_q({q})\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=10, check=False)
+    assert proc.stdout == message + "\n", proc.stderr

@@ -2,11 +2,12 @@
 term-by-term code they replaced.
 
 FieldCtx.log_progression_sums sums powers of gamma digit by digit in a
-carry-free slot encoding.  inverse_cyclotomic and polyring._coset_table sum
-through it, and lift_inverse reads the closed-form inverse on mu_{q+1} from
-one table per spec.  Each is compared with the plain loop it replaced on
-every small field and on the acceptance grid, and each must raise
-ArithmeticError when its fast path is corrupted.
+carry-free slot encoding.  inverse_cyclotomic sums through it, and
+lift_inverse reads the closed-form inverse on mu_{q+1} from one table per
+spec.  Each is compared with the plain loop it replaced on every small
+field and on the acceptance grid, and each must raise ArithmeticError when
+its fast path is corrupted.  The coset tables of CosetMap.from_poly are
+compared with the same add_packed loop.
 """
 
 import dataclasses
@@ -16,10 +17,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from redeiperm import (Felt, PermSpec, Poly, build_perm_poly, check_criterion,
-                       cli, coset_factor_table, field_tower, inverse,
-                       inverse_cyclotomic, lift_inverse, make_field,
-                       mu_inverse, mu_inverse_eval, polyring, redei)
+from redeiperm import (CosetMap, Felt, PermSpec, Poly, build_perm_poly,
+                       check_criterion, cli, coset_factor_table, field_tower,
+                       inverse, inverse_cyclotomic, lift_inverse, make_field,
+                       mu_inverse, mu_inverse_eval, redei)
 from redeiperm.inverse import bezout
 from test_coset_eval import SMALL_FIELDS, coset_polys
 from test_gh_closed import GRID_FIELDS, GRID_MS, GRID_NS
@@ -59,10 +60,11 @@ def _double_sum_inverse(spec):
     return Poly(ctx, terms)
 
 
-def _coset_table_loop(f, e0):
-    """polyring._coset_table by one add_packed call per term."""
+def _coset_table_loop(f):
+    """T[s] = sum_e c_e * gamma^(s(e-e0)), e0 the least exponent, s = 0..q,
+    by one add_packed call per term."""
     ctx = f.ctx
-    log = ctx._log
+    log, e0 = ctx._log, min(f.terms)
     return _add_loop(ctx, [log[c.val] for c in f.terms.values()],
                      [e - e0 for e in f.terms], ctx.q + 1)
 
@@ -188,15 +190,14 @@ def test_mu_table_matches_mu_inverse_eval_every_small_field(p, k):
 
 
 # ---------------------------------------------------------------------------
-# _coset_table against the term loop.
+# CosetMap.from_poly's table against the add_packed loop.
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60)
 @given(coset_polys(SMALL_FIELDS))
 def test_coset_table_matches_the_term_loop(f):
     if f.terms:
-        e0 = min(f.terms)
-        assert polyring._coset_table(f, e0) == _coset_table_loop(f, e0)
+        assert CosetMap.from_poly(f).table == _coset_table_loop(f)
 
 
 @pytest.mark.parametrize("p,k", GRID_FIELDS)
@@ -204,8 +205,7 @@ def test_coset_table_of_grid_polynomials_matches_the_term_loop(p, k):
     ctx = make_field(p, k)
     for spec in _permutations(ctx, GRID_NS, (0, 1), _sample_ls(ctx.q)):
         for f in (build_perm_poly(spec)[0], inverse_cyclotomic(spec)):
-            e0 = min(f.terms)
-            assert polyring._coset_table(f, e0) == _coset_table_loop(f, e0)
+            assert CosetMap.from_poly(f).table == _coset_table_loop(f)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +268,6 @@ def test_each_cyclotomic_check_fires_on_its_own(monkeypatch):
     monkeypatch.setattr(inverse, "_eval_terms", lambda f, xv: -1)
     with pytest.raises(ArithmeticError, match="back to gamma"):
         inverse_cyclotomic(spec)
-
-
-def test_corrupted_kernel_fails_the_coset_table_check(monkeypatch):
-    f = inverse_cyclotomic(_spec(*NARROW_SLOT_SPEC))
-    _drop_top_digit(monkeypatch)
-    with pytest.raises(ArithmeticError, match="coset table disagrees"):
-        polyring.CosetMap.from_poly(f)
 
 
 # q = 25, variant H, n = 7, l = 1: the lift applies (case I2)
