@@ -8,14 +8,14 @@ element, in the same ordering, whose multiplicative order is exactly q^2 - 1.
 
 All q^2 - 1 powers of gamma are tabulated once at construction, so that
 multiplication, inversion, powering and discrete logarithms are O(1) lookups;
-addition goes through a Zech logarithm table (log of 1 + gamma^i), and a long
-sum of powers of gamma adds digit slots instead (log_progression_sums).
-x -> gamma*x is F_p-linear, so each power is the digitwise sum of precomputed
-images of the low and high k digits of the one before: a few lookups, not an
-O(k^2) product.  Dense products at q + 2 entries cross-check that step.  The
-Zech table needs no arithmetic: 1 + v differs from v only in the constant
-digit.  The size bound on q^2 keeps table construction cheap and guards every
-exhaustive operation downstream.
+addition goes through a Zech logarithm table (log of 1 + gamma^i), and a sum
+of powers of gamma stays a log throughout, one Zech lookup per term
+(sum_powers).  x -> gamma*x is F_p-linear, so each power is the digitwise
+sum of precomputed images of the low and high k digits of the one before: a
+few lookups, not an O(k^2) product.  Dense products at q + 2 entries
+cross-check that step.  The Zech table needs no arithmetic: 1 + v differs
+from v only in the constant digit.  The size bound on q^2 keeps table
+construction cheap and guards every exhaustive operation downstream.
 
 On top of the tables the module provides the Frobenius x -> x^q, membership
 in the subgroups mu_ell of ell-th roots of unity, square roots with a
@@ -28,16 +28,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_SIZE_BOUND = 1 << 20
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or its bit length when n has too many digits for
+    every limit Python may set on int-to-str conversion (at least 640)."""
+    bits = n.bit_length()
+    return str(n) if bits <= 2000 else f"({bits}-bit integer)"
 
 
 def check_field_params(p: int, k: int) -> None:
     """q = p^k needs an odd prime p and k >= 1; primality is left to
     check_odd_prime, run after the size bound has made p small."""
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p={p} is not an odd prime")
+        raise ValueError(f"p={_decimal(p)} is not an odd prime")
     if k < 1:
         raise ValueError("k must be a positive integer")
 
@@ -187,11 +194,6 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
     for sums in itertools.product(range(2 * p - 1), repeat=k):
         unspread[spread(sums)] = sum(c % p * p ** i for i, c in enumerate(sums))
     return lo_tab, hi_tab, unspread, k * w
-
-
-def _slot_width(summands: int, p: int) -> int:
-    """Bits per digit slot so that summands base-p digits add with no carry."""
-    return (summands * (p - 1)).bit_length()
 
 
 class Felt:
@@ -448,35 +450,23 @@ class FieldCtx:
             return 0
         return self._exp[(self._log[a] * e) % self.units]
 
-    def log_progression_sums(self, bases: Sequence[int], steps: Sequence[int],
-                             count: int) -> list[int]:
-        """Packed sum_i gamma^(bases[i] + j*steps[i]) for j = 0..count-1.
+    def sum_powers(self, logs: Iterable[int]) -> int:
+        """Packed sum of gamma^l over logs, which need not be reduced.
 
-        Field addition is digitwise addition mod p, so each sum is taken in
-        a spread encoding that gives every base-p digit a slot of w bits,
-        w = _slot_width(len(bases), p): len(bases) digits of at most p-1
-        fit in a slot, and one C-level sum() over a comprehension adds all
-        the terms of a j with no carries.  Two q-entry tables spread the
-        low and high k digits of a packed value (as in _step_tables);
-        afterwards every slot of every sum is reduced mod p, one slot
-        position at a time.  No table of q^2 entries is built and no
-        Python call is made per term.
+        The running sum is kept as a log, with q^2-1 standing for 0, so each
+        term costs one Zech lookup: gamma^a + gamma^l = gamma^(a + z) with
+        z = zech[l - a], and z = q^2-1 when the two cancel.
         """
-        N, p, q, k = self.units, self.p, self.q, self.k
-        w = _slot_width(len(bases), p)
-        lo = [0]
-        for i in range(k):
-            lo = [v | (d << (i * w)) for d in range(p) for v in lo]
-        hi = [v << (k * w) for v in lo]
-        exp, terms = self._exp, list(zip(bases, steps))
-        totals = [sum([lo[(v := exp[(b + j * s) % N]) % q] + hi[v // q]
-                       for b, s in terms]) for j in range(count)]
-        mask, out = (1 << w) - 1, [0] * count
-        for i in range(2 * k):
-            shift, place = i * w, p ** i
-            out = [o + (t >> shift & mask) % p * place
-                   for o, t in zip(out, totals)]
-        return out
+        N, zech = self.units, self._zech
+        acc = N
+        for l in logs:
+            if acc == N:
+                acc = l % N
+            elif (z := zech[(l - acc) % N]) == N:
+                acc = N
+            else:
+                acc = (acc + z) % N
+        return 0 if acc == N else self._exp[acc]
 
     # -- element constructors ----------------------------------------------
 
@@ -567,9 +557,11 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     check_field_params(p, k)
     bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
     if 2 * k > bound.bit_length():  # p^(2k) > 2^(2k) > bound: never build it
-        raise ValueError(f"q^2 = {p}^{2 * k} exceeds the size bound {bound}")
+        raise ValueError(f"q^2 = {_decimal(p)}^{_decimal(2 * k)} exceeds the "
+                         f"size bound {bound}")
     if p ** (2 * k) > bound:
-        raise ValueError(f"q^2 = {p ** (2 * k)} exceeds the size bound {bound}")
+        raise ValueError(f"q^2 = {_decimal(p ** (2 * k))} exceeds the size "
+                         f"bound {bound}")
     check_odd_prime(p)
 
     cached = _FIELD_CACHE.get((p, k))
@@ -617,7 +609,7 @@ def field_for_q(q: int, size_bound: int | None = None) -> FieldCtx:
     bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
     factors = _prime_factors(q, math.isqrt(math.isqrt(bound)))
     if len(factors) != 1:
-        raise ValueError(f"q={q} is not a prime power")
+        raise ValueError(f"q={_decimal(q)} is not a prime power")
     p, k = factors[0], 1
     while p ** k < q:
         k += 1

@@ -7,12 +7,12 @@ Route "cyclotomic": a coefficient polynomial with q+1 terms,
 reduced mod x^(q^2) - x, where r = n + m(q+1), the integers r1, t solve
 r*r1 + (q-1)*t = 1, and A_i is H_n(zeta^i, alpha) for variant H (G_n for
 variant G).  The leading scalar is the field identity, because q+1 reduces
-to 1 mod p, but it is computed as a genuine inverse anyway.  The log of
-term (i, j) is linear in j, so the (q+1)^2 terms are summed by the
-digit-slot kernel FieldCtx.log_progression_sums, one C-level sum per
-coefficient.  A few coefficients are recomputed by the term-by-term Zech
-sum, and the polynomial must send P(x) back to x at a few points; a
-mismatch raises ArithmeticError.
+to 1 mod p, but it is computed as a genuine inverse anyway.  Term (i, j)
+is a power of gamma whose log is linear in j, so each coefficient is one
+Zech chain over its q+1 logs (FieldCtx.sum_powers), O(q^2) in all.  A few
+coefficients are recomputed term by term with add_packed and mul_packed,
+and the polynomial must send P(x) back to x at a few points; a mismatch
+raises ArithmeticError.
 
 Route "closed": the permutation restricted to cosets is inverted on
 mu_{q+1} by one of four closed forms (I1/I2 for variant H, I3/I4 for
@@ -130,12 +130,12 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     Requires the criterion to certify spec as a permutation.
 
     Term (i, j) of the double sum is gamma^(B_i + j*W_i) with
-    B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), so all
-    q+1 coefficients come from one call of the digit-slot kernel
-    FieldCtx.log_progression_sums.  Two independent O(q) checks keep it
-    honest, and either mismatch raises ArithmeticError: GH_SPOT_CHECKS
-    coefficients are recomputed by the term-by-term Zech sum of the
-    formula (_cyclotomic_coefficient), and the polynomial, summed term by
+    B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), so
+    coefficient j is FieldCtx.sum_powers of those q+1 logs.  Two
+    independent O(q) checks keep it honest, and either mismatch raises
+    ArithmeticError: GH_SPOT_CHECKS coefficients are recomputed from the
+    formula with add_packed and mul_packed (_cyclotomic_coefficient, which
+    shares no code with sum_powers), and the polynomial, summed term by
     term (_eval_terms, not poly_eval), must send P(gamma^s) back to
     gamma^s at GH_SPOT_CHECKS coset representatives, a check that involves
     every coefficient.
@@ -154,9 +154,10 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     exp, log = ctx._exp, ctx._log
     a_logs = [log[v] for v in a_table]
     zl, r, rp = q - 1, spec.r, b.r_prime  # zl: log of zeta
-    sums = ctx.log_progression_sums(
-        [(zl * b.t * i - rp * la) % N for i, la in enumerate(a_logs)],
-        [-zl * (r * i + la) % N for i, la in enumerate(a_logs)], q + 1)
+    terms = [((zl * b.t * i - rp * la) % N, -zl * (r * i + la) % N)
+             for i, la in enumerate(a_logs)]
+    sums = [ctx.sum_powers([base + j * step for base, step in terms])
+            for j in range(q + 1)]
     for j in spot_positions(q + 1):
         if sums[j] != _cyclotomic_coefficient(spec, b, a_table, j):
             raise ArithmeticError(

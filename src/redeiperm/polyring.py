@@ -14,16 +14,18 @@ monic gcds.  Exponents stay non-negative integers throughout; reduction
 sends every positive exponent into [1, q^2 - 1] so that the value at 0 is
 never disturbed.
 
-Evaluation cost: a polynomial without constant term whose exponents all
-agree mod q-1 equals x^e * g(x^(q-1)), a map of coset shape (CosetMap).
-poly_eval detects that shape on first use, tabulates g on mu_{q+1} in
-O(q * terms) once per Poly (the term loop at the q+1 coset
-representatives), and then costs O(1) per point (a discrete log, a table
-pick, one multiplication) whatever the number of terms.  Every other
-polynomial is evaluated by the term loop, O(terms) per point.  The
-exhaustive loops read a map a range of consecutive points at a time
-through eval_range: Poly.eval_range calls poly_eval once per point,
-CosetMap.eval_range runs one comprehension over the whole range.
+Evaluation cost: the term sum (_eval_terms) takes f(x) for x != 0 as the
+sum of gamma^(log c + e * log x) over the terms c*x^e, one Zech lookup per
+term on a running log (FieldCtx.sum_powers), and f(0) as the constant term.
+A polynomial without constant term whose exponents all agree mod q-1 equals
+x^e * g(x^(q-1)), a map of coset shape (CosetMap).  poly_eval detects that
+shape on first use, tabulates g on mu_{q+1} in O(q * terms) once per Poly
+(the term sum at the q+1 coset representatives), and then costs O(1) per
+point (a discrete log, a table pick, one multiplication) whatever the number
+of terms.  Every other polynomial is evaluated by the term sum, O(terms)
+per point.  The exhaustive loops read a map a range of consecutive points
+at a time through eval_range: Poly.eval_range calls poly_eval once per
+point, CosetMap.eval_range runs one comprehension over the whole range.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class Poly:
     __slots__ = ("ctx", "terms", "_coset")
 
     def __init__(self, ctx: FieldCtx, terms: dict[int, Felt]):
+        if any(c.ctx is not ctx for c in terms.values()):
+            raise ValueError("elements from different fields")
         self.ctx = ctx
         self.terms = {e: c for e, c in terms.items() if c.val != 0}
         self._coset = None
@@ -51,23 +55,8 @@ class Poly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, {})
-
-    @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
         return cls(ctx, {0: ctx.one()})
-
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, {1: ctx.one()})
-
-    @classmethod
-    def monomial(cls, ctx: FieldCtx, e: int, c: "Felt | int" = 1) -> "Poly":
-        if e < 0:
-            raise ValueError("exponents must be non-negative")
-        coeff = c if isinstance(c, Felt) else ctx.scalar(c)
-        return cls(ctx, {e: coeff})
 
     @classmethod
     def from_terms(cls, ctx: FieldCtx,
@@ -161,7 +150,7 @@ class CosetMap:
         f needs at least one term, no constant term (0 -> c0 does not fit
         x^e * T) and all exponents congruent mod q-1.  With e0 the least
         exponent, T[s] = f(gamma^s) * gamma^(-s*e0) for s = 0..q, each
-        f(gamma^s) summed by the term loop (_eval_terms): O(q * terms),
+        f(gamma^s) summed by the term sum (_eval_terms): O(q * terms),
         and the map equals f at the q+1 coset representatives gamma^s,
         which pins it down on every point.
         """
@@ -212,13 +201,13 @@ class CosetMap:
 
 
 def _eval_terms(f: Poly, xv: int) -> int:
-    """f at the packed point xv by term-wise powering; O(terms)."""
-    ctx = f.ctx
-    acc = 0
-    add, mul, powp = ctx.add_packed, ctx.mul_packed, ctx.pow_packed
-    for e, c in f.terms.items():
-        acc = add(acc, mul(c.val, powp(xv, e)))
-    return acc
+    """f at the packed point xv, one Zech lookup per term; O(terms)."""
+    if xv == 0:
+        c0 = f.terms.get(0)
+        return c0.val if c0 else 0
+    log = f.ctx._log
+    lx = log[xv]
+    return f.ctx.sum_powers([log[c.val] + e * lx for e, c in f.terms.items()])
 
 
 def poly_eval(f: Poly, x: Felt) -> Felt:
@@ -226,7 +215,7 @@ def poly_eval(f: Poly, x: Felt) -> Felt:
 
     A coset-shaped f goes through its CosetMap, built on the first call
     (O(q * terms)) and cached on f; each point then costs
-    O(1).  Any other f runs the term loop, O(terms) per point.
+    O(1).  Any other f runs the term sum, O(terms) per point.
     """
     cm = f._coset
     if cm is None:

@@ -115,7 +115,7 @@ def test_criterion_2_expansion_and_dickson_identities(capsys):
     gcd_checks = 0
     for p, k in FIELDS_SMALL:
         ctx = make_field(p, k)
-        one = Poly.monomial(ctx, 0)
+        one = Poly.from_terms(ctx, [(0, 1)])
         for l in range(ctx.q + 1):
             alpha = ctx.alpha_from_l(l)
             for n in range(1, 31):

@@ -66,7 +66,7 @@ def test_build_frozen_shapes(q11, q9):
     poly, _ = build_perm_poly(PermSpec("G", 3, 0, one))
     assert poly == Poly.from_terms(q11, [(33, one), (13, q11.scalar(3))])
     poly, _ = build_perm_poly(PermSpec("H", 1, 0, q9.one()))
-    assert poly == Poly.x(q9)
+    assert poly == Poly.from_terms(q9, [(1, 1)])
 
 
 def test_build_normalises_negative_exponents(q9):
@@ -100,9 +100,9 @@ def test_coset_factor_table(q9):
 
 
 def test_bruteforce_oracle(q3):
-    ok, witness = is_permutation_bruteforce(q3, Poly.x(q3))
+    ok, witness = is_permutation_bruteforce(q3, Poly.from_terms(q3, [(1, 1)]))
     assert ok and witness is None
-    square = Poly.monomial(q3, 2)
+    square = Poly.from_terms(q3, [(2, 1)])
     ok, witness = is_permutation_bruteforce(q3, square)
     assert not ok
     a, b = witness
@@ -121,7 +121,7 @@ def test_scan_returns_inverse_table_or_first_collision(q3, q5):
     assert collision is None
     assert [table[ev.eval_packed(v)] for v in range(q5.q2)] == list(range(q5.q2))
     # x^2 on F_9: 1 and 2 = -1 collide first; the scan stops at 2
-    table, collision = scan(q3, Poly.monomial(q3, 2))
+    table, collision = scan(q3, Poly.from_terms(q3, [(2, 1)]))
     assert collision == (1, 2, 1)
     assert table == [0, 1] + [-1] * 7
 

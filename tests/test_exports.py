@@ -1,5 +1,6 @@
 """The package namespace: __all__ names every public object exactly once,
-and every one of them is used by the library, a demo or the benchmark."""
+and every one of them, and every public name defined on an exported class,
+is used by the library, a demo or the benchmark."""
 
 import ast
 import types
@@ -33,10 +34,23 @@ def _names_read(path: Path) -> set[str]:
     return used
 
 
-def test_every_export_is_used_outside_the_tests():
+def _names_read_outside_the_tests() -> set[str]:
     files = [path for path in (ROOT / "src" / "redeiperm").glob("*.py")
              if path.name != "__init__.py"]
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    used = set().union(*map(_names_read, files))
+    return set().union(*map(_names_read, files))
+
+
+def test_every_export_is_used_outside_the_tests():
+    used = _names_read_outside_the_tests()
     unused = sorted(set(redeiperm.__all__) - used - {"__version__"})
+    assert unused == []
+
+
+def test_every_public_name_of_an_exported_class_is_used_outside_the_tests():
+    used = _names_read_outside_the_tests()
+    classes = [getattr(redeiperm, name) for name in redeiperm.__all__]
+    unused = sorted(f"{cls.__name__}.{attr}" for cls in classes
+                    if isinstance(cls, type) for attr in vars(cls)
+                    if not attr.startswith("_") and attr not in used)
     assert unused == []

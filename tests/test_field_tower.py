@@ -277,6 +277,25 @@ def test_make_field_refuses_large_k_from_the_estimate(k):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_field(10 ** 2500 + 1, 1),
+     "q^2 = (16610-bit integer) exceeds the size bound 1048576"),
+    (lambda: make_field(10 ** 5000 + 1, 10 ** 5000),
+     "q^2 = (16610-bit integer)^(16611-bit integer) exceeds the size bound "
+     "1048576"),
+    (lambda: field_for_q(37 ** 3000),
+     "q^2 = (31257-bit integer) exceeds the size bound 1048576"),
+    (lambda: make_field(10 ** 5000, 1), "p=(16610-bit integer) is not an odd prime"),
+    (lambda: field_for_q(3 * 37 ** 3000), "q=(15630-bit integer) is not a prime power"),
+], ids=["p^2", "p-and-k", "field_for_q", "even-p", "not-a-prime-power"])
+def test_a_refusal_never_prints_an_overlong_integer(call, message):
+    """Past Python's int-to-str digit limit a value is named by its bit
+    length, so the refusal still names what was refused."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_make_field_is_cached():
     assert make_field(3, 2) is make_field(3, 2)
 

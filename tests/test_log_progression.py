@@ -1,18 +1,17 @@
-"""The digit-slot kernel and the two inverse paths built on it, against the
-term-by-term code they replaced.
+"""The log-domain power sum and the two inverse paths built on table
+lookups, against term-by-term code with add_packed and mul_packed.
 
-FieldCtx.log_progression_sums sums powers of gamma digit by digit in a
-carry-free slot encoding.  inverse_cyclotomic sums through it, and
+FieldCtx.sum_powers adds powers of gamma as a chain of Zech lookups on a
+running log.  inverse_cyclotomic sums each coefficient through it, and
 lift_inverse reads the closed-form inverse on mu_{q+1} from one table per
-spec.  Each is compared with the plain loop it replaced on every small
-field and on the acceptance grid, and each must raise ArithmeticError when
-its fast path is corrupted.  The coset tables of CosetMap.from_poly are
+spec.  Each is compared with a plain add_packed loop on every small field
+and on the acceptance grid, and each must raise ArithmeticError when its
+fast path is corrupted.  The coset tables of CosetMap.from_poly are
 compared with the same add_packed loop.
 """
 
 import dataclasses
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,21 +25,17 @@ from test_coset_eval import SMALL_FIELDS, coset_polys
 from test_gh_closed import GRID_FIELDS, GRID_MS, GRID_NS
 
 
-def _add_loop(ctx, bases, steps, count):
-    """The kernel's sums by one add_packed call per term."""
-    exp, N = ctx._exp, ctx.units
-    out = []
-    for j in range(count):
-        acc = 0
-        for b, s in zip(bases, steps):
-            acc = ctx.add_packed(acc, exp[(b + j * s) % N])
-        out.append(acc)
-    return out
+def _add_loop(ctx, logs):
+    """sum_powers(logs) by one add_packed call per term."""
+    acc = 0
+    for l in logs:
+        acc = ctx.add_packed(acc, ctx._exp[l % ctx.units])
+    return acc
 
 
 def _double_sum_inverse(spec):
     """inverse_cyclotomic as the (q+1)^2 double sum with one add_packed and
-    one mul_packed call per term, the code the kernel replaced."""
+    one mul_packed call per term."""
     ctx = spec.ctx
     q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
     b = bezout(spec)
@@ -65,8 +60,8 @@ def _coset_table_loop(f):
     by one add_packed call per term."""
     ctx = f.ctx
     log, e0 = ctx._log, min(f.terms)
-    return _add_loop(ctx, [log[c.val] for c in f.terms.values()],
-                     [e - e0 for e in f.terms], ctx.q + 1)
+    return [_add_loop(ctx, [log[c.val] + s * (e - e0) for e, c in f.terms.items()])
+            for s in range(ctx.q + 1)]
 
 
 def _permutations(ctx, ns, ms, ls):
@@ -84,45 +79,37 @@ def _sample_ls(q):
 
 
 # ---------------------------------------------------------------------------
-# The kernel.
+# The power sum.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_kernel_matches_the_add_loop(p, k):
+    """sum_powers against the add_packed loop: no terms, one term, logs
+    outside [0, q^2-2] on either side, and p copies of one power, which
+    cancel to 0 and leave the chain at its zero sentinel, then one more."""
     ctx = make_field(p, k)
     q, N = ctx.q, ctx.units
     rnd = random.Random(q)
-    for size in (0, 1, 2, q + 1, 3 * (q + 1)):
-        bases = [rnd.randrange(-N, 2 * N) for _ in range(size)]
-        steps = [rnd.randrange(-N, 2 * N) for _ in range(size)]
-        for count in (0, 1, q + 1):
-            assert (ctx.log_progression_sums(bases, steps, count)
-                    == _add_loop(ctx, bases, steps, count))
+    cases = [[], [rnd.randrange(N)], [-1], [N], [-5 * N - 2, 7 * N + 3]]
+    cases += [[rnd.randrange(-N, 2 * N) for _ in range(size)]
+              for size in (2, q + 1, 3 * (q + 1))]
+    for _ in range(3):
+        l = rnd.randrange(N)
+        cases += [[l] * p, [l] * p + [rnd.randrange(N)], [l] * p + [l]]
+    for logs in cases:
+        assert ctx.sum_powers(logs) == _add_loop(ctx, logs), logs
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_kernel_digit_slots_hold_the_worst_case(p, k):
-    """Every summand q^2-1 has all digits p-1: each slot reaches its
-    largest sum, summands * (p-1), which is what sets the slot width."""
+    """Every summand is q^2-1, the element whose digits are all p-1: the
+    chain returns to its zero sentinel after every p terms and must leave
+    it again, and unreduced logs of it sum the same."""
     ctx = make_field(p, k)
     top = ctx._log[ctx.q2 - 1]
-    for size in (1, ctx.q, ctx.q + 1, 2 * ctx.q + 5):
-        got = ctx.log_progression_sums([top] * size, [0] * size, 2)
-        assert got == _add_loop(ctx, [top] * size, [0] * size, 2)
-
-
-def test_kernel_builds_no_field_sized_table():
-    """The spread tables are q entries each: a kernel call on F_{243^2}
-    allocates nothing near the q^2 = 59049 entries of the log table."""
-    ctx = make_field(3, 5)
-    bases, steps = list(range(ctx.q + 1)), list(range(1, ctx.q + 2))
-    tracemalloc.start()
-    try:
-        ctx.log_progression_sums(bases, steps, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < ctx.q2  # bytes; a list of q^2 entries takes 8*q^2 or more
+    for size in (1, p - 1, p, p + 1, ctx.q, ctx.q + 1, 2 * ctx.q + 5):
+        for logs in ([top] * size, [top + i * ctx.units for i in range(size)]):
+            assert ctx.sum_powers(logs) == _add_loop(ctx, logs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +199,8 @@ def test_coset_table_of_grid_polynomials_matches_the_term_loop(p, k):
 # Corruption: every new fast path must raise ArithmeticError.
 # ---------------------------------------------------------------------------
 
-# q = 27: 28 summands of digits up to 2 need 6-bit slots, and their typical
-# sums pass 31, so a 5-bit slot carries into the next digit
-NARROW_SLOT_SPEC = (3, 3, "H", 5, 0, 1)
+# q = 27, variant H, n = 5, l = 1: 28 coefficients of 28 terms each
+CYCLOTOMIC_SPEC = (3, 3, "H", 5, 0, 1)
 
 
 def _spec(p, k, variant, n, m, l):
@@ -222,45 +208,40 @@ def _spec(p, k, variant, n, m, l):
     return PermSpec(variant, n, m, ctx.alpha_from_l(l))
 
 
-def _narrow_slot(monkeypatch):
-    real = field_tower._slot_width
-    monkeypatch.setattr(field_tower, "_slot_width",
-                        lambda summands, p: real(summands, p) - 1)
-
-
 def _drop_top_digit(monkeypatch):
-    real = field_tower.FieldCtx.log_progression_sums
+    real = field_tower.FieldCtx.sum_powers
 
-    def dropped(self, bases, steps, count):
-        return [v % (self.q2 // self.p)
-                for v in real(self, bases, steps, count)]
+    def dropped(self, logs):
+        return real(self, logs) % (self.q2 // self.p)
 
-    monkeypatch.setattr(field_tower.FieldCtx, "log_progression_sums", dropped)
+    monkeypatch.setattr(field_tower.FieldCtx, "sum_powers", dropped)
 
 
-@pytest.mark.parametrize("corrupt", [_narrow_slot, _drop_top_digit])
+@pytest.mark.parametrize("corrupt", [_drop_top_digit])
 def test_corrupted_kernel_fails_the_cyclotomic_checks(monkeypatch, corrupt):
-    spec = _spec(*NARROW_SLOT_SPEC)
+    """The coefficient spot check catches a corrupted sum_powers, so
+    _cyclotomic_coefficient does not share it."""
+    spec = _spec(*CYCLOTOMIC_SPEC)
     assert check_criterion(spec).is_perm
     corrupt(monkeypatch)
-    kernel = field_tower.FieldCtx.log_progression_sums
+    kernel = field_tower.FieldCtx.sum_powers
     wrong = []
 
-    def spy(self, bases, steps, count):
-        out = kernel(self, bases, steps, count)
-        wrong.append(out != _add_loop(self, bases, steps, count))
+    def spy(self, logs):
+        out = kernel(self, logs)
+        wrong.append(out != _add_loop(self, logs))
         return out
 
-    monkeypatch.setattr(field_tower.FieldCtx, "log_progression_sums", spy)
-    with pytest.raises(ArithmeticError, match="cyclotomic"):
+    monkeypatch.setattr(field_tower.FieldCtx, "sum_powers", spy)
+    with pytest.raises(ArithmeticError, match="term-by-term sum"):
         inverse_cyclotomic(spec)
-    assert wrong == [True]  # the injection really changed the sums
+    assert any(wrong)  # the injection really changed the sums
 
 
 def test_each_cyclotomic_check_fires_on_its_own(monkeypatch):
     """Either check alone catches a mismatch: the coefficient spot checks
     against the term-by-term sum, and the round trip through P."""
-    spec = _spec(*NARROW_SLOT_SPEC)
+    spec = _spec(*CYCLOTOMIC_SPEC)
     monkeypatch.setattr(inverse, "_cyclotomic_coefficient", lambda *args: -1)
     with pytest.raises(ArithmeticError, match="term-by-term sum"):
         inverse_cyclotomic(spec)
@@ -320,12 +301,12 @@ def test_corrupted_mu_table_fails_the_lift_checks(monkeypatch, corrupt):
         lift_inverse(spec)
 
 
-@pytest.mark.parametrize("corrupt", [_swap_two_entries, _narrow_slot])
+@pytest.mark.parametrize("corrupt", [_swap_two_entries, _drop_top_digit])
 def test_corrupted_fast_path_exits_3_from_invert_all(monkeypatch, capsys,
                                                      corrupt):
     corrupt(monkeypatch)
     p, k, variant, n, m, l = (LIFT_SPEC if corrupt is _swap_two_entries
-                              else NARROW_SLOT_SPEC)
+                              else CYCLOTOMIC_SPEC)
     rc = cli.main(["invert", "--p", str(p), "--k", str(k), "--variant",
                    variant, "--n", str(n), "--m", str(m), "--l", str(l),
                    "--route", "all"])

@@ -110,7 +110,7 @@ def test_scan_and_digest_of_every_map_kind_match_the_point_loops(p, k):
     ctx = make_field(p, k)
     poly, cm = build_perm_poly(_permutation(ctx))
     table = inverse_table(ctx, cm)
-    square = Poly.monomial(ctx, 2)  # no permutation of an odd field
+    square = Poly.from_terms(ctx, [(2, 1)])  # no permutation of an odd field
     maps = [(cm, cm.eval_packed), (table, lambda xv: table(Felt(ctx, xv)).val),
             (poly, lambda xv: poly(Felt(ctx, xv)).val),
             (square, lambda xv: square(Felt(ctx, xv)).val)]
