@@ -18,8 +18,11 @@ them (redei.gh_table).
 
 Every exhaustive loop (the scan, the route digests, the CLI's composition
 check) reads f through packed_ranges, a range of consecutive points at a
-time from f.eval_range: a CosetMap or an InverseTable with no Python call
-per point, a Poly through poly_eval per point.  The size of these loops
+time from f.eval_range: an InverseTable as a slice, a Poly through
+poly_eval per point, a CosetMap by one comprehension per range over its
+first points and then, once the loop is an eighth of the way through,
+as a gather from its log-order value table (CosetMap.log_table), which
+the loop builds once and drops when it ends.  The size of these loops
 is bounded once, by make_field.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
@@ -187,18 +190,27 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
 # most max(2b, RANGE_START) points.
 RANGE_START = 64
 RANGE_CAP = 1 << 14
+# A CosetMap is read through its LogTable from the first range that starts
+# at or past q^2 / LOG_TABLE_AFTER: a scan that stops before never pays for
+# the table.
+LOG_TABLE_AFTER = 8
 
 
 def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
     """f's packed values at 0, 1, ..., q^2-1 as (start, values) per range.
 
     f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
-    gives the packed values at the packed points start, ..., stop-1.
+    gives the packed values at the packed points start, ..., stop-1.  A
+    CosetMap's later ranges come from its LogTable, which only this loop
+    holds.
     """
-    start = 0
+    source, start = f, 0
     while start < ctx.q2:
         stop = min(ctx.q2, start + min(max(start, RANGE_START), RANGE_CAP))
-        yield start, f.eval_range(start, stop)
+        if (source is f and isinstance(f, CosetMap)
+                and start * LOG_TABLE_AFTER >= ctx.q2):
+            source = f.log_table()
+        yield start, source.eval_range(start, stop)
         start = stop
 
 

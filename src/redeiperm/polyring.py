@@ -25,11 +25,17 @@ point (a discrete log, a table pick, one multiplication) whatever the number
 of terms.  Every other polynomial is evaluated by the term sum, O(terms)
 per point.  The exhaustive loops read a map a range of consecutive points
 at a time through eval_range: Poly.eval_range calls poly_eval once per
-point, CosetMap.eval_range runs one comprehension over the whole range.
+point, CosetMap.eval_range runs the same arithmetic in one comprehension
+over the range.  A loop over the whole field reads a CosetMap through its
+LogTable instead (CosetMap.log_table): the map's q^2-1 nonzero values in
+discrete-log order, built once per loop in O(q) Python steps from strided
+slices of the exp table, after which a range is one C-level gather
+through the log table with no arithmetic per point.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .field_tower import Felt, FieldCtx
@@ -129,7 +135,8 @@ class CosetMap:
     discrete log, a table pick and one multiplication.  A zero entry of T
     sends its whole coset to 0.  eval_range runs the same arithmetic over a
     slice of the log table in one comprehension, with the logs of T taken
-    once per map.
+    once per map; log_table tabulates the map on all of F_{q^2} for a loop
+    that reads every point.
     """
 
     __slots__ = ("ctx", "e", "table", "_table_logs")
@@ -196,8 +203,66 @@ class CosetMap:
             out.insert(0, 0)
         return out
 
+    def log_values(self) -> list[int]:
+        """The map at gamma^0, ..., gamma^(q^2-2), in discrete-log order.
+
+        gamma^(s + (q+1)k) goes to gamma^(c_s + (q+1)(e*k mod (q-1))) with
+        c_s = (e*s + log T[s]) mod (q^2-1), so row s (positions s, s+q+1,
+        ...) is the slice of exp with stride q+1 from c_s, wrapped round,
+        and permuted by k -> e*k mod (q-1), one permutation for every row.
+        A zero entry of T gives a zero row.  O(q) Python steps and about
+        3*q^2 element copies in C.
+        """
+        ctx = self.ctx
+        e, q1, qm, N, exp = self.e, ctx.q + 1, ctx.q - 1, ctx.units, ctx._exp
+        spread = itemgetter(*[e * k % qm for k in range(qm)])
+        values = [0] * N
+        for s, lt in enumerate(self._table_logs):
+            if lt is not None:
+                c = (e * s + lt) % N
+                values[s::q1] = spread(exp[c::q1] + exp[c % q1:c:q1])
+        return values
+
+    def log_table(self) -> "LogTable":
+        """log_values as a LogTable, checked in O(q): at the q+1 coset
+        representatives gamma^s, one point of every row, and at
+        GH_SPOT_CHECKS points spread over the logs, the value must equal
+        gamma^(e*t) * T[t mod (q+1)] by mul_packed; a mismatch raises
+        ArithmeticError."""
+        from .redei import spot_positions  # redei imports this module
+        ctx = self.ctx
+        q1, N, exp, mul = ctx.q + 1, ctx.units, ctx._exp, ctx.mul_packed
+        values = self.log_values()
+        for t in (*range(q1), *spot_positions(N)):
+            if values[t] != mul(exp[self.e * t % N], self.table[t % q1]):
+                raise ArithmeticError(
+                    f"log-order value table disagrees with the map at gamma^{t}")
+        return LogTable(ctx, values)
+
     def __call__(self, x: Felt) -> Felt:
         return Felt(self.ctx, self.eval_packed(x.val))
+
+
+class LogTable:
+    """A map's packed values at gamma^0, ..., gamma^(q^2-2), indexed by the
+    discrete log, with 0 -> 0 (CosetMap.log_table).  eval_range gathers a
+    range of packed points through the log table in C."""
+
+    __slots__ = ("ctx", "values")
+
+    def __init__(self, ctx: FieldCtx, values: list[int]):
+        self.ctx = ctx
+        self.values = values
+
+    def eval_range(self, start: int, stop: int) -> list[int]:
+        """Packed values at the packed points start, ..., stop-1."""
+        logs = self.ctx._log[max(start, 1):stop]
+        # itemgetter of one index returns the item, not a tuple
+        out = (list(itemgetter(*logs)(self.values)) if len(logs) > 1
+               else [self.values[t] for t in logs])
+        if start == 0 < stop:  # log 0 is undefined; 0 -> 0
+            out.insert(0, 0)
+        return out
 
 
 def _eval_terms(f: Poly, xv: int) -> int:

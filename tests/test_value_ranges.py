@@ -1,14 +1,17 @@
 """The range adapter behind every exhaustive loop, against per-point loops.
 
 construct.packed_ranges hands out f's packed values over consecutive ranges
-of the points 0, ..., q^2-1.  CosetMap.eval_range must agree with
-eval_packed, scan with a first-collision loop over single points (same
-table, same witness), and the value digest with a per-point sha256, on
-every q^2 <= 2^12 and on F_{3^5}.  The work-count guards keep the loops
-from falling back to one call per point.
+of the points 0, ..., q^2-1.  CosetMap.eval_range and the LogTable gather
+must agree with eval_packed, scan with a first-collision loop over single
+points (same table, same witness), and the value digest with a per-point
+sha256, on every q^2 <= 2^12 and on F_{3^5}.  The work-count guards keep
+the loops from falling back to one call per point; the lifetime tests keep
+the log-order table out of early-stopping scans and off the map.
 """
 
+import gc
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from redeiperm import (CosetMap, Felt, InverseTable, PermSpec, Poly,
                        build_perm_poly, check_criterion, cli, inverse_table,
                        is_permutation_bruteforce, make_field)
-from redeiperm.construct import RANGE_START, packed_ranges, scan
+from redeiperm.construct import (LOG_TABLE_AFTER, RANGE_START, packed_ranges,
+                                 scan)
 from redeiperm.inverse import _little_endian, _value_digest
+from redeiperm.polyring import LogTable
 
 
 def _odd_prime_powers(top):
@@ -27,7 +32,8 @@ def _odd_prime_powers(top):
 
 
 # every odd prime power q with q^2 <= 2^12, and F_{3^5} (q^2 = 59049)
-FIELDS = _odd_prime_powers(64) + [(3, 5)]
+SMALL_FIELDS = _odd_prime_powers(64)
+FIELDS = SMALL_FIELDS + [(3, 5)]
 
 
 def reference_scan(ctx, fn):
@@ -80,23 +86,46 @@ def _range_starts(ctx):
     return [start for start, _ in packed_ranges(ctx, identity)]
 
 
+def _first_table_start(ctx):
+    """Where packed_ranges switches a CosetMap to its LogTable; q^2 when the
+    whole field fits in the ranges before the switch."""
+    return next((s for s in _range_starts(ctx) if s * LOG_TABLE_AFTER >= ctx.q2),
+                ctx.q2)
+
+
+def _exponents(ctx):
+    """0, exponents at or past q^2-1, negative ones, and even ones, which
+    share the factor 2 with q-1."""
+    N = ctx.units
+    return st.one_of(st.just(0), st.integers(N, 3 * N), st.integers(-3 * N, -1),
+                     st.integers(-N, N).map(lambda v: 2 * v),
+                     st.integers(1, N))
+
+
 @st.composite
 def coset_maps(draw):
     """A CosetMap with a random exponent and table, zeros in T allowed."""
     ctx = make_field(*draw(st.sampled_from(FIELDS)))
     entry = st.one_of(st.just(0), st.integers(1, ctx.units))
     table = draw(st.lists(entry, min_size=ctx.q + 1, max_size=ctx.q + 1))
-    return CosetMap(ctx, draw(st.integers(0, 3 * ctx.units)), table)
+    return CosetMap(ctx, draw(_exponents(ctx)), table)
 
 
-@settings(max_examples=60)
+@settings(max_examples=150)
 @given(coset_maps(), st.data())
 def test_eval_range_matches_eval_packed(cm, data):
-    q2 = cm.ctx.q2
-    start = data.draw(st.one_of(st.just(0), st.integers(0, q2)))
-    stop = data.draw(st.one_of(st.just(start), st.integers(start, q2)))
-    assert cm.eval_range(start, stop) == [cm.eval_packed(xv)
-                                          for xv in range(start, stop)]
+    """On any window, empty and one-point ones and those around the switch
+    to the LogTable included, both the per-point comprehension and the
+    LogTable gather equal eval_packed."""
+    ctx = cm.ctx
+    q2, switch = ctx.q2, _first_table_start(ctx)
+    near = st.integers(max(0, switch - 3), min(q2 - 1, switch + 3))
+    start = data.draw(st.one_of(st.just(0), near, st.integers(0, q2)))
+    stop = start + data.draw(st.one_of(st.just(min(1, q2 - start)),
+                                       st.integers(0, q2 - start)))
+    want = [cm.eval_packed(xv) for xv in range(start, stop)]
+    assert cm.eval_range(start, stop) == want
+    assert cm.log_table().eval_range(start, stop) == want
 
 
 @settings(max_examples=40)
@@ -183,3 +212,165 @@ def test_little_endian_matches_to_bytes(width):
     assert _little_endian(values, width) == b"".join(
         v.to_bytes(width, "little") for v in values)
     assert _little_endian([], width) == b""
+
+
+# -- the log-order value table (CosetMap.log_table) -----------------------------
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
+    """packed_ranges reads the first ranges point by point and the rest
+    from one LogTable, built only when a range starts at or past q^2 / 8;
+    the values equal eval_packed at every point."""
+    ctx = make_field(p, k)
+    built = []
+    real = CosetMap.log_values
+    monkeypatch.setattr(CosetMap, "log_values",
+                        lambda self: built.append(self) or real(self))
+    zero_row = [0] + [ctx.gamma.val] * ctx.q
+    for e, table in ((5, zero_row), (-7, list(range(1, ctx.q + 2))),
+                     (ctx.units + 2, zero_row[::-1])):
+        cm = CosetMap(ctx, e, table)
+        built.clear()
+        values = [v for _, vs in packed_ranges(ctx, cm) for v in vs]
+        assert values == [cm.eval_packed(xv) for xv in range(ctx.q2)]
+        assert built == ([cm] if _first_table_start(ctx) < ctx.q2 else [])
+
+
+def _corrupt_row(monkeypatch, row):
+    """Make CosetMap.log_values rotate the given row of its result by one."""
+    real = CosetMap.log_values
+
+    def corrupted(self):
+        values = real(self)
+        q1 = self.ctx.q + 1
+        shifted = values[row::q1]
+        values[row::q1] = shifted[1:] + shifted[:1]
+        return values
+
+    monkeypatch.setattr(CosetMap, "log_values", corrupted)
+
+
+@pytest.mark.parametrize("row", [0, 5, 11])
+def test_a_corrupted_row_of_the_log_table_is_refused(q11, row, monkeypatch):
+    _, cm = build_perm_poly(_permutation(q11))
+    good = cm.log_table().values
+    _corrupt_row(monkeypatch, row)
+    assert cm.log_values() != good
+    message = f"log-order value table disagrees with the map at gamma\\^{row}$"
+    with pytest.raises(ArithmeticError, match=message):
+        cm.log_table()
+    with pytest.raises(ArithmeticError, match=message):
+        scan(q11, cm)
+    with pytest.raises(ArithmeticError, match=message):
+        _value_digest(q11, cm)
+
+
+@pytest.mark.parametrize("route", ["table", "closed", "all"])
+def test_a_corrupted_row_of_the_log_table_exits_3_from_invert(route, capsys,
+                                                              monkeypatch):
+    _corrupt_row(monkeypatch, 3)
+    rc = cli.main(["invert", "--p", "11", "--variant", "H", "--n", "5",
+                   "--m", "1", "--l", "1", "--route", route])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == ("error: log-order value table disagrees with "
+                            "the map at gamma^3\n")
+
+
+def test_an_early_collision_never_builds_the_log_table(monkeypatch):
+    """Scans of non-permutations that collide in the first eighth of F_{81^2}
+    stop before any LogTable is built."""
+    ctx = make_field(3, 4)
+    built = []
+    real = CosetMap.log_values
+    monkeypatch.setattr(CosetMap, "log_values",
+                        lambda self: built.append(self) or real(self))
+    square = CosetMap(ctx, 2, [1] * (ctx.q + 1))  # 1 and -1 = p-1 collide
+    assert scan(ctx, square)[1] == (1, ctx.p - 1, 1)
+    for n, m, l in ((2, 0, 1), (5, 0, 2), (4, 1, 2)):
+        spec = PermSpec("H", n, m, ctx.alpha_from_l(l))
+        assert not check_criterion(spec).is_perm
+        _, cm = build_perm_poly(spec)
+        ok, pair = is_permutation_bruteforce(ctx, cm)
+        assert not ok and pair[1].val * LOG_TABLE_AFTER < ctx.q2
+        with pytest.raises(ValueError, match="not a bijection"):
+            inverse_table(ctx, cm)
+    assert built == []
+
+
+def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
+    """The oracle, the table inverse, the digest and the composition check
+    each build one LogTable, and nothing but the test holds it afterwards:
+    not the map, not a finished loop."""
+    ctx = make_field(3, 4)
+    _, cm = build_perm_poly(_permutation(ctx))
+    tables = []
+    real = CosetMap.log_table
+
+    def recorded(self):
+        tables.append(real(self))
+        return tables[-1]
+
+    monkeypatch.setattr(CosetMap, "log_table", recorded)
+    assert is_permutation_bruteforce(ctx, cm) == (True, None)
+    inverse = inverse_table(ctx, cm)
+    _value_digest(ctx, cm)
+    assert cli._compose_identity_holds(ctx, cm, inverse)
+    assert len(tables) == 4
+    gc.collect()
+    for i in range(len(tables)):
+        assert gc.get_referrers(tables[i]) == [tables]
+        assert gc.get_referrers(tables[i].values) == [tables[i]]
+    assert all(getattr(cm, name) is not tables[0].values
+               and not isinstance(getattr(cm, name), LogTable)
+               for name in CosetMap.__slots__)
+
+
+@st.composite
+def near_permutations(draw):
+    """A CosetMap with gcd(e, q-1) = 1 whose sigma is a permutation of 0..q
+    with at most one value repeated: at most two cosets share an image, so
+    the first collision can fall anywhere in the scan."""
+    ctx = make_field(*draw(st.sampled_from(SMALL_FIELDS)))
+    q, N = ctx.q, ctx.units
+    e = draw(st.integers(-N, N).filter(lambda v: math.gcd(v, q - 1) == 1))
+    sigma = draw(st.permutations(range(q + 1)))
+    s1, s2 = draw(st.lists(st.integers(0, q), min_size=2, max_size=2))
+    sigma[s2] = sigma[s1]
+    turns = draw(st.lists(st.integers(0, q - 2), min_size=q + 1,
+                          max_size=q + 1))
+    return CosetMap(ctx, e, [ctx._exp[(sg - e * s + (q + 1) * k) % N]
+                             for s, (sg, k) in enumerate(zip(sigma, turns))])
+
+
+@settings(max_examples=80)
+@given(near_permutations())
+def test_scan_of_a_near_permutation_matches_the_point_loop(cm):
+    assert scan(cm.ctx, cm) == reference_scan(cm.ctx, cm.eval_packed)
+
+
+def _late_collisions(ctx):
+    """The identity map with coset b sent onto the image of coset a, turned
+    by gamma^((q+1)k), over pairs a < b and turns k, with the witness of
+    the point loop."""
+    q1, N = ctx.q + 1, ctx.units
+    for a in range(1, q1):
+        for b in range(a + 1, q1):
+            for k in range(3):
+                table = [1] * q1
+                table[b] = ctx._exp[(a - b + q1 * k) % N]
+                cm = CosetMap(ctx, 1, table)
+                yield cm, reference_scan(ctx, cm.eval_packed)
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (7, 2), (61, 1)])
+def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(p, k):
+    """For the first merged map whose first collision lies past the switch
+    to the LogTable, the scan's witness and partial table equal those of the
+    point loop."""
+    ctx = make_field(p, k)
+    switch = _first_table_start(ctx)
+    cm, want = next((cm, want) for cm, want in _late_collisions(ctx)
+                    if want[1][1] >= switch)
+    assert scan(ctx, cm) == want
