@@ -16,14 +16,13 @@ q+1 coset values F(zeta^i, alpha) come from the closed form
 (x +- sqrt(alpha))^n, not from matrix powering, which only spot-checks
 them (redei.gh_table).
 
-Every exhaustive loop (the scan, the route digests, the CLI's composition
-check) reads f through packed_ranges, a range of consecutive points at a
-time from f.eval_range: an InverseTable as a slice, a Poly through
-poly_eval per point, a CosetMap by one comprehension per range over its
-first points and then, once the loop is an eighth of the way through,
-as a gather from its log-order value table (CosetMap.log_table), which
-the loop builds once and drops when it ends.  The size of these loops
-is bounded once, by make_field.
+Every exhaustive loop reads f a range of consecutive points at a time
+from f.eval_range: an InverseTable as a slice, a Poly through poly_eval
+per point, a CosetMap as a gather from its log-order value table
+(CosetMap.log_table), which the loop builds once and drops when it ends.
+The scan reads a CosetMap's first eighth by one comprehension per range,
+so an early collision never builds the table, and the rest straight
+from the table in discrete-log order.  make_field bounds these loops.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -190,10 +189,17 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
 # most max(2b, RANGE_START) points.
 RANGE_START = 64
 RANGE_CAP = 1 << 14
-# A CosetMap is read through its LogTable from the first range that starts
-# at or past q^2 / LOG_TABLE_AFTER: a scan that stops before never pays for
-# the table.
+# scan reads a CosetMap from its LogTable only past the ranges that start
+# before q^2 / LOG_TABLE_AFTER: a scan that stops there never builds it.
 LOG_TABLE_AFTER = 8
+
+
+def _ranges(q2: int) -> Iterator[tuple[int, int]]:
+    start = 0
+    while start < q2:
+        stop = min(q2, start + min(max(start, RANGE_START), RANGE_CAP))
+        yield start, stop
+        start = stop
 
 
 def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
@@ -201,17 +207,24 @@ def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
 
     f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
     gives the packed values at the packed points start, ..., stop-1.  A
-    CosetMap's later ranges come from its LogTable, which only this loop
-    holds.
+    CosetMap is read from its LogTable from the first range; only this
+    loop holds the table.
     """
-    source, start = f, 0
-    while start < ctx.q2:
-        stop = min(ctx.q2, start + min(max(start, RANGE_START), RANGE_CAP))
-        if (source is f and isinstance(f, CosetMap)
-                and start * LOG_TABLE_AFTER >= ctx.q2):
-            source = f.log_table()
-        yield start, source.eval_range(start, stop)
-        start = stop
+    if isinstance(f, CosetMap):
+        f = f.log_table()
+    for start, stop in _ranges(ctx.q2):
+        yield start, f.eval_range(start, stop)
+
+
+def _packed_scan(q2: int, f, bounds: list) -> tuple:
+    """scan's result from f's values over the ranges bounds, packed order."""
+    first = [-1] * q2
+    for start, stop in bounds:
+        for xv, v in enumerate(f.eval_range(start, stop), start):
+            if first[v] >= 0:
+                return first, (first[v], xv, v)
+            first[v] = xv
+    return first, None
 
 
 def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
@@ -220,15 +233,24 @@ def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
     Returns (inverse table, None) for a bijection.  At the first collision
     it stops and returns (partial table, (a, b, v)): packed inputs a < b
     both map to v, and no point after b enters the table.  Values come a
-    range at a time (packed_ranges), so f may have been evaluated past b,
-    to the end of b's range.
+    range at a time, so f may have been evaluated past b, to the end of
+    b's range.  Past its first eighth a CosetMap is read in discrete-log
+    order from its LogTable, storing the exp table's own ints; a repeat
+    other than a first-eighth point met again is a collision, and the
+    packed-order loop then runs again over the table.
     """
-    first = [-1] * ctx.q2
-    for start, values in packed_ranges(ctx, f):
-        for xv, v in enumerate(values, start):
-            if first[v] >= 0:
-                return first, (first[v], xv, v)
-            first[v] = xv
+    bounds = list(_ranges(ctx.q2))
+    head = ([b for b in bounds if b[0] * LOG_TABLE_AFTER < ctx.q2]
+            if isinstance(f, CosetMap) else bounds)
+    first, collision = _packed_scan(ctx.q2, f, head)
+    if collision or len(head) == len(bounds):
+        return first, collision
+    table = f.log_table()
+    for x, v in zip(ctx._exp, table.values):
+        w = first[v]
+        if w >= 0 and w != x:
+            return _packed_scan(ctx.q2, table, bounds)
+        first[v] = x
     return first, None
 
 

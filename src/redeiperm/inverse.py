@@ -35,14 +35,13 @@ Route "table": exhaustive inversion of the value table, the ground truth.
 
 Route agreement digests each route's values at all q^2 points, read by
 construct.packed_ranges through eval_range: the InverseTable a slice at a
-time, the closed route's CosetMap by one comprehension per range and then
-by gathers from its log-order value table (CosetMap.log_table), the
-cyclotomic Poly by poly_eval per point.  All exponents of the cyclotomic
-inverse are congruent to r1 mod q-1, so poly_eval evaluates it through its
-coset form x^r1 * g(x^(q-1)): g is tabulated on mu_{q+1} once, by the term
-sum at the q+1 coset representatives (CosetMap.from_poly, O(q^2) for q+1
-terms), and each point costs O(1), O(q^2) over the field instead of O(q^3)
-term by term.
+time, the closed route's CosetMap by gathers from its log-order value
+table (CosetMap.log_table), the cyclotomic Poly by poly_eval per point.
+All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
+poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
+tabulated on mu_{q+1} once, by the term sum at the q+1 coset
+representatives (CosetMap.from_poly, O(q^2) for q+1 terms), and each point
+costs O(1), O(q^2) over the field instead of O(q^3) term by term.
 
 Every closed form is evaluated through its total power form; the rational
 fraction form is evaluated alongside as a cross-check wherever its

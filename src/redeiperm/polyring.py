@@ -25,12 +25,12 @@ point (a discrete log, a table pick, one multiplication) whatever the number
 of terms.  Every other polynomial is evaluated by the term sum, O(terms)
 per point.  The exhaustive loops read a map a range of consecutive points
 at a time through eval_range: Poly.eval_range calls poly_eval once per
-point, CosetMap.eval_range runs the same arithmetic in one comprehension
-over the range.  A loop over the whole field reads a CosetMap through its
-LogTable instead (CosetMap.log_table): the map's q^2-1 nonzero values in
-discrete-log order, built once per loop in O(q) Python steps from strided
-slices of the exp table, after which a range is one C-level gather
-through the log table with no arithmetic per point.
+point.  A CosetMap is read through its LogTable (CosetMap.log_table): the
+map's q^2-1 nonzero values in discrete-log order, built once per loop in
+O(q) Python steps from strided slices of the exp table, then gathered a
+range at a time through the log table in C, or read in log order by the
+scan.  Only the scan's first eighth, which may stop early, runs
+CosetMap.eval_range: eval_packed's arithmetic in one comprehension.
 """
 
 from __future__ import annotations
@@ -133,10 +133,9 @@ class CosetMap:
     the factor only depends on the coset of x modulo the (q-1)-th powers, so
     its q+1 packed values T are tabulated once; each evaluation is then a
     discrete log, a table pick and one multiplication.  A zero entry of T
-    sends its whole coset to 0.  eval_range runs the same arithmetic over a
-    slice of the log table in one comprehension, with the logs of T taken
-    once per map; log_table tabulates the map on all of F_{q^2} for a loop
-    that reads every point.
+    sends its whole coset to 0.  eval_range does the same for a range in
+    one comprehension, with the logs of T taken once per map; log_table
+    tabulates the map on all of F_{q^2} for a loop that reads every point.
     """
 
     __slots__ = ("ctx", "e", "table", "_table_logs")

@@ -6,12 +6,15 @@ must agree with eval_packed, scan with a first-collision loop over single
 points (same table, same witness), and the value digest with a per-point
 sha256, on every q^2 <= 2^12 and on F_{3^5}.  The work-count guards keep
 the loops from falling back to one call per point; the lifetime tests keep
-the log-order table out of early-stopping scans and off the map.
+the log-order table out of early-stopping scans and off the map, and a
+tracemalloc guard keeps the scan's table to the exp table's own ints.
 """
 
 import gc
 import hashlib
+import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,7 +90,7 @@ def _range_starts(ctx):
 
 
 def _first_table_start(ctx):
-    """Where packed_ranges switches a CosetMap to its LogTable; q^2 when the
+    """Where scan switches a CosetMap to its LogTable; q^2 when the
     whole field fits in the ranges before the switch."""
     return next((s for s in _range_starts(ctx) if s * LOG_TABLE_AFTER >= ctx.q2),
                 ctx.q2)
@@ -216,24 +219,41 @@ def test_little_endian_matches_to_bytes(width):
 
 # -- the log-order value table (CosetMap.log_table) -----------------------------
 
-@pytest.mark.parametrize("p,k", SMALL_FIELDS)
-def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
-    """packed_ranges reads the first ranges point by point and the rest
-    from one LogTable, built only when a range starts at or past q^2 / 8;
-    the values equal eval_packed at every point."""
-    ctx = make_field(p, k)
+def _record_log_values(monkeypatch):
+    """Make CosetMap.log_values append its map to the returned list."""
     built = []
     real = CosetMap.log_values
     monkeypatch.setattr(CosetMap, "log_values",
                         lambda self: built.append(self) or real(self))
+    return built
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
+    """packed_ranges reads a CosetMap from one LogTable, built at its first
+    range.  scan builds none when it stops in the first eighth or when the
+    first eighth covers the field (q = 3, 5, 7), and one otherwise.  The
+    values equal eval_packed at every point, the scan the point loop."""
+    ctx = make_field(p, k)
+    built = _record_log_values(monkeypatch)
+    switch = _first_table_start(ctx)
     zero_row = [0] + [ctx.gamma.val] * ctx.q
-    for e, table in ((5, zero_row), (-7, list(range(1, ctx.q + 2))),
-                     (ctx.units + 2, zero_row[::-1])):
-        cm = CosetMap(ctx, e, table)
+    _, perm = build_perm_poly(_permutation(ctx))
+    for cm in (CosetMap(ctx, 5, zero_row), perm,
+               CosetMap(ctx, -7, list(range(1, ctx.q + 2))),
+               CosetMap(ctx, ctx.units + 2, zero_row[::-1])):
         built.clear()
-        values = [v for _, vs in packed_ranges(ctx, cm) for v in vs]
+        ranges = packed_ranges(ctx, cm)
+        values = next(ranges)[1]
+        assert built == [cm]
+        values += [v for _, vs in ranges for v in vs]
+        assert built == [cm]
         assert values == [cm.eval_packed(xv) for xv in range(ctx.q2)]
-        assert built == ([cm] if _first_table_start(ctx) < ctx.q2 else [])
+        built.clear()
+        table, witness = scan(ctx, cm)
+        assert (table, witness) == reference_scan(ctx, cm.eval_packed)
+        late = switch < ctx.q2 and (witness is None or witness[1] >= switch)
+        assert built == ([cm] if late else [])
 
 
 def _corrupt_row(monkeypatch, row):
@@ -350,27 +370,98 @@ def test_scan_of_a_near_permutation_matches_the_point_loop(cm):
     assert scan(cm.ctx, cm) == reference_scan(cm.ctx, cm.eval_packed)
 
 
-def _late_collisions(ctx):
-    """The identity map with coset b sent onto the image of coset a, turned
-    by gamma^((q+1)k), over pairs a < b and turns k, with the witness of
-    the point loop."""
-    q1, N = ctx.q + 1, ctx.units
-    for a in range(1, q1):
-        for b in range(a + 1, q1):
-            for k in range(3):
-                table = [1] * q1
-                table[b] = ctx._exp[(a - b + q1 * k) % N]
-                cm = CosetMap(ctx, 1, table)
-                yield cm, reference_scan(ctx, cm.eval_packed)
+# -- the discrete-log-order pass of scan ------------------------------------------
+
+STRADDLE_FIELDS = [(3, 3), (7, 2), (61, 1), (3, 4)]  # q = 27, 49, 61, 81
 
 
-@pytest.mark.parametrize("p,k", [(3, 3), (7, 2), (61, 1)])
-def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(p, k):
-    """For the first merged map whose first collision lies past the switch
-    to the LogTable, the scan's witness and partial table equal those of the
-    point loop."""
-    ctx = make_field(p, k)
+def _straddling_maps(ctx):
+    """{(a past the first eighth, log a < log b): (map, witness)}, the first
+    map of each kind whose first collision (a, b, v) has b past the first
+    eighth.  Each map is the identity with coset s2 sent onto coset s1,
+    turned by gamma^((q+1)k): its collisions are the pairs {y, y*t}, y in
+    coset s2 and t = T[s2], and the first is the pair with least maximum."""
+    q1, N, exp, log = ctx.q + 1, ctx.units, ctx._exp, ctx._log
     switch = _first_table_start(ctx)
-    cm, want = next((cm, want) for cm, want in _late_collisions(ctx)
-                    if want[1][1] >= switch)
-    assert scan(ctx, cm) == want
+    found = {}
+    for d, s1, k in itertools.product(range(1, q1), range(q1), range(q1 - 2)):
+        s2 = (s1 + d) % q1
+        lt = (s1 - s2 + q1 * k) % N
+        y, yt = min(((exp[(s2 + q1 * j) % N], exp[(s2 + q1 * j + lt) % N])
+                     for j in range(q1 - 2)), key=max)
+        a, b = sorted((y, yt))
+        kind = (a >= switch, log[a] < log[b])
+        if b >= switch and kind not in found:
+            table = [1] * q1
+            table[s2] = exp[lt]
+            found[kind] = (CosetMap(ctx, 1, table), (a, b, yt))
+            if len(found) == 4:
+                break
+    return found
+
+
+@pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
+def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
+        p, k, monkeypatch):
+    """A first collision between a first-eighth point and a later one, or
+    between two later ones, each in both log orders, gives the point loop's
+    witness and partial table from one LogTable.  The identity they are
+    built from is read in log order only: its first-eighth points, met
+    again there, are no collision and no range of the table is read."""
+    ctx = make_field(p, k)
+    maps = _straddling_maps(ctx)
+    assert sorted(maps) == [(False, False), (False, True),
+                            (True, False), (True, True)]
+    built = _record_log_values(monkeypatch)
+    for cm, witness in maps.values():
+        built.clear()
+        want = reference_scan(ctx, cm.eval_packed)
+        assert want[1] == witness
+        assert scan(ctx, cm) == want
+        assert built == [cm]
+    reads = []
+    real = LogTable.eval_range
+    monkeypatch.setattr(LogTable, "eval_range", lambda self, *span:
+                        reads.append(span) or real(self, *span))
+    assert scan(ctx, CosetMap(ctx, 1, [1] * (ctx.q + 1))) == (
+        list(range(ctx.q2)), None)
+    assert reads == []
+
+
+@pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
+def test_a_zero_entry_of_the_table_collides_in_the_first_eighth(p, k):
+    """No coset starts past the first eighth: the F_q-line through any
+    y != 0 meets x^k + span(1, ..., x^(k-1)), so every coset holds a point
+    below 2q.  A zero entry of T sends its coset onto 0 and collides there,
+    before the log-order pass, with the point loop's witness and table."""
+    ctx = make_field(p, k)
+    bound = min(2 * ctx.q, _first_table_start(ctx))
+    for s in range(ctx.q + 1):
+        table = [ctx.gamma.val] * (ctx.q + 1)
+        table[s] = 0
+        cm = CosetMap(ctx, 1, table)
+        want = reference_scan(ctx, cm.eval_packed)
+        assert want[1][0] == want[1][2] == 0 and want[1][1] < bound
+        assert scan(ctx, cm) == want
+
+
+def test_the_inverse_table_holds_the_exp_tables_ints():
+    """On F_{243^2}, the table inverse of a CosetMap permutation keeps no
+    int of its own, about 8 bytes per point, and the oracle peaks at under
+    24 bytes per point (tracemalloc)."""
+    ctx = make_field(3, 5)
+    _, cm = build_perm_poly(_permutation(ctx))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = inverse_table(ctx, cm)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del table
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_permutation_bruteforce(ctx, cm) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 10 * ctx.q2
+    assert peak <= 24 * ctx.q2
