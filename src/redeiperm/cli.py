@@ -294,6 +294,8 @@ def _check_field_axioms(ctx: FieldCtx, rng: random.Random, samples: int) -> None
 
 
 def _check_zech_against_digits(ctx: FieldCtx) -> None:
+    _ensure(ctx.add_logs((0, d) for d in range(ctx.units)) == ctx._zech,
+            "the stored Zech table differs from the table-free rule")
     for av in range(ctx.q2):
         for bv in range(ctx.q2):
             _ensure(ctx.add_packed(av, bv) == ctx._add_digits(av, bv),

@@ -6,16 +6,17 @@ lexicographically smallest monic irreducible of degree 2k (coefficient tuples
 compared low degree first), and the primitive element gamma is the smallest
 element, in the same ordering, whose multiplicative order is exactly q^2 - 1.
 
-All q^2 - 1 powers of gamma are tabulated once at construction, so that
-multiplication, inversion, powering and discrete logarithms are O(1) lookups;
-addition goes through a Zech logarithm table (log of 1 + gamma^i), and a sum
-of powers of gamma stays a log throughout, one Zech lookup per term
-(sum_powers).  x -> gamma*x is F_p-linear, so each power is the digitwise
-sum of precomputed images of the low and high k digits of the one before: a
-few lookups, not an O(k^2) product.  Dense products at q + 2 entries
-cross-check that step.  The Zech table needs no arithmetic: 1 + v differs
-from v only in the constant digit.  The size bound on q^2 keeps table
-construction cheap and guards every exhaustive operation downstream.
+All q^2 - 1 powers of gamma and their logs are tabulated once at
+construction, so that multiplication, inversion, powering and discrete
+logarithms are O(1) lookups.  x -> gamma*x is F_p-linear, so each power is
+the digitwise sum of precomputed images of the low and high k digits of the
+one before: a few lookups, not an O(k^2) product.  Dense products at q + 2
+entries cross-check that step.  Addition needs no Zech table: 1 + v differs
+from v only in the constant digit, so log(1 + gamma^d) is an exp and a log
+lookup (add_logs).  Only the O(q^2) chains of sum_powers, which keep a sum
+of powers of gamma as a log, read a stored Zech table, built on first use.
+The size bound on q^2 keeps table construction cheap and guards every
+exhaustive operation downstream.
 
 On top of the tables the module provides the Frobenius x -> x^q, membership
 in the subgroups mu_ell of ell-th roots of unity, square roots with a
@@ -323,13 +324,14 @@ class Felt:
 class FieldCtx:
     """Immutable description of F_{q^2} plus its arithmetic tables.
 
-    Safe to share across threads: nothing is mutated after construction.
+    Safe to share across threads: nothing is mutated after construction but
+    the cached Zech table, which two racing first reads build twice, equal.
     The packed-integer methods (*_packed) form the raw table layer used by
     performance-sensitive loops; Felt wraps them for everyday use.
     """
 
     __slots__ = ("p", "k", "q", "q2", "units", "modulus", "_exp", "_log",
-                 "_zech", "gamma", "zeta")
+                 "_zech_table", "gamma", "zeta")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...],
                  gamma_packed: int):
@@ -373,16 +375,7 @@ class FieldCtx:
                 raise ValueError("gamma powers collide; order too small")
             log[v] = i
         self._log = log
-
-        # Zech table: zech[i] = log(1 + gamma^i), with N as the sentinel
-        # for 1 + gamma^i = 0.  Adding 1 changes only the constant digit,
-        # which wraps from p - 1 to 0 without a carry, so log(1 + v) is
-        # succ_log[v] for log rotated by one place within each block of p.
-        succ_log = log[1:]
-        succ_log.append(N)
-        succ_log[p - 1::p] = log[0::p]
-        succ_log[p - 1] = N  # 1 + (p - 1) = 0
-        self._zech = list(map(succ_log.__getitem__, exp))
+        self._zech_table: list[int] | None = None
 
         self.gamma = Felt(self, gamma_packed)
         self.zeta = self.gamma ** (self.q - 1)
@@ -411,17 +404,41 @@ class FieldCtx:
 
     # -- raw table layer ----------------------------------------------------
 
+    def add_logs(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """log(gamma^a + gamma^b) = a + log(1 + w), w = gamma^(b-a), for each
+        pair of logs, q^2-1 standing for 0: 1 + w is w + 1, or w - (p-1) when
+        the constant digit of w wraps from p - 1 (no carry), 0 for w = p - 1."""
+        exp, log, N, p, top = self._exp, self._log, self.units, self.p, self.p - 1
+        return [b if a == N else a if b == N else
+                N if (w := exp[b - a]) == top else
+                (a + log[w + 1 if w % p < top else w - top]) % N
+                for a, b in pairs]
+
+    @property
+    def _zech(self) -> list[int]:
+        """zech[d] = log(1 + gamma^d), q^2-1 for 0, built on first read: the
+        rule of add_logs for every d at once, log rotated within blocks of p."""
+        if self._zech_table is None:
+            log, N, p = self._log, self.units, self.p
+            succ_log = log[1:]
+            succ_log.append(N)
+            succ_log[p - 1::p] = log[0::p]
+            succ_log[p - 1] = N  # 1 + (p - 1) = 0
+            self._zech_table = list(map(succ_log.__getitem__, self._exp))
+        return self._zech_table
+
     def add_packed(self, a: int, b: int) -> int:
+        """a + b by the rule of add_logs, written out: a call costs more."""
         if a == 0:
             return b
         if b == 0:
             return a
-        N = self.units
-        i = self._log[a]
-        z = self._zech[(self._log[b] - i) % N]
-        if z == N:
+        exp, log, p = self._exp, self._log, self.p
+        i = log[a]
+        w = exp[log[b] - i]
+        if w == p - 1:
             return 0
-        return self._exp[(i + z) % N]
+        return exp[(i + log[w + 1 if w % p < p - 1 else w - p + 1]) % self.units]
 
     def neg_packed(self, a: int) -> int:
         if a == 0:
@@ -552,16 +569,18 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     repeated construction always yields the same field description.
     Results are cached per (p, k).  This is the one check of q^2 against
     the size bound, made on every call: each later loop over the field's
-    points is O(q^2), the size of the tables the field already holds.
+    points is O(q^2), the size of the tables the field already holds.  The
+    refusal names their estimated bytes, 72 per element: an 8-byte list slot
+    and a 28-byte int (values are below 2^30) in each of exp and log.
     """
     check_field_params(p, k)
     bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if 2 * k > bound.bit_length():  # p^(2k) > 2^(2k) > bound: never build it
-        raise ValueError(f"q^2 = {_decimal(p)}^{_decimal(2 * k)} exceeds the "
-                         f"size bound {bound}")
-    if p ** (2 * k) > bound:
-        raise ValueError(f"q^2 = {_decimal(p ** (2 * k))} exceeds the size "
-                         f"bound {bound}")
+    huge = 2 * k > bound.bit_length()  # p^(2k) > 2^(2k) > bound: never build it
+    if huge or p ** (2 * k) > bound:
+        q2 = f"{_decimal(p)}^{_decimal(2 * k)}" if huge else _decimal(p ** (2 * k))
+        table_bytes = f"72*{q2}" if huge else _decimal(72 * p ** (2 * k))
+        raise ValueError(f"q^2 = {q2} exceeds the size bound {bound}; its exp "
+                         f"and log tables would take about {table_bytes} bytes")
     check_odd_prime(p)
 
     cached = _FIELD_CACHE.get((p, k))

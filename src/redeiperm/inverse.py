@@ -7,9 +7,10 @@ Route "cyclotomic": a coefficient polynomial with q+1 terms,
 reduced mod x^(q^2) - x, where r = n + m(q+1), the integers r1, t solve
 r*r1 + (q-1)*t = 1, and A_i is H_n(zeta^i, alpha) for variant H (G_n for
 variant G).  The leading scalar is the field identity, because q+1 reduces
-to 1 mod p, but it is computed as a genuine inverse anyway.  Term (i, j)
-is a power of gamma whose log is linear in j, so each coefficient is one
-Zech chain over its q+1 logs (FieldCtx.sum_powers), O(q^2) in all.  A few
+to 1 mod p, but it is computed as a genuine inverse anyway.  The
+coefficients are a length-(q+1) DFT over mu_{q+1} (Wang's inverses of
+cyclotomic mappings), computed by a mixed-radix Cooley-Tukey transform on
+discrete logs, O(q * sum of the prime factors of q+1) Zech steps.  A few
 coefficients are recomputed term by term with add_packed and mul_packed,
 and the polynomial must send P(x) back to x at a few points; a mismatch
 raises ArithmeticError.
@@ -62,7 +63,7 @@ from dataclasses import asdict, dataclass
 from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
                         check_criterion, coset_factor_table, packed_ranges,
                         scan, sqrt_case)
-from .field_tower import Felt, FieldCtx
+from .field_tower import Felt, FieldCtx, _prime_factors
 from .polyring import Poly, _eval_terms
 from .redei import _gh_eval_packed, gh_table, spot_positions
 
@@ -124,14 +125,36 @@ def _verify_bezout(b: BezoutData, q: int, n: int) -> None:
         raise ArithmeticError("r_prime_full is not the inverse of r mod q^2-1")
 
 
+def _dft_logs(ctx: FieldCtx, logs: list[int], step: int) -> list[int]:
+    """log X_j for X_j = sum_k gamma^(logs[k] + j*k*step), j < M = len(logs),
+    q^2-1 standing for 0; M*step must be 0 mod q^2-1.  Recursive mixed-radix
+    Cooley-Tukey: with r the least prime factor of M, X_j = sum_k0
+    gamma^(j*k0*step) * Y_k0[j mod M/r], Y_k0 the transform of logs[k0::r] at
+    step r*step; one sum_powers of r logs per output, M * (sum of M's prime
+    factors) terms in all."""
+    M = len(logs)
+    if M == 1:
+        return logs
+    r = _prime_factors(M)[0]
+    m, N, log = M // r, ctx.units, ctx._log
+    subs = [_dft_logs(ctx, logs[k0::r], step * r) for k0 in range(r)]
+    sums = (ctx.sum_powers([y[j % m] + j * k0 * step
+                            for k0, y in enumerate(subs) if y[j % m] != N])
+            for j in range(M))
+    return [log[v] if v else N for v in sums]
+
+
 def inverse_cyclotomic(spec: PermSpec) -> Poly:
     """The coefficient-form inverse, a (q+1)-term polynomial, reduced.
 
     Requires the criterion to certify spec as a permutation.
 
     Term (i, j) of the double sum is gamma^(B_i + j*W_i) with
-    B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), so
-    coefficient j is FieldCtx.sum_powers of those q+1 logs.  Two
+    B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), and
+    gamma^(W_i) = zeta^(-sigma(i)) for the forward map's CosetMap.sigma(),
+    so coefficient j is the DFT sum_k w_k*zeta^(-jk) of w[sigma(i)] =
+    gamma^(B_i) (_dft_logs).  sigma permutes 0..q exactly when the map
+    permutes F_{q^2} (Akbary-Ghioca-Wang); if not, ArithmeticError.  Two
     independent O(q) checks keep it honest, and either mismatch raises
     ArithmeticError: GH_SPOT_CHECKS coefficients are recomputed from the
     formula with add_packed and mul_packed (_cyclotomic_coefficient, which
@@ -149,15 +172,17 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     if b.r_prime is None:
         raise ArithmeticError("certified permutation with gcd(r, q-1) != 1")
     a_table = coset_factor_table(spec)
-    if any(v == 0 for v in a_table):
-        raise ArithmeticError("coset factor vanishes on mu_{q+1}")
     exp, log = ctx._exp, ctx._log
     a_logs = [log[v] for v in a_table]
     zl, r, rp = q - 1, spec.r, b.r_prime  # zl: log of zeta
-    terms = [((zl * b.t * i - rp * la) % N, -zl * (r * i + la) % N)
-             for i, la in enumerate(a_logs)]
-    sums = [ctx.sum_powers([base + j * step for base, step in terms])
-            for j in range(q + 1)]
+    sigma = CosetMap(ctx, r, a_table).sigma() or []
+    w = dict(zip(sigma, ((zl * b.t * i - rp * la) % N  # w[sigma(i)] = B_i
+                         for i, la in enumerate(a_logs))))
+    if len(w) != q + 1:
+        raise ArithmeticError("the gcd criterion certifies a map whose sigma "
+                              "does not permute mu_{q+1} (Akbary-Ghioca-Wang)")
+    sums = [0 if l == N else exp[l]
+            for l in _dft_logs(ctx, [w[k] for k in range(q + 1)], -zl)]
     for j in spot_positions(q + 1):
         if sums[j] != _cyclotomic_coefficient(spec, b, a_table, j):
             raise ArithmeticError(

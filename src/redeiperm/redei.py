@@ -86,19 +86,12 @@ def _gh_coeffs_recursive(n: int, alpha: Felt) -> tuple[list[int], list[int]]:
     G_n and H_n only have exponents of the parity of n resp. n-1, so
     multiplying by x keeps a list's index: x*G lands on G' at index i and
     alpha*H at index i+1, while G and x*H both land on H' at index i.  The
-    lists hold discrete logs while iterating, with q^2-1 (the Zech table's
-    sentinel) standing for 0, so a product is one addition and a sum one
-    Zech step.
+    lists hold discrete logs while iterating, with q^2-1 standing for 0, so
+    a product is one addition and a sum one Zech step (FieldCtx.add_logs).
     """
     ctx = alpha.ctx
-    exp, zech, N = ctx._exp, ctx._zech, ctx.units
+    exp, plus, N = ctx._exp, ctx.add_logs, ctx.units
     la = ctx._log[alpha.val]
-
-    def plus(pairs):
-        return [a if b == N else b if a == N else
-                (N if (z := zech[(b - a) % N]) == N else (a + z) % N)
-                for a, b in pairs]
-
     g: list[int] = [0]
     h: list[int] = []
     for _ in range(n):
@@ -187,36 +180,37 @@ def _gh_closed_packed(ctx: FieldCtx, n: int, av: int, pick: int,
 
     With s = gamma^(log alpha / 2), u = (x + s)^n and v = (x - s)^n,
     G_n = (u + v)/2 and H_n = (u - v)/(2s).  All of it runs on logs: x +- s
-    is one Zech step from log x, the n-th powers are multiples of logs,
+    is one Zech step from log x (the rule of FieldCtx.add_logs, written out:
+    a call per step costs more), the n-th powers are multiples of logs,
     u +- v is one more Zech step and the scale an added constant.  At
     x = +-s one of u, v is 0, and n = 0 gives (1, 0) everywhere (0^0 = 1).
     alpha must lie in mu_{q+1}, whose logs are even.
     """
     if n == 0:
         return [1 - pick] * len(points)
-    exp, log, zech, N = ctx._exp, ctx._log, ctx._zech, ctx.units
-    half = N // 2  # log(-1)
+    exp, log, N, p = ctx._exp, ctx._log, ctx.units, ctx.p
+    top, half = p - 1, N // 2  # gamma^half = -1 = p - 1 = top
     ls = log[av] // 2  # log s
-    lsn = ls + half  # log(-s)
     t = pick * half  # u + v for G, u - v for H
     c = -(log[2] + pick * ls) % N  # log of 1/2 resp. 1/(2s)
     out = []
     for xv in points:
-        if xv:
+        if xv:  # x +- s = x * (1 + w) for w = +-s/x
             lx = log[xv]
-            zu = zech[(ls - lx) % N]
-            zv = zech[(lsn - lx) % N]
-            lu = None if zu == N else (lx + zu) * n % N
-            lv = None if zv == N else (lx + zv) * n % N
+            w = exp[ls - lx]
+            lu = N if w == top else (lx + log[w + 1 if w % p < top else w - top]) * n % N
+            w = exp[ls + half - lx]
+            lv = N if w == top else (lx + log[w + 1 if w % p < top else w - top]) * n % N
         else:
-            lu, lv = ls * n % N, lsn * n % N
-        if lu is None:
+            lu, lv = ls * n % N, (ls + half) * n % N
+        if lu == N:
             out.append(exp[(lv + t + c) % N])
-        elif lv is None:
+        elif lv == N:
             out.append(exp[(lu + c) % N])
         else:
-            z = zech[(lv + t - lu) % N]
-            out.append(0 if z == N else exp[(lu + z + c) % N])
+            w = exp[(lv + t - lu) % N]
+            out.append(0 if w == top else
+                       exp[(lu + log[w + 1 if w % p < top else w - top] + c) % N])
     return out
 
 

@@ -256,6 +256,21 @@ def test_determinism_check(monkeypatch):
     assert len(runs) == 2
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2)])
+def test_zech_check_compares_the_stored_table_with_the_rule(monkeypatch, p, k):
+    """The selftest's Zech check holds on the stored table built on first
+    read, and fails when one of its entries differs from the table-free
+    rule, although every add_packed sum is still right."""
+    from redeiperm import field_tower
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    ctx = field_tower.make_field(p, k)
+    assert ctx._zech_table is None
+    cli._check_zech_against_digits(ctx)
+    ctx._zech_table[1], ctx._zech_table[2] = ctx._zech[2], ctx._zech[1]
+    with pytest.raises(AssertionError, match="stored Zech table differs"):
+        cli._check_zech_against_digits(ctx)
+
+
 def test_selftest_detects_corrupted_kernel(capsys, monkeypatch):
     """An injected corruption of the evaluation kernel must surface as a
     failure of the defining expansion identity."""
@@ -334,7 +349,9 @@ def test_large_k_refused_naming_the_bound(capsys, monkeypatch, k):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == (f"error: q^2 = 3^{2 * int(k)} exceeds the size "
-                            f"bound {cli.DEFAULT_SIZE_BOUND}\n")
+                            f"bound {cli.DEFAULT_SIZE_BOUND}; its exp and log "
+                            f"tables would take about 72*3^{2 * int(k)} "
+                            f"bytes\n")
 
 
 HUGE_P = 2 ** 61 - 1  # a Mersenne prime: trial division would take hours
@@ -342,7 +359,8 @@ HUGE_P = 2 ** 61 - 1  # a Mersenne prime: trial division would take hours
 
 @pytest.mark.parametrize("argv,message", [
     (["construct", "--p", str(HUGE_P), "--variant", "H", "--n", "3"],
-     f"q^2 = {HUGE_P ** 2} exceeds the size bound {cli.DEFAULT_SIZE_BOUND}"),
+     f"q^2 = {HUGE_P ** 2} exceeds the size bound {cli.DEFAULT_SIZE_BOUND}; "
+     f"its exp and log tables would take about {72 * HUGE_P ** 2} bytes"),
     (["count", "--p", str(HUGE_P)],
      f"q - 1 = {HUGE_P}^1 - 1 exceeds the size bound {cli.DEFAULT_SIZE_BOUND}"),
 ], ids=["construct", "count"])

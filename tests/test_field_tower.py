@@ -111,6 +111,71 @@ def test_zech_addition_matches_componentwise(q3, q9):
                 assert ctx.add_packed(av, bv) == ctx._add_digits(av, bv)
 
 
+# every odd p^k with q^2 <= 2^12
+FIELDS_TO_2_12 = [(p, k) for p in range(3, 64, 2)
+                  if all(p % d for d in range(3, p, 2))
+                  for k in range(1, 7) if p ** (2 * k) <= 1 << 12]
+
+
+@pytest.mark.parametrize("p,k", FIELDS_TO_2_12)
+def test_table_free_rule_matches_the_zech_table_and_the_digits(p, k):
+    """add_logs reads log(1 + gamma^d) from exp and log alone; at every d
+    it equals the stored Zech table (built by rotating log) and, through
+    add_packed, the componentwise sum of 1 and gamma^d.  The zero sentinel
+    q^2-1 passes through on either side, and scaled pairs agree too."""
+    ctx = make_field(p, k)
+    N, exp = ctx.units, ctx._exp
+    assert ctx.add_logs((0, d) for d in range(N)) == ctx._zech
+    for d in range(N):
+        assert ctx.add_packed(1, exp[d]) == ctx._add_digits(1, exp[d])
+    assert ctx.add_logs([(N, N), (N, 5 % N), (5 % N, N)]) == [N, 5 % N, 5 % N]
+    pairs = [(a, b) for a in range(0, N, max(1, N // 40))
+             for b in range(0, N, max(1, N // 37))]
+    want = [ctx._add_digits(exp[a], exp[b]) for a, b in pairs]
+    assert [0 if l == N else exp[l] for l in ctx.add_logs(pairs)] == want
+    assert [ctx.add_packed(exp[a], exp[b]) for a, b in pairs] == want
+    assert all(0 <= l <= N for l in ctx.add_logs(pairs))
+
+
+def test_the_zech_table_is_built_on_first_read(monkeypatch):
+    """make_field builds exp and log only; the first read of _zech (the
+    first sum_powers) builds the table once and keeps it."""
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    ctx = make_field(7, 2)
+    assert ctx._zech_table is None
+    assert ctx.add_packed(3, 5) == ctx._add_digits(3, 5)
+    assert ctx._zech_table is None
+    assert ctx.sum_powers([1, 2, 3]) == ctx._add_digits(
+        ctx._add_digits(ctx._exp[1], ctx._exp[2]), ctx._exp[3])
+    table = ctx._zech_table
+    assert table is not None and ctx._zech is table and len(table) == ctx.units
+
+
+def test_the_size_refusal_estimates_the_table_bytes(monkeypatch):
+    """The refusal names 72 bytes per element, worked out from q^2 before
+    anything is allocated; the estimate is within 15% of what exp and log
+    really take, traced on a field under the bound."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            make_field(1031, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("q^2 = 1062961 exceeds the size bound 1048576; its "
+                              "exp and log tables would take about 76533192 bytes")
+    assert peak < 64 * 1024
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    tracemalloc.start()
+    try:
+        ctx = make_field(3, 4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ctx._zech_table is None
+    assert abs(held - 72 * ctx.q2) < 0.15 * 72 * ctx.q2, held
+
+
 def test_field_axioms_exhaustive_small(q3):
     elems = list(q3.elements())
     for a in elems:
@@ -273,18 +338,25 @@ def test_make_field_refuses_large_k_from_the_estimate(k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == f"q^2 = 3^{2 * k} exceeds the size bound {1 << 20}"
+    assert str(exc.value) == (f"q^2 = 3^{2 * k} exceeds the size bound {1 << 20}; "
+                              f"its exp and log tables would take about "
+                              f"72*3^{2 * k} bytes")
     assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("call,message", [
     (lambda: make_field(10 ** 2500 + 1, 1),
-     "q^2 = (16610-bit integer) exceeds the size bound 1048576"),
+     "q^2 = (16610-bit integer) exceeds the size bound 1048576; its exp and "
+     f"log tables would take about ({(72 * (10 ** 2500 + 1) ** 2).bit_length()}"
+     "-bit integer) bytes"),
     (lambda: make_field(10 ** 5000 + 1, 10 ** 5000),
      "q^2 = (16610-bit integer)^(16611-bit integer) exceeds the size bound "
-     "1048576"),
+     "1048576; its exp and log tables would take about "
+     "72*(16610-bit integer)^(16611-bit integer) bytes"),
     (lambda: field_for_q(37 ** 3000),
-     "q^2 = (31257-bit integer) exceeds the size bound 1048576"),
+     "q^2 = (31257-bit integer) exceeds the size bound 1048576; its exp and "
+     f"log tables would take about ({(72 * 37 ** 6000).bit_length()}-bit "
+     "integer) bytes"),
     (lambda: make_field(10 ** 5000, 1), "p=(16610-bit integer) is not an odd prime"),
     (lambda: field_for_q(3 * 37 ** 3000), "q=(15630-bit integer) is not a prime power"),
 ], ids=["p^2", "p-and-k", "field_for_q", "even-p", "not-a-prime-power"])
@@ -436,10 +508,12 @@ HUGE_PRIME = 2 ** 61 - 1  # trial division up to its square root takes minutes
 
 @pytest.mark.parametrize("q,message", [
     (HUGE_PRIME, f"q^2 = {HUGE_PRIME ** 2} exceeds the size bound "
-                 f"{field_tower.DEFAULT_SIZE_BOUND}"),
+                 f"{field_tower.DEFAULT_SIZE_BOUND}; its exp and log tables "
+                 f"would take about {72 * HUGE_PRIME ** 2} bytes"),
     (3 * HUGE_PRIME, f"q={3 * HUGE_PRIME} is not a prime power"),
     (37 * 41, f"q^2 = {1517 ** 2} exceeds the size bound "
-              f"{field_tower.DEFAULT_SIZE_BOUND}"),
+              f"{field_tower.DEFAULT_SIZE_BOUND}; its exp and log tables "
+              f"would take about {72 * 1517 ** 2} bytes"),
 ], ids=["prime", "small-factor", "large-factors"])
 def test_field_for_q_refuses_a_huge_q_before_trial_division(q, message):
     code = ("from redeiperm.field_tower import field_for_q\n"

@@ -11,15 +11,16 @@ compared with the same add_packed loop.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from redeiperm import (CosetMap, Felt, PermSpec, Poly, build_perm_poly,
-                       check_criterion, cli, coset_factor_table, field_tower,
-                       inverse, inverse_cyclotomic, lift_inverse, make_field,
-                       mu_inverse, mu_inverse_eval, redei)
+                       check_criterion, cli, construct, coset_factor_table,
+                       field_tower, inverse, inverse_cyclotomic, lift_inverse,
+                       make_field, mu_inverse, mu_inverse_eval, redei)
 from redeiperm.inverse import bezout
 from test_coset_eval import SMALL_FIELDS, coset_polys
 from test_gh_closed import GRID_FIELDS, GRID_MS, GRID_NS
@@ -131,6 +132,76 @@ def test_cyclotomic_inverse_matches_the_double_sum_every_small_field(p, k):
     ctx = make_field(p, k)
     for spec in _permutations(ctx, (1, 3, 5, 7), (0, 1), _sample_ls(ctx.q)):
         assert inverse_cyclotomic(spec) == _double_sum_inverse(spec), spec
+
+
+def _naive_dft(ctx, logs, step):
+    """X_j = sum_k gamma^(logs[k] + j*k*step) by add_packed, as logs."""
+    N, exp, log = ctx.units, ctx._exp, ctx._log
+    out = []
+    for j in range(len(logs)):
+        acc = 0
+        for k, l in enumerate(logs):
+            if l != N:
+                acc = ctx.add_packed(acc, exp[(l + j * k * step) % N])
+        out.append(log[acc] if acc else N)
+    return out
+
+
+# q+1 = 8 = 2^3, 14 = 2*7, 28 = 2^2*7, 32 = 2^5, 82 = 2*41: every divisor
+# of q+1 as the length, so radices repeat, mix, and stand alone (primes)
+@pytest.mark.parametrize("p,k", [(7, 1), (13, 1), (3, 3), (31, 1), (3, 4)])
+def test_dft_matches_the_naive_transform(p, k):
+    ctx = make_field(p, k)
+    q, N = ctx.q, ctx.units
+    rnd = random.Random(q)
+    for M in (d for d in range(1, q + 2) if (q + 1) % d == 0):
+        step = -(N // M) * rnd.choice([u for u in range(1, M + 1)
+                                       if math.gcd(u, M) == 1])
+        for zeros in (0, 1, M // 2):
+            logs = [rnd.randrange(N) for _ in range(M)]
+            for i in rnd.sample(range(M), zeros):
+                logs[i] = N  # a zero entry
+            assert inverse._dft_logs(ctx, logs, step) == _naive_dft(ctx, logs, step)
+
+
+# q+1 = 82 = 2*41, 128 = 2^7 and 244 = 2^2*61; the double sum takes (q+1)^2
+# add_packed calls per spec, so a fixed sample of four specs per field
+@pytest.mark.parametrize("p,k", [(3, 4), (127, 1), (3, 5)])
+def test_cyclotomic_inverse_matches_the_double_sum_at_sampled_specs(p, k):
+    ctx = make_field(p, k)
+    specs = list(_permutations(ctx, (1, 5, 7, 11, 13), (0, 1), (1, 2, 5)))
+    for spec in random.Random(ctx.q).sample(specs, 4):
+        assert inverse_cyclotomic(spec) == _double_sum_inverse(spec), spec
+
+
+def test_a_certified_map_whose_sigma_does_not_permute_is_refused(monkeypatch):
+    """q = 5, l odd, n = 3: gcd(n, q+1) = 3, so sigma is not a permutation
+    of mu_6; made to pass the criterion, the DFT refuses it."""
+    spec = _spec(5, 1, "H", 3, 0, 1)
+    real = check_criterion(spec)
+    assert not real.is_perm and bezout(spec).r_prime is not None
+    monkeypatch.setattr(inverse, "check_criterion",
+                        lambda s: dataclasses.replace(real, is_perm=True))
+    with pytest.raises(ArithmeticError, match="Akbary-Ghioca-Wang"):
+        inverse_cyclotomic(spec)
+
+
+def test_only_the_cyclotomic_route_builds_the_zech_table(monkeypatch):
+    """At q = 243, make_field, a certification and the closed and table
+    routes make O(q) Zech steps per call and leave the table unbuilt; the
+    cyclotomic route's O(q^2) chains build it."""
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    ctx = make_field(3, 5)
+    spec = PermSpec("H", 5, 0, ctx.alpha_from_l(1))
+    assert check_criterion(spec).is_perm
+    _, evaluator = build_perm_poly(spec)
+    assert construct.is_permutation_bruteforce(ctx, evaluator)[0]
+    report = inverse.agreement_report(spec, routes=("closed", "table"))
+    assert report["agree"] and not report["skipped"]
+    assert ctx._zech_table is None
+    full = inverse.agreement_report(spec)
+    assert full["agree"] and full["routes"]["cyclotomic"] == report["routes"]["table"]
+    assert ctx._zech_table is not None
 
 
 # ---------------------------------------------------------------------------
