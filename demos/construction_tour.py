@@ -55,5 +55,5 @@ for m in (ctx.q - 3, ctx.q - 2):
 # a one-liner.
 print()
 for q in (9, 27, 81, 243):
-    c = count_valid_n(q, 0, q - 1)
+    c = count_valid_n(q, 0)
     print(f"q = {q:>3}: {c}/{q - 1} admissible n, ratio {c / (q - 1):.3f}")

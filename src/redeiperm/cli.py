@@ -257,7 +257,7 @@ def cmd_count(cfg: RunConfig, m: int, k_max: int | None) -> int:
     lines = []
     for j in range(cfg.k, top + 1):
         q = cfg.p ** j
-        count = count_valid_n(q, m, q - 1)
+        count = count_valid_n(q, m)
         ratio = f"{count / (q - 1):.6f}"
         rows.append({"q": q, "k": j, "count": count, "total": q - 1,
                      "ratio": ratio})
@@ -477,7 +477,7 @@ def _check_inverse_routes(qs, n_max: int, m_values) -> None:
 
 def _check_counting(qs) -> None:
     for q in qs:
-        count = count_valid_n(q, 0, q - 1)
+        count = count_valid_n(q, 0)
         ratio = count / (q - 1)
         _ensure(0.30 <= ratio <= 0.55,
                 f"admissible-n ratio {ratio} out of range at q={q}")

@@ -20,9 +20,9 @@ Every exhaustive loop reads f a range of consecutive points at a time
 from f.eval_range: an InverseTable as a slice, a Poly through poly_eval
 per point, a CosetMap as a gather from its log-order value table
 (CosetMap.log_table), which the loop builds once and drops when it ends.
-The scan reads a CosetMap's first eighth by one comprehension per range,
-so an early collision never builds the table, and the rest straight
-from the table in discrete-log order.  make_field bounds these loops.
+The scan reads a CosetMap that passes CosetMap.permutes from that table
+in discrete-log order and any other map in packed order, which builds no
+table and stops at the first collision.  make_field bounds these loops.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .field_tower import Felt, FieldCtx
+from .field_tower import Felt, FieldCtx, require_field
 from .polyring import CosetMap, Poly, poly_eval, reduce_functional
 from .redei import gh_coeffs, gh_table
 
@@ -189,9 +189,6 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
 # most max(2b, RANGE_START) points.
 RANGE_START = 64
 RANGE_CAP = 1 << 14
-# scan reads a CosetMap from its LogTable only past the ranges that start
-# before q^2 / LOG_TABLE_AFTER: a scan that stops there never builds it.
-LOG_TABLE_AFTER = 8
 
 
 def _ranges(q2: int) -> Iterator[tuple[int, int]]:
@@ -210,16 +207,17 @@ def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
     CosetMap is read from its LogTable from the first range; only this
     loop holds the table.
     """
+    require_field(ctx, f)
     if isinstance(f, CosetMap):
         f = f.log_table()
     for start, stop in _ranges(ctx.q2):
         yield start, f.eval_range(start, stop)
 
 
-def _packed_scan(q2: int, f, bounds: list) -> tuple:
-    """scan's result from f's values over the ranges bounds, packed order."""
+def _packed_scan(q2: int, f) -> tuple:
+    """scan's result from f's values in packed order."""
     first = [-1] * q2
-    for start, stop in bounds:
+    for start, stop in _ranges(q2):
         for xv, v in enumerate(f.eval_range(start, stop), start):
             if first[v] >= 0:
                 return first, (first[v], xv, v)
@@ -234,22 +232,20 @@ def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
     it stops and returns (partial table, (a, b, v)): packed inputs a < b
     both map to v, and no point after b enters the table.  Values come a
     range at a time, so f may have been evaluated past b, to the end of
-    b's range.  Past its first eighth a CosetMap is read in discrete-log
-    order from its LogTable, storing the exp table's own ints; a repeat
-    other than a first-eighth point met again is a collision, and the
-    packed-order loop then runs again over the table.
+    b's range.  A CosetMap that passes CosetMap.permutes is read once in
+    discrete-log order from its LogTable, storing the exp table's own ints;
+    a repeated value there is a collision, and the packed-order loop then
+    runs over the table.  Every other map runs that loop alone.
     """
-    bounds = list(_ranges(ctx.q2))
-    head = ([b for b in bounds if b[0] * LOG_TABLE_AFTER < ctx.q2]
-            if isinstance(f, CosetMap) else bounds)
-    first, collision = _packed_scan(ctx.q2, f, head)
-    if collision or len(head) == len(bounds):
-        return first, collision
+    require_field(ctx, f)
+    if not (isinstance(f, CosetMap) and f.permutes()):
+        return _packed_scan(ctx.q2, f)
     table = f.log_table()
+    first = [-1] * ctx.q2
+    first[0] = 0
     for x, v in zip(ctx._exp, table.values):
-        w = first[v]
-        if w >= 0 and w != x:
-            return _packed_scan(ctx.q2, table, bounds)
+        if first[v] >= 0:
+            return _packed_scan(ctx.q2, table)
         first[v] = x
     return first, None
 
@@ -270,16 +266,13 @@ def cyclotomic_criterion(ctx: FieldCtx, r: int, f: Poly) -> bool:
     """Does x^r * f(x^(q-1)) permute F_{q^2}?
 
     True iff gcd(r, q-1) = 1 and b -> b^r * f(b)^(q-1) permutes mu_{q+1}
-    (CosetMap.sigma).  A zero of f on mu_{q+1} sends the whole coset above
-    b to 0 and the map value out of mu_{q+1}, so permuting (not merely
-    being injective on) mu_{q+1} is the decisive property.
+    (CosetMap.permutes).  A zero of f on mu_{q+1} sends the whole coset
+    above b to 0 and the map value out of mu_{q+1}, so permuting (not
+    merely being injective on) mu_{q+1} is the decisive property.
     """
-    q = ctx.q
-    if math.gcd(r, q - 1) != 1:
-        return False
-    table = [poly_eval(f, b).val for b in ctx.mu(q + 1)]
-    sigma = CosetMap(ctx, r, table).sigma()
-    return sigma is not None and len(set(sigma)) == q + 1
+    require_field(ctx, f)
+    table = [poly_eval(f, b).val for b in ctx.mu(ctx.q + 1)]
+    return CosetMap(ctx, r, table).permutes()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +378,7 @@ def family_special_condition(q: int, degree: int, m: int, l: int) -> bool:
     raise ValueError(f"no specialised condition recorded for m={m}")
 
 
-def count_valid_n(q: int, m: int, range_end: int) -> int:
-    """How many n in [1, range_end] satisfy gcd(n(n+2m), q-1) = 1."""
-    return sum(1 for n in range(1, range_end + 1)
+def count_valid_n(q: int, m: int) -> int:
+    """How many n in [1, q-1] satisfy gcd(n(n+2m), q-1) = 1."""
+    return sum(1 for n in range(1, q)
                if math.gcd(n * (n + 2 * m), q - 1) == 1)

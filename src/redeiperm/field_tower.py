@@ -197,6 +197,12 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
     return lo_tab, hi_tab, unspread, k * w
 
 
+def require_field(ctx: FieldCtx, *items) -> None:
+    """ValueError unless every item (an element or a map) lies over ctx."""
+    if any(x.ctx is not ctx for x in items):
+        raise ValueError("elements from different fields")
+
+
 class Felt:
     """One element of F_{q^2}, stored as an integer packing its coefficients.
 

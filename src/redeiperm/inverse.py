@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass
 from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
                         check_criterion, coset_factor_table, packed_ranges,
                         scan, sqrt_case)
-from .field_tower import Felt, FieldCtx, _prime_factors
+from .field_tower import Felt, FieldCtx, _prime_factors, require_field
 from .polyring import Poly, _eval_terms
 from .redei import _gh_eval_packed, gh_table, spot_positions
 
@@ -303,6 +303,7 @@ def mu_inverse_eval(inv: MuInverse, x: Felt) -> Felt:
     The result lies in mu_{q+1} again.
     """
     ctx = inv.ctx
+    require_field(ctx, x)
     if not x.in_mu(ctx.q + 1):
         raise ValueError("argument must lie in mu_{q+1}")
     value = _mu_inverse_power_form(inv, x)

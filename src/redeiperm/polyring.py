@@ -29,16 +29,17 @@ point.  A CosetMap is read through its LogTable (CosetMap.log_table): the
 map's q^2-1 nonzero values in discrete-log order, built once per loop in
 O(q) Python steps from strided slices of the exp table, then gathered a
 range at a time through the log table in C, or read in log order by the
-scan.  Only the scan's first eighth, which may stop early, runs
+scan.  Only a scan of a CosetMap that fails permutes() runs
 CosetMap.eval_range: eval_packed's arithmetic in one comprehension.
 """
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .field_tower import Felt, FieldCtx
+from .field_tower import Felt, FieldCtx, require_field
 
 
 class Poly:
@@ -52,8 +53,7 @@ class Poly:
     __slots__ = ("ctx", "terms", "_coset")
 
     def __init__(self, ctx: FieldCtx, terms: dict[int, Felt]):
-        if any(c.ctx is not ctx for c in terms.values()):
-            raise ValueError("elements from different fields")
+        require_field(ctx, *terms.values())
         self.ctx = ctx
         self.terms = {e: c for e, c in terms.items() if c.val != 0}
         self._coset = None
@@ -173,14 +173,20 @@ class CosetMap:
     def sigma(self) -> list[int] | None:
         """sigma[s] = (e*s + log T[s]) mod (q+1), or None when T has a 0.
 
-        b -> b^e * T(b)^(q-1) sends zeta^s to zeta^sigma[s] on mu_{q+1}, and
-        the map permutes F_{q^2} exactly when gcd(e, q-1) = 1 and sigma
-        permutes 0..q (Akbary-Ghioca-Wang).
+        b -> b^e * T(b)^(q-1) sends zeta^s to zeta^sigma[s] on mu_{q+1}.
         """
         if None in self._table_logs:
             return None
         e, q1 = self.e, self.ctx.q + 1
         return [(e * s + lt) % q1 for s, lt in enumerate(self._table_logs)]
+
+    def permutes(self) -> bool:
+        """Does the map permute F_{q^2}?  Exactly when gcd(e, q-1) = 1 and
+        sigma permutes 0..q (Akbary-Ghioca-Wang): O(q), no point evaluated."""
+        if math.gcd(self.e, self.ctx.q - 1) != 1:
+            return False
+        sigma = self.sigma()
+        return sigma is not None and len(set(sigma)) == self.ctx.q + 1
 
     def eval_packed(self, xv: int) -> int:
         if xv == 0:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .field_tower import Felt, FieldCtx
+from .field_tower import Felt, FieldCtx, require_field
 from .polyring import Poly
 
 GH_DEGREE_CAP = 10 ** 4
@@ -249,6 +249,7 @@ def gh_eval(n: int, alpha: Felt, x: Felt) -> tuple[Felt, Felt]:
         raise ValueError("n must be non-negative")
     _require_alpha(alpha)
     ctx = alpha.ctx
+    require_field(ctx, x)
     gv, hv = _gh_eval_packed(ctx, n, alpha.val, x.val)
     return Felt(ctx, gv), Felt(ctx, hv)
 
@@ -258,6 +259,7 @@ def dickson_eval(n: int, a: Felt, x: Felt) -> Felt:
     if n < 0:
         raise ValueError("n must be non-negative")
     ctx = a.ctx
+    require_field(ctx, x)
     if n == 0:
         return ctx.scalar(2)
     add, mul, neg = ctx.add_packed, ctx.mul_packed, ctx.neg_packed

@@ -267,7 +267,7 @@ def test_criterion_6_admissible_density(capsys):
     the band around one half."""
     ratios = {}
     for q in (9, 27, 81, 243):
-        ratios[q] = count_valid_n(q, 0, q - 1) / (q - 1)
+        ratios[q] = count_valid_n(q, 0) / (q - 1)
     passed = all(0.30 <= r <= 0.55 for r in ratios.values())
     _report(capsys, 6, passed,
             "density of admissible n: " + ", ".join(

@@ -9,10 +9,10 @@ from redeiperm import (CASE_IN, CASE_OUT, CosetMap, InverseTable, PermSpec,
                        Poly, build_perm_poly, check_criterion,
                        coset_factor_table, count_valid_n, cyclotomic_criterion,
                        family_condition, family_poly, family_spec,
-                       family_special_condition, gh_coeffs,
+                       family_special_condition, gh_coeffs, inverse_table,
                        is_permutation_bruteforce, make_field, poly_eval,
                        sqrt_case)
-from redeiperm.construct import scan
+from redeiperm.construct import packed_ranges, scan
 
 
 def test_spec_validation(q9):
@@ -126,6 +126,22 @@ def test_scan_returns_inverse_table_or_first_collision(q3, q5):
     assert table == [0, 1] + [-1] * 7
 
 
+def test_the_oracle_refuses_a_map_of_another_field(q9, q25):
+    """scan, packed_ranges and everything on them refuse a map whose field
+    is not the one they are asked to run over, whichever is the larger."""
+    for ctx, other in ((q9, q25), (q25, q9)):
+        poly, cm = build_perm_poly(PermSpec("H", 1, 0, other.alpha_from_l(1)))
+        table = InverseTable(other, list(range(other.q2)))
+        for f in (cm, poly, table):
+            for run in (lambda: scan(ctx, f),
+                        lambda: next(packed_ranges(ctx, f)),
+                        lambda: is_permutation_bruteforce(ctx, f),
+                        lambda: inverse_table(ctx, f)):
+                with pytest.raises(ValueError,
+                                   match="^elements from different fields$"):
+                    run()
+
+
 def test_criterion_matches_oracle_on_subgrid(q3, q7):
     for ctx in (q3, q7):
         for l in range(ctx.q + 1):
@@ -148,6 +164,9 @@ def test_cyclotomic_criterion(q7, q9):
     # a zero of f on mu_{q+1} kills bijectivity even with gcd(r, q-1) = 1
     f = Poly.from_terms(q7, [(1, 1), (0, -1)])  # x - 1
     assert not cyclotomic_criterion(q7, 1, f)
+    for ctx, other in ((q7, q9), (q9, q7)):
+        with pytest.raises(ValueError, match="^elements from different fields$"):
+            cyclotomic_criterion(ctx, 1, Poly.one(other))
     # agreement with the coprimality criterion across a sample
     for ctx in (q7, q9):
         for l in range(ctx.q + 1):
@@ -312,10 +331,10 @@ def test_moebius_ratio_identities(q5, q9):
 # ---------------------------------------------------------------------------
 
 def test_count_frozen_values():
-    assert count_valid_n(9, 0, 8) == 4
-    assert count_valid_n(27, 0, 26) == 12
-    assert count_valid_n(81, 0, 80) == 32
-    assert count_valid_n(243, 0, 242) == 110
+    assert count_valid_n(9, 0) == 4
+    assert count_valid_n(27, 0) == 12
+    assert count_valid_n(81, 0) == 32
+    assert count_valid_n(243, 0) == 110
 
 
 def test_count_matches_direct_filter():
@@ -323,11 +342,11 @@ def test_count_matches_direct_filter():
         for m in (-1, 0, 2):
             direct = [n for n in range(1, q)
                       if math.gcd(n * (n + 2 * m), q - 1) == 1]
-            assert count_valid_n(q, m, q - 1) == len(direct)
+            assert count_valid_n(q, m) == len(direct)
 
 
 def test_count_ratio_near_half():
     for k in (2, 3, 4, 5):
         q = 3 ** k
-        ratio = count_valid_n(q, 0, q - 1) / (q - 1)
+        ratio = count_valid_n(q, 0) / (q - 1)
         assert 0.30 <= ratio <= 0.55

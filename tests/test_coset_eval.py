@@ -6,18 +6,22 @@ sum _eval_terms, a Zech chain over the logs of its terms.  Both must agree
 with a loop of add_packed, mul_packed and pow_packed calls, one of each per
 term, at every point of every small field, x = 0 and constant terms
 included.  The shape detection must refuse exactly the polynomials outside
-the shape, sigma() must be the map a CosetMap induces on mu_{q+1}, and the
+the shape, sigma() must be the map a CosetMap induces on mu_{q+1},
+permutes() must agree with the gcd criterion and the oracle, and the
 digest of a cyclotomic inverse must not fall back to the term sum per point.
 """
 
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redeiperm import (CosetMap, Felt, PermSpec, Poly, build_perm_poly,
-                       check_criterion, inverse_cyclotomic, make_field,
-                       poly_eval, polyring)
+                       check_criterion, coset_factor_table, inverse_cyclotomic,
+                       is_permutation_bruteforce, make_field, poly_eval,
+                       polyring)
 from redeiperm.inverse import _value_digest
 
 # every odd prime power q with q^2 <= 2^12, as (p, k)
@@ -153,6 +157,70 @@ def test_sigma_is_the_map_induced_on_mu(p, k):
             mu.index(b ** e * Felt(ctx, t) ** (q - 1)) for b, t in zip(mu, table)]
         table[rng.randrange(q + 1)] = 0
         assert CosetMap(ctx, e, table).sigma() is None
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_permutes_is_the_criterion_and_the_oracle(p, k):
+    """permutes() of the CosetMap of every spec (H/G, every l, m in -2..2,
+    n <= 2q+2 capped at 40 above q = 43) equals check_criterion, and on
+    every 7th spec the oracle's verdict.  T does not depend on m, so one
+    table serves the five m."""
+    ctx = make_field(p, k)
+    q, N = ctx.q, ctx.units
+    top = 2 * q + 2 if q <= 43 else 40
+    specs = 0
+    for l, variant, n in itertools.product(range(q + 1), "HG", range(1, top + 1)):
+        alpha = ctx.alpha_from_l(l)
+        table = coset_factor_table(PermSpec(variant, n, 0, alpha))
+        for m in range(-2, 3):
+            spec = PermSpec(variant, n, m, alpha)
+            cm = CosetMap(ctx, spec.r % N, table)
+            assert cm.permutes() == check_criterion(spec).is_perm, spec
+            if specs % 7 == 0:
+                assert is_permutation_bruteforce(ctx, cm)[0] == cm.permutes()
+            specs += 1
+
+
+@st.composite
+def agw_permutations(draw):
+    """(map, sigma): a CosetMap with gcd(e, q-1) = 1 and T built from a
+    random permutation sigma of 0..q, each entry turned by a random
+    gamma^((q+1)k)."""
+    ctx = make_field(*draw(st.sampled_from(SMALL_FIELDS)))
+    q, N = ctx.q, ctx.units
+    e = draw(st.integers(-N, N).filter(lambda v: math.gcd(v, q - 1) == 1))
+    sigma = draw(st.permutations(range(q + 1)))
+    turns = draw(st.lists(st.integers(0, q - 2), min_size=q + 1,
+                          max_size=q + 1))
+    return CosetMap(ctx, e, [ctx._exp[(sg - e * s + (q + 1) * k) % N]
+                             for s, (sg, k) in enumerate(zip(sigma, turns))]), sigma
+
+
+@settings(max_examples=60)
+@given(agw_permutations(), st.data())
+def test_permutes_refuses_a_zero_a_repeated_sigma_and_an_even_exponent(
+        drawn, data):
+    """A map built from a permutation sigma permutes; a zero entry of T, a
+    repeated sigma value or an even e (sigma kept) makes permutes() False,
+    and the oracle agrees on each."""
+    cm, sigma = drawn
+    ctx = cm.ctx
+    q1, N, exp, log = ctx.q + 1, ctx.units, ctx._exp, ctx._log
+    assert cm.sigma() == sigma and cm.permutes()
+    s1, s2 = data.draw(st.lists(st.integers(0, q1 - 1), min_size=2,
+                                max_size=2, unique=True))
+    zero = list(cm.table)
+    zero[s1] = 0
+    repeated = list(cm.table)  # sigma[s2] := sigma[s1], same turn
+    repeated[s2] = exp[(log[cm.table[s2]] + sigma[s1] - sigma[s2]) % N]
+    even = [exp[(log[t] - s) % N] for s, t in enumerate(cm.table)]
+    broken = [CosetMap(ctx, cm.e, zero), CosetMap(ctx, cm.e, repeated),
+              CosetMap(ctx, cm.e + 1, even)]
+    assert broken[1].sigma().count(sigma[s1]) == 2
+    assert broken[2].sigma() == sigma and broken[2].e % 2 == 0
+    for f in [cm] + broken:
+        assert is_permutation_bruteforce(ctx, f)[0] == f.permutes()
+    assert not any(f.permutes() for f in broken)
 
 
 def test_a_table_of_the_wrong_length_is_refused(q9):

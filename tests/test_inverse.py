@@ -176,6 +176,13 @@ def test_mu_inverse_eval_requires_mu(q9):
         mu_inverse_eval(inv, q9.gamma)
 
 
+def test_mu_inverse_eval_refuses_a_point_of_another_field(q9, q25):
+    inv = mu_inverse(PermSpec("H", 3, 0, q9.alpha_from_l(2)))
+    for x in (q25.from_packed(7), q25.alpha_from_l(1), q25.one()):
+        with pytest.raises(ValueError, match="^elements from different fields$"):
+            mu_inverse_eval(inv, x)
+
+
 # ---------------------------------------------------------------------------
 # Lift to the whole field.
 # ---------------------------------------------------------------------------

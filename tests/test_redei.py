@@ -89,6 +89,16 @@ def test_gh_rejects_alpha_outside_mu(q9):
         gh_eval(3, q9.gamma, q9.one())
 
 
+def test_point_evaluators_refuse_a_point_of_another_field(q9, q25):
+    for ctx, other in ((q9, q25), (q25, q9)):
+        x = other.from_packed(7)
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="^elements from different fields$"):
+                gh_eval(n, ctx.alpha_from_l(2), x)
+            with pytest.raises(ValueError, match="^elements from different fields$"):
+                dickson_eval(n, ctx.from_packed(2), x)
+
+
 def test_gh_degree_cap():
     ctx = make_field(3, 1)
     with pytest.raises(ValueError):

@@ -5,9 +5,12 @@ of the points 0, ..., q^2-1.  CosetMap.eval_range and the LogTable gather
 must agree with eval_packed, scan with a first-collision loop over single
 points (same table, same witness), and the value digest with a per-point
 sha256, on every q^2 <= 2^12 and on F_{3^5}.  The work-count guards keep
-the loops from falling back to one call per point; the lifetime tests keep
-the log-order table out of early-stopping scans and off the map, and a
-tracemalloc guard keeps the scan's table to the exp table's own ints.
+the loops from falling back to one call per point; the lifetime tests build
+the log-order table only for a scan of a CosetMap that permutes by the AGW
+test and keep it off the map, and a tracemalloc guard keeps the scan's
+table to the exp table's own ints.  The AGW test only orders the work:
+forced either way, it leaves every scan's table and witness unchanged, and
+it agrees with the gcd criterion and with the oracle.
 """
 
 import gc
@@ -22,8 +25,7 @@ from hypothesis import given, settings, strategies as st
 from redeiperm import (CosetMap, Felt, InverseTable, PermSpec, Poly,
                        build_perm_poly, check_criterion, cli, inverse_table,
                        is_permutation_bruteforce, make_field)
-from redeiperm.construct import (LOG_TABLE_AFTER, RANGE_START, packed_ranges,
-                                 scan)
+from redeiperm.construct import RANGE_START, packed_ranges, scan
 from redeiperm.inverse import _little_endian, _value_digest
 from redeiperm.polyring import LogTable
 
@@ -89,11 +91,10 @@ def _range_starts(ctx):
     return [start for start, _ in packed_ranges(ctx, identity)]
 
 
-def _first_table_start(ctx):
-    """Where scan switches a CosetMap to its LogTable; q^2 when the
-    whole field fits in the ranges before the switch."""
-    return next((s for s in _range_starts(ctx) if s * LOG_TABLE_AFTER >= ctx.q2),
-                ctx.q2)
+def _late_start(ctx):
+    """The first range start at or past q^2/8, or q^2 when there is none:
+    points from there on are late in the packed order."""
+    return next((s for s in _range_starts(ctx) if 8 * s >= ctx.q2), ctx.q2)
 
 
 def _exponents(ctx):
@@ -117,12 +118,12 @@ def coset_maps(draw):
 @settings(max_examples=150)
 @given(coset_maps(), st.data())
 def test_eval_range_matches_eval_packed(cm, data):
-    """On any window, empty and one-point ones and those around the switch
-    to the LogTable included, both the per-point comprehension and the
-    LogTable gather equal eval_packed."""
+    """On any window, empty and one-point ones and those around a range
+    boundary included, both the per-point comprehension and the LogTable
+    gather equal eval_packed."""
     ctx = cm.ctx
-    q2, switch = ctx.q2, _first_table_start(ctx)
-    near = st.integers(max(0, switch - 3), min(q2 - 1, switch + 3))
+    q2, edge = ctx.q2, data.draw(st.sampled_from(_range_starts(ctx)))
+    near = st.integers(max(0, edge - 3), min(q2 - 1, edge + 3))
     start = data.draw(st.one_of(st.just(0), near, st.integers(0, q2)))
     stop = start + data.draw(st.one_of(st.just(min(1, q2 - start)),
                                        st.integers(0, q2 - start)))
@@ -231,12 +232,11 @@ def _record_log_values(monkeypatch):
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
     """packed_ranges reads a CosetMap from one LogTable, built at its first
-    range.  scan builds none when it stops in the first eighth or when the
-    first eighth covers the field (q = 3, 5, 7), and one otherwise.  The
-    values equal eval_packed at every point, the scan the point loop."""
+    range.  scan builds exactly one for a CosetMap that permutes by the AGW
+    test and none for any other.  The values equal eval_packed at every
+    point, the scan the point loop, and the AGW verdict the scan's."""
     ctx = make_field(p, k)
     built = _record_log_values(monkeypatch)
-    switch = _first_table_start(ctx)
     zero_row = [0] + [ctx.gamma.val] * ctx.q
     _, perm = build_perm_poly(_permutation(ctx))
     for cm in (CosetMap(ctx, 5, zero_row), perm,
@@ -252,8 +252,9 @@ def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
         built.clear()
         table, witness = scan(ctx, cm)
         assert (table, witness) == reference_scan(ctx, cm.eval_packed)
-        late = switch < ctx.q2 and (witness is None or witness[1] >= switch)
-        assert built == ([cm] if late else [])
+        assert cm.permutes() == (witness is None)
+        assert built == ([cm] if witness is None else [])
+    assert perm.permutes() and not CosetMap(ctx, 5, zero_row).permutes()
 
 
 def _corrupt_row(monkeypatch, row):
@@ -299,8 +300,8 @@ def test_a_corrupted_row_of_the_log_table_exits_3_from_invert(route, capsys,
 
 
 def test_an_early_collision_never_builds_the_log_table(monkeypatch):
-    """Scans of non-permutations that collide in the first eighth of F_{81^2}
-    stop before any LogTable is built."""
+    """Scans of non-permutations of F_{81^2}, which collide in the first
+    eighth of the points, build no LogTable."""
     ctx = make_field(3, 4)
     built = []
     real = CosetMap.log_values
@@ -313,7 +314,7 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
         assert not check_criterion(spec).is_perm
         _, cm = build_perm_poly(spec)
         ok, pair = is_permutation_bruteforce(ctx, cm)
-        assert not ok and pair[1].val * LOG_TABLE_AFTER < ctx.q2
+        assert not ok and 8 * pair[1].val < ctx.q2
         with pytest.raises(ValueError, match="not a bijection"):
             inverse_table(ctx, cm)
     assert built == []
@@ -376,13 +377,13 @@ STRADDLE_FIELDS = [(3, 3), (7, 2), (61, 1), (3, 4)]  # q = 27, 49, 61, 81
 
 
 def _straddling_maps(ctx):
-    """{(a past the first eighth, log a < log b): (map, witness)}, the first
-    map of each kind whose first collision (a, b, v) has b past the first
-    eighth.  Each map is the identity with coset s2 sent onto coset s1,
-    turned by gamma^((q+1)k): its collisions are the pairs {y, y*t}, y in
-    coset s2 and t = T[s2], and the first is the pair with least maximum."""
+    """{(a late, log a < log b): (map, witness)}, the first map of each
+    kind whose first collision (a, b, v) has b late (_late_start).  Each
+    map is the identity with coset s2 sent onto coset s1, turned by
+    gamma^((q+1)k): its collisions are the pairs {y, y*t}, y in coset s2
+    and t = T[s2], and the first is the pair with least maximum."""
     q1, N, exp, log = ctx.q + 1, ctx.units, ctx._exp, ctx._log
-    switch = _first_table_start(ctx)
+    late = _late_start(ctx)
     found = {}
     for d, s1, k in itertools.product(range(1, q1), range(q1), range(q1 - 2)):
         s2 = (s1 + d) % q1
@@ -390,8 +391,8 @@ def _straddling_maps(ctx):
         y, yt = min(((exp[(s2 + q1 * j) % N], exp[(s2 + q1 * j + lt) % N])
                      for j in range(q1 - 2)), key=max)
         a, b = sorted((y, yt))
-        kind = (a >= switch, log[a] < log[b])
-        if b >= switch and kind not in found:
+        kind = (a >= late, log[a] < log[b])
+        if b >= late and kind not in found:
             table = [1] * q1
             table[s2] = exp[lt]
             found[kind] = (CosetMap(ctx, 1, table), (a, b, yt))
@@ -403,11 +404,11 @@ def _straddling_maps(ctx):
 @pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
 def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
         p, k, monkeypatch):
-    """A first collision between a first-eighth point and a later one, or
-    between two later ones, each in both log orders, gives the point loop's
-    witness and partial table from one LogTable.  The identity they are
-    built from is read in log order only: its first-eighth points, met
-    again there, are no collision and no range of the table is read."""
+    """A late first collision, with the other point early or late, in both
+    log orders, gives the point loop's witness and partial table from the
+    packed-order loop: these maps fail the AGW test, so no LogTable is
+    built.  The identity they are built from passes it and is read once
+    in log order from one LogTable, with no range of it gathered."""
     ctx = make_field(p, k)
     maps = _straddling_maps(ctx)
     assert sorted(maps) == [(False, False), (False, True),
@@ -418,13 +419,15 @@ def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
         want = reference_scan(ctx, cm.eval_packed)
         assert want[1] == witness
         assert scan(ctx, cm) == want
-        assert built == [cm]
+        assert built == []
     reads = []
     real = LogTable.eval_range
     monkeypatch.setattr(LogTable, "eval_range", lambda self, *span:
                         reads.append(span) or real(self, *span))
-    assert scan(ctx, CosetMap(ctx, 1, [1] * (ctx.q + 1))) == (
-        list(range(ctx.q2)), None)
+    identity = CosetMap(ctx, 1, [1] * (ctx.q + 1))
+    built.clear()
+    assert scan(ctx, identity) == (list(range(ctx.q2)), None)
+    assert built == [identity]
     assert reads == []
 
 
@@ -433,9 +436,10 @@ def test_a_zero_entry_of_the_table_collides_in_the_first_eighth(p, k):
     """No coset starts past the first eighth: the F_q-line through any
     y != 0 meets x^k + span(1, ..., x^(k-1)), so every coset holds a point
     below 2q.  A zero entry of T sends its coset onto 0 and collides there,
-    before the log-order pass, with the point loop's witness and table."""
+    with the point loop's witness and table."""
     ctx = make_field(p, k)
-    bound = min(2 * ctx.q, _first_table_start(ctx))
+    bound = 2 * ctx.q
+    assert 8 * bound <= ctx.q2
     for s in range(ctx.q + 1):
         table = [ctx.gamma.val] * (ctx.q + 1)
         table[s] = 0
@@ -443,6 +447,50 @@ def test_a_zero_entry_of_the_table_collides_in_the_first_eighth(p, k):
         want = reference_scan(ctx, cm.eval_packed)
         assert want[1][0] == want[1][2] == 0 and want[1][1] < bound
         assert scan(ctx, cm) == want
+
+
+def _oracle_cases(ctx):
+    """(map, point-loop result) for a permutation, early-colliding
+    non-permutations and the straddling maps of the field."""
+    _, perm = build_perm_poly(_permutation(ctx))
+    maps = [perm, CosetMap(ctx, 2, [1] * (ctx.q + 1))]
+    for n, m, l in ((2, 0, 1), (2, 1, 2), (4, -1, 3)):  # even n never permutes
+        maps.append(build_perm_poly(PermSpec("H", n, m, ctx.alpha_from_l(l)))[1])
+    maps += [cm for cm, _ in _straddling_maps(ctx).values()]
+    return [(cm, reference_scan(ctx, cm.eval_packed)) for cm in maps]
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+@pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
+def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
+    """With CosetMap.permutes forced to one answer, scan, the oracle and
+    the table inverse still give the point loop's table and witness.  Forced
+    True, every scan builds one LogTable and a collision reruns the packed
+    order over it; forced False, no scan builds one."""
+    ctx = make_field(p, k)
+    cases = _oracle_cases(ctx)
+    assert [want[1] is None for _, want in cases].count(True) == 1
+    monkeypatch.setattr(CosetMap, "permutes", lambda self: verdict)
+    built = _record_log_values(monkeypatch)
+    reads = []
+    real = LogTable.eval_range
+    monkeypatch.setattr(LogTable, "eval_range", lambda self, *span:
+                        reads.append(span) or real(self, *span))
+    for cm, (table, witness) in cases:
+        built.clear()
+        reads.clear()
+        assert scan(ctx, cm) == (table, witness)
+        assert built == ([cm] if verdict else [])
+        assert bool(reads) == (verdict and witness is not None)
+        if witness is None:
+            assert is_permutation_bruteforce(ctx, cm) == (True, None)
+            assert inverse_table(ctx, cm).eval_range(0, ctx.q2) == table
+        else:
+            a, b, _ = witness
+            assert is_permutation_bruteforce(ctx, cm) == (
+                False, (Felt(ctx, a), Felt(ctx, b)))
+            with pytest.raises(ValueError, match="not a bijection"):
+                inverse_table(ctx, cm)
 
 
 def test_the_inverse_table_holds_the_exp_tables_ints():
