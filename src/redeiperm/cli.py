@@ -49,18 +49,12 @@ ENV_SIZE_BOUND = "REDEIPERM_SIZE_BOUND"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by the subcommands."""
+    """Run parameters shared by the subcommands."""
     p: int
     k: int
     size_bound: int
     fmt: str
     out: str
-
-    def __post_init__(self):
-        if self.size_bound < 9:
-            raise ValueError("size bound too small for any odd q")
-        if self.fmt not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ together with an O(1)-per-point CosetMap evaluator, and provides the
 ground-truth exhaustive bijectivity oracle so the criteria are never
 trusted blindly; its scan doubles as the table inverse.  The evaluator's
 q+1 coset values F(zeta^i, alpha) come from the closed form
-(x +- sqrt(alpha))^n, not from matrix powering, which only spot-checks
-them (redei.gh_table).
+(x +- sqrt(alpha))^n, not from powering x + S modulo S^2 - alpha, which
+only spot-checks them (redei.gh_table).
 
 Every exhaustive loop reads f a range of consecutive points at a time
 from f.eval_range: an InverseTable as a slice, a Poly through poly_eval
@@ -157,7 +157,7 @@ def coset_factor_table(spec: PermSpec) -> list[int]:
     """Packed values of F(zeta^i, alpha) for i = 0..q, F = H_n or G_n.
 
     Built by the closed form (x +- sqrt(alpha))^n and spot-checked against
-    matrix powering (redei.gh_table).
+    pair powering (redei.gh_table).
     """
     ctx = spec.ctx
     zl = ctx.q - 1  # discrete log of zeta

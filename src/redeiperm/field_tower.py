@@ -399,14 +399,9 @@ class FieldCtx:
 
     def _add_digits(self, a: int, b: int) -> int:
         """Componentwise sum of packed coefficient vectors; no tables."""
-        p = self.p
-        v, mult = 0, 1
-        for _ in range(2 * self.k):
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            v += ((ca + cb) % p) * mult
-            mult *= p
-        return v
+        p, d = self.p, 2 * self.k
+        return self._pack_dense([(ca + cb) % p for ca, cb in
+                                 zip(_digits(a, p, d), _digits(b, p, d))])
 
     # -- raw table layer ----------------------------------------------------
 
@@ -538,8 +533,7 @@ class FieldCtx:
         square iff its discrete logarithm is even, and then gamma^(log/2)
         is one root.
         """
-        if a.ctx is not self:
-            raise ValueError("element from a different field")
+        require_field(self, a)
         if a.val == 0:
             return (self.zero(),)
         i = self._log[a.val]

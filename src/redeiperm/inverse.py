@@ -28,7 +28,7 @@ and the route refuses (with the failing gcd) when it does not hold,
 even though the permutation itself is certified.  I is tabulated on
 mu_{q+1} once per spec from one closed-form G/H table (redei.gh_table)
 and log-domain powers.  The table must lie in mu_{q+1}, agree with the
-matrix-powered mu_inverse_eval at a few points, and invert
+pair-powered mu_inverse_eval at a few points, and invert
 b -> b^n * F(b)^(q-1) at every b in mu_{q+1}; a failure raises
 ArithmeticError.  mu_inverse_eval stays the per-point reference.
 
@@ -101,11 +101,7 @@ def bezout(spec: PermSpec) -> BezoutData:
     q = ctx.q
     r, n = spec.r, spec.n
     r_prime = _modinv_or_none(r, q - 1)
-    t = None
-    if r_prime is not None:
-        t, rem = divmod(1 - r * r_prime, q - 1)
-        if rem:
-            raise ArithmeticError("Bezout identity failed to close")
+    t = None if r_prime is None else (1 - r * r_prime) // (q - 1)
     n1 = _modinv_or_none(n, 2 * (q - 1))
     n2 = _modinv_or_none(n, 2 * (q + 1))
     r_prime_full = _modinv_or_none(r, ctx.units)
@@ -269,7 +265,7 @@ def _power_form_exponents(inv: MuInverse) -> tuple[int, int, int]:
 
 
 def _mu_inverse_power_form(inv: MuInverse, x: Felt) -> Felt:
-    """Total evaluation path, F by matrix powering."""
+    """Total evaluation path, F by pair powering (redei._gh_eval_packed)."""
     ctx, alpha = inv.ctx, inv.alpha
     pick, shift, scale = _power_form_exponents(inv)
     fv = _gh_eval_packed(ctx, inv.n_inv, alpha.val, (alpha ** shift * x).val)[pick]
@@ -341,7 +337,7 @@ def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> Non
     any failure.
 
     Every entry must lie in mu_{q+1}; GH_SPOT_CHECKS entries must equal
-    mu_inverse_eval (matrix powering, power form against rational form);
+    mu_inverse_eval (pair powering, power form against rational form);
     and I(b^n * A_b^(q-1)) = b must hold for every b = zeta^i, with A_b the
     coset factor table: the table inverts the forward map (CosetMap.sigma).
     """
@@ -368,7 +364,7 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     P^{-1}(x) = x^(r'(q^2-q+1)) * F(I(y))^(r'(q-2)) * I(y) with y = x^(q-1)
     depends on x only through its power and its coset, so the coset part is
     tabulated over the q+1 values of y.  I is tabulated once per spec
-    (_mu_inverse_values: one gh_table call and log-domain powers, no matrix
+    (_mu_inverse_values: one gh_table call and log-domain powers, no pair
     powering per point) from mu_inverse(spec) and checked by
     _check_mu_table; F(I(y)) is then read off the coset factor table, since
     I(y) lies in mu_{q+1}.
@@ -414,6 +410,7 @@ class InverseTable:
         return self._table[start:stop]
 
     def __call__(self, x: Felt) -> Felt:
+        require_field(self.ctx, x)
         return Felt(self.ctx, self._table[x.val])
 
 

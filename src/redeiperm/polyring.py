@@ -54,6 +54,8 @@ class Poly:
 
     def __init__(self, ctx: FieldCtx, terms: dict[int, Felt]):
         require_field(ctx, *terms.values())
+        if min(terms, default=0) < 0:
+            raise ValueError("exponents must be non-negative")
         self.ctx = ctx
         self.terms = {e: c for e, c in terms.items() if c.val != 0}
         self._coset = None
@@ -69,8 +71,6 @@ class Poly:
                    pairs: Iterable[tuple[int, "Felt | int"]]) -> "Poly":
         terms: dict[int, Felt] = {}
         for e, c in pairs:
-            if e < 0:
-                raise ValueError("exponents must be non-negative")
             coeff = c if isinstance(c, Felt) else ctx.scalar(c)
             if e in terms:
                 coeff = terms[e] + coeff
@@ -144,6 +144,10 @@ class CosetMap:
         if len(table) != ctx.q + 1:
             raise ValueError(f"a coset table has q+1 = {ctx.q + 1} entries, "
                              f"not {len(table)}")
+        lo, hi = min(table), max(table)
+        if lo < 0 or hi >= ctx.q2:
+            raise ValueError(f"coset table entry {lo if lo < 0 else hi} is not "
+                             f"a packed value 0..{ctx.q2 - 1}")
         self.ctx = ctx
         self.e = e
         self.table = table
@@ -245,6 +249,7 @@ class CosetMap:
         return LogTable(ctx, values)
 
     def __call__(self, x: Felt) -> Felt:
+        require_field(self.ctx, x)
         return Felt(self.ctx, self.eval_packed(x.val))
 
 
@@ -287,6 +292,8 @@ def poly_eval(f: Poly, x: Felt) -> Felt:
     (O(q * terms)) and cached on f; each point then costs
     O(1).  Any other f runs the term sum, O(terms) per point.
     """
+    if x.ctx is not f.ctx:
+        raise ValueError("elements from different fields")
     cm = f._coset
     if cm is None:
         cm = f._coset = CosetMap.from_poly(f) or False

@@ -22,8 +22,10 @@ Point values come from two routes.  Whole tables (gh_table: the coset table
 of construct and the mu-inverse table of inverse) use the definition itself,
 G_n = (u + v)/2 and H_n = (u - v)/(2s) with u, v = (x +- s)^n: three Zech
 steps and two multiples of a log per point.  Squaring-and-multiplying the
-2x2 matrix [[x, alpha], [1, x]], O(log n) products per point, stays the
-independent reference: gh_table recomputes a constant number of its entries
+pair G + H*S in F_{q^2}[S]/(S^2 - alpha), O(log n) products per point with
+no square root of alpha and no logs of x +- s, stays the independent
+reference (the pair is the first column of the n-th power of the matrix
+[[x, alpha], [1, x]]): gh_table recomputes a constant number of its entries
 that way, and gh_eval (hence the selftest's check of (x + s)^n = G_n + H_n*s)
 and inverse.mu_inverse_eval, the per-point power form of the coset inverse,
 use it alone, the latter because its cross-check partner, the rational
@@ -37,6 +39,7 @@ H_n(x, alpha) = D_n(2s, alpha - x^2) / (2s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -47,21 +50,15 @@ GH_DEGREE_CAP = 10 ** 4
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p for prime p, via Lucas' theorem on base-p digits."""
+    """C(n, k) mod p for prime p by Lucas' theorem: the product of C(n_i, k_i)
+    over the base-p digits n_i, k_i, each from math.comb (0 when k_i > n_i)."""
     if k < 0 or k > n:
         return 0
     result = 1
-    while n or k:
+    while k:
         n, nd = divmod(n, p)
         k, kd = divmod(k, p)
-        if kd > nd:
-            return 0
-        num = 1
-        den = 1
-        for i in range(kd):
-            num = (num * (nd - i)) % p
-            den = (den * (i + 1)) % p
-        result = (result * num * pow(den, p - 2, p)) % p
+        result = result * math.comb(nd, kd) % p
     return result
 
 
@@ -149,29 +146,18 @@ def gh_coeffs(n: int, alpha: Felt) -> RedeiPair:
 
 
 def _gh_eval_packed(ctx: FieldCtx, n: int, av: int, xv: int) -> tuple[int, int]:
-    """(G_n(x), H_n(x)) on packed values via 2x2 matrix powering."""
+    """(G_n(x), H_n(x)) on packed values: (x + S)^n = G_n + H_n*S in
+    F_{q^2}[S]/(S^2 - alpha), by square-and-multiply on the pair (G, H) with
+    (a + b*S)(c + d*S) = (ac + alpha*bd) + (ad + bc)*S.  The pair is the
+    first column of the n-th power of the matrix [[x, alpha], [1, x]]."""
     add, mul = ctx.add_packed, ctx.mul_packed
-    # result vector starts at (G_0, H_0) = (1, 0); matrix is [[x, a], [1, x]]
-    ra, rb, rc, rd = 1, 0, 0, 1
-    ma, mb, mc, md = xv, av, 1, xv
-    e = n
-    while e:
-        if e & 1:
-            ra, rb, rc, rd = (
-                add(mul(ma, ra), mul(mb, rc)),
-                add(mul(ma, rb), mul(mb, rd)),
-                add(mul(mc, ra), mul(md, rc)),
-                add(mul(mc, rb), mul(md, rd)),
-            )
-        e >>= 1
-        if e:
-            ma, mb, mc, md = (
-                add(mul(ma, ma), mul(mb, mc)),
-                add(mul(ma, mb), mul(mb, md)),
-                add(mul(mc, ma), mul(md, mc)),
-                add(mul(mc, mb), mul(md, md)),
-            )
-    return ra, rc
+    g, h = 1, 0
+    for bit in bin(n)[2:]:  # high bit first: square, then times x + S on a 1
+        gh = mul(g, h)
+        g, h = add(mul(g, g), mul(av, mul(h, h))), add(gh, gh)
+        if bit == "1":
+            g, h = add(mul(g, xv), mul(av, h)), add(g, mul(h, xv))
+    return g, h
 
 
 def _gh_closed_packed(ctx: FieldCtx, n: int, av: int, pick: int,
@@ -214,7 +200,7 @@ def _gh_closed_packed(ctx: FieldCtx, n: int, av: int, pick: int,
     return out
 
 
-# points at which gh_table checks the closed form against matrix powering
+# points at which gh_table checks the closed form against _gh_eval_packed
 GH_SPOT_CHECKS = 4
 
 
@@ -229,7 +215,8 @@ def gh_table(ctx: FieldCtx, n: int, av: int, pick: int,
 
     The values come from the closed form (_gh_closed_packed), O(1) per
     point.  GH_SPOT_CHECKS of them, spread evenly over the list, are
-    recomputed by matrix powering; a mismatch raises ArithmeticError.
+    recomputed by powering the pair (_gh_eval_packed); a mismatch raises
+    ArithmeticError.
     """
     values = _gh_closed_packed(ctx, n, av, pick, points)
     size = len(points)

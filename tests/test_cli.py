@@ -216,6 +216,14 @@ def test_selftest_quick(capsys):
     assert "12 checks: 12 passed, 0 failed [quick]" in out
 
 
+def test_selftest_full(capsys):
+    rc = cli.main(["selftest", "--level", "full"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "13 checks: 13 passed, 0 failed [full]" in out
+    assert "PASS byte-identical repeated runs" in out
+
+
 def test_selftest_runs_at_the_default_bound(capsys, monkeypatch):
     """selftest's fields are fixed and small: a small bound in the
     environment does not reach them, and the flag is not accepted."""
@@ -389,6 +397,70 @@ def test_arithmetic_check_failure_exits_3(capsys, monkeypatch):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: recursion and binomial closed form")
+
+
+def _power_form_off_mu(monkeypatch, inverse):
+    real = inverse._mu_inverse_power_form
+    monkeypatch.setattr(inverse, "_mu_inverse_power_form",
+                        lambda inv, x: real(inv, x) * inv.ctx.gamma)
+    monkeypatch.setattr(inverse, "_mu_inverse_rational_form", lambda inv, x: None)
+
+
+def _rational_form_shifted(monkeypatch, inverse):
+    real = inverse._mu_inverse_rational_form
+    monkeypatch.setattr(inverse, "_mu_inverse_rational_form",
+                        lambda inv, x: real(inv, x) * inv.ctx.zeta)
+
+
+def _gh_table_with_a_zero(monkeypatch, inverse):
+    real = inverse.gh_table
+    monkeypatch.setattr(inverse, "gh_table", lambda *a: [0, *real(*a)[1:]])
+
+
+def _mu_inverse_eval_shifted(monkeypatch, inverse):
+    real = inverse.mu_inverse_eval
+    monkeypatch.setattr(inverse, "mu_inverse_eval",
+                        lambda inv, x: real(inv, x) * inv.ctx.zeta)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_rational_form_shifted,
+     "power form and rational form of the coset inverse disagree"),
+    (_power_form_off_mu, "coset inverse left mu_{q+1}"),
+    (_gh_table_with_a_zero, "coset inverse left mu_{q+1}"),
+    (_mu_inverse_eval_shifted,
+     "mu-inverse table disagrees with mu_inverse_eval at zeta^0"),
+], ids=["rational-vs-power", "mu-inverse-eval-leaves-mu",
+        "mu-inverse-table-leaves-mu", "table-vs-mu-inverse-eval"])
+def test_a_failed_closed_route_check_exits_3(capsys, monkeypatch, corrupt,
+                                             message):
+    """Each cross-check of the closed route, reached by corrupting one of
+    its paths, fails the command with exit 3 and names the check."""
+    from redeiperm import inverse
+    corrupt(monkeypatch, inverse)
+    rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
+                   "--n", "3", "--l", "2", "--route", "closed"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_count_bounds_q_minus_1_and_the_field_commands_q_squared(capsys):
+    """count compares q - 1 with the size bound, construct and invert
+    compare q^2 (make_field); no second rule refuses a small bound."""
+    rc = cli.main(["count", "--p", "3", "--size-bound", "5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "q =      3 (k = 1): 1/2 admissible n, ratio 0.500000\n"
+    for command in ("construct", "invert"):
+        rc = cli.main([command, "--p", "3", "--size-bound", "5",
+                       "--variant", "H", "--n", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: q^2 = 9 exceeds the size bound 5; its "
+                                "exp and log tables would take about 648 bytes\n")
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):

@@ -229,6 +229,18 @@ def test_a_table_of_the_wrong_length_is_refused(q9):
             CosetMap(q9, 1, [1] * size)
 
 
+def test_a_table_entry_outside_the_field_is_refused(q9):
+    """Every entry must be a packed value 0..q^2-1: -1 would read _log[-1],
+    and 81 would fail as a bare IndexError."""
+    for bad, table in ((-1, [-1] * 10), (81, [0] * 9 + [81]),
+                       (-5, [80, -5, 81] + [1] * 7)):
+        with pytest.raises(ValueError,
+                           match=f"^coset table entry {bad} is not a packed "
+                                 f"value 0..80$"):
+            CosetMap(q9, 1, table)
+    assert CosetMap(q9, 1, [0] * 9 + [80]).table[-1] == 80
+
+
 def test_cyclotomic_digest_runs_the_term_loop_only_to_cross_check(monkeypatch):
     """The digest of a cyclotomic inverse on F_{81^2} evaluates q^2 points,
     but the term sum only runs at the q+1 points that build the table."""

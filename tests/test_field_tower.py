@@ -268,8 +268,9 @@ def test_sqrt_edge_cases(q9):
     assert q9.sqrt(q9.one())[0] == 1
     # gamma generates the units, so it is a non-square
     assert q9.sqrt(q9.gamma) == ()
-    with pytest.raises(ValueError):
-        q9.sqrt(make_field(3, 1).one())
+    for other in (make_field(3, 1).one(), make_field(5, 2).from_packed(600)):
+        with pytest.raises(ValueError, match="^elements from different fields$"):
+            q9.sqrt(other)
 
 
 def test_alpha_from_l(q9):

@@ -1,8 +1,9 @@
 """The closed-form G_n/H_n kernel against matrix powering, and its guards.
 
 G_n = (u + v)/2 and H_n = (u - v)/(2s) with u, v = (x +- s)^n and s^2 = alpha
-(redei._gh_closed_packed) builds every whole table; the 2x2 matrix powering
-of redei._gh_eval_packed is the independent reference.  The two must agree
+(redei._gh_closed_packed) builds every whole table; powering x + S modulo
+S^2 - alpha (redei._gh_eval_packed, the first column of the powers of the
+matrix [[x, alpha], [1, x]]) is the independent reference.  The two must agree
 for both G and H at every point, including x = +-s (u or v is 0), x = 0 and
 n = 0 (0^0 = 1); the coset and lift tables must equal their matrix-built
 counterparts on the acceptance grid; and a corrupted kernel or a corrupted

@@ -183,6 +183,24 @@ def test_mu_inverse_eval_refuses_a_point_of_another_field(q9, q25):
             mu_inverse_eval(inv, x)
 
 
+def test_every_point_evaluator_refuses_a_point_of_another_field(q9, q25):
+    """The forward CosetMap, the coefficient Poly (coset-shaped and not) and
+    the InverseTable each refuse a point of another field, either way round;
+    without the check they returned an element of that field or raised a
+    bare IndexError."""
+    for ctx, other in ((q9, q25), (q25, q9)):
+        poly, cm = build_perm_poly(PermSpec("H", 5, 0, ctx.alpha_from_l(2)))
+        maps = (cm, poly, inverse_table(ctx, cm),
+                Poly.from_terms(ctx, [(2, 1), (1, 1)]))
+        for f in maps:
+            for xv in (0, 7, other.q2 - 1):
+                with pytest.raises(ValueError,
+                                   match="^elements from different fields$"):
+                    f(other.from_packed(xv))
+        with pytest.raises(ValueError, match="^elements from different fields$"):
+            poly_eval(poly, other.one())
+
+
 # ---------------------------------------------------------------------------
 # Lift to the whole field.
 # ---------------------------------------------------------------------------

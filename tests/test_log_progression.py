@@ -339,7 +339,7 @@ def _swap_two_entries(monkeypatch):
 
 def _corrupt_off_the_spot_checks(monkeypatch):
     """Entry 1 of every closed-form G/H table, never one gh_table spot-checks
-    against matrix powering on tables of q+1 = 26 points."""
+    against pair powering on tables of q+1 = 26 points."""
     real = redei._gh_closed_packed
 
     def corrupted(ctx, n, av, pick, points):

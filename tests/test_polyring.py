@@ -37,6 +37,8 @@ def test_construction_merges_and_validates(q9):
         Poly.from_terms(q9, [(-1, one)])
     with pytest.raises(ValueError):
         Poly.from_terms(q9, [(-2, 1)])
+    with pytest.raises(ValueError, match="^exponents must be non-negative$"):
+        Poly(q9, {2: one, -1: one})
     with pytest.raises(ValueError):
         Poly(q9, {}).leading()
 

@@ -3,7 +3,7 @@
 The defining property is (x + s)^n = G_n(x, alpha) + H_n(x, alpha) * s for
 any square root s of alpha; tests below expand the left side independently
 in the polynomial ring and per point, so the recursion, the binomial closed
-form and the matrix-power evaluator are each checked against something they
+form and the pair-power evaluator are each checked against something they
 do not share code with.
 """
 
@@ -97,6 +97,14 @@ def test_point_evaluators_refuse_a_point_of_another_field(q9, q25):
                 gh_eval(n, ctx.alpha_from_l(2), x)
             with pytest.raises(ValueError, match="^elements from different fields$"):
                 dickson_eval(n, ctx.from_packed(2), x)
+
+
+def test_a_negative_n_is_refused(q9):
+    alpha, x = q9.alpha_from_l(2), q9.from_packed(7)
+    for call in (lambda: gh_coeffs(-1, alpha), lambda: gh_eval(-1, alpha, x),
+                 lambda: dickson_eval(-1, alpha, x)):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            call()
 
 
 def test_gh_degree_cap():
