@@ -18,16 +18,14 @@ status is 0 exactly when the command's mathematical claim was verified, 1
 when it was not, 2 for rejected input or an unwritable --out path, and 3
 when an internal arithmetic cross-check failed.
 
-The environment variable REDEIPERM_SIZE_BOUND overrides the default bound
-on q^2 (on q - 1 for count) that make_field enforces before it builds the
-tables every exhaustive check reads.  selftest keeps the default bound.
+--size-bound caps q^2 (q - 1 for count) before make_field builds the tables
+every exhaustive check reads; selftest's fields are fixed and small.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -36,7 +34,8 @@ from dataclasses import dataclass
 from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         count_valid_n, cyclotomic_criterion, family_condition,
                         family_poly, family_spec, family_special_condition,
-                        is_permutation_bruteforce, packed_ranges, sqrt_case)
+                        is_permutation_bruteforce, packed_ranges,
+                        perm_coset_map, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
@@ -44,15 +43,10 @@ from .inverse import (agreement_report, bezout, inverse_cyclotomic,
 from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
 
-ENV_SIZE_BOUND = "REDEIPERM_SIZE_BOUND"
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run parameters shared by the subcommands."""
-    p: int
-    k: int
-    size_bound: int
+    """Output settings, the part of a run every subcommand reads."""
     fmt: str
     out: str
 
@@ -80,21 +74,27 @@ def _unreduced_pairs(spec: PermSpec) -> list[tuple[int, list[int]]]:
             for e in sorted(f.terms, reverse=True)]
 
 
-def _spec_record(spec: PermSpec, l: int) -> dict:
-    rec = spec.to_record()
-    rec["l"] = l
-    return rec
+def _header(p: int, k: int, size_bound: int, variant: str, n: int, m: int,
+            l: int):
+    """The field, the spec and its verdict: (spec, verdict, the JSON's
+    field/spec/verdict part, the text's first line)."""
+    ctx = make_field(p, k, size_bound)
+    spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
+    verdict = check_criterion(spec)
+    doc = {"field": ctx.to_record(), "spec": {**spec.to_record(), "l": l},
+           "verdict": verdict.to_record()}
+    return (spec, verdict, doc,
+            f"field: q = {ctx.q} (p = {ctx.p}, k = {ctx.k}), q^2 = {ctx.q2}")
 
 
 # ---------------------------------------------------------------------------
 # construct.
 # ---------------------------------------------------------------------------
 
-def cmd_construct(cfg: RunConfig, variant: str, n: int, m: int, l: int,
-                  run_oracle: bool = True) -> int:
-    ctx = make_field(cfg.p, cfg.k, cfg.size_bound)
-    spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
-    verdict = check_criterion(spec)
+def cmd_construct(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
+                  n: int, m: int, l: int, run_oracle: bool = True) -> int:
+    spec, verdict, doc, first = _header(p, k, size_bound, variant, n, m, l)
+    ctx = spec.ctx
     poly, evaluator = build_perm_poly(spec)
     oracle_doc: dict = {"ran": False}
     verified = True
@@ -105,17 +105,11 @@ def cmd_construct(cfg: RunConfig, variant: str, n: int, m: int, l: int,
             oracle_doc["witness"] = [witness[0].to_coeffs(), witness[1].to_coeffs()]
         verified = ok == verdict.is_perm
     unreduced = _unreduced_pairs(spec)
-    doc = {
-        "field": ctx.to_record(),
-        "spec": _spec_record(spec, l),
-        "poly": [[e, c] for e, c in poly.to_pairs()],
-        "poly_unreduced": [[e, c] for e, c in unreduced],
-        "verdict": verdict.to_record(),
-        "oracle": oracle_doc,
-        "verified": verified,
-    }
+    doc.update(poly=[[e, c] for e, c in poly.to_pairs()],
+               poly_unreduced=[[e, c] for e, c in unreduced],
+               oracle=oracle_doc, verified=verified)
     lines = [
-        f"field: q = {ctx.q} (p = {ctx.p}, k = {ctx.k}), q^2 = {ctx.q2}",
+        first,
         f"modulus (low to high): {list(ctx.modulus)}",
         f"gamma: {ctx.gamma.to_coeffs()}",
         f"spec: variant {variant}, n = {n}, m = {m}, l = {l}, "
@@ -152,55 +146,35 @@ def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
                for xv, v in enumerate(values, start))
 
 
-def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
-               route: str) -> int:
-    ctx = make_field(cfg.p, cfg.k, cfg.size_bound)
-    spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
-    verdict = check_criterion(spec)
-    doc = {
-        "field": ctx.to_record(),
-        "spec": _spec_record(spec, l),
-        "verdict": verdict.to_record(),
-    }
+def cmd_invert(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
+               n: int, m: int, l: int, route: str) -> int:
+    spec, verdict, doc, first = _header(p, k, size_bound, variant, n, m, l)
+    ctx = spec.ctx
     lines = [
-        f"field: q = {ctx.q} (p = {ctx.p}, k = {ctx.k}), q^2 = {ctx.q2}",
+        first,
         f"spec: variant {variant}, n = {n}, m = {m}, l = {l}",
         "verdict: " + ("permutation" if verdict.is_perm else "not a permutation"),
     ]
-    if not verdict.is_perm and route != "table":
-        doc["error"] = verdict.failure
-        lines.append(f"error: {doc['error']}")
-        _emit(doc, "\n".join(lines) + "\n", cfg)
-        return 1
-
-    _, evaluator = build_perm_poly(spec)
-
-    verified = False
     try:
+        if not verdict.is_perm and route != "table":
+            raise ValueError(verdict.failure)
+        evaluator = perm_coset_map(spec)
+        inverse = None  # route all confirms by its own digests
         if route == "cyclotomic":
-            inv_poly = inverse_cyclotomic(spec)
-            verified = _compose_identity_holds(ctx, evaluator, inv_poly)
-            doc["inverse"] = {
-                "route": route,
-                "poly": [[e, c] for e, c in inv_poly.to_pairs()],
-                "bezout": bezout(spec).to_record(),
-            }
-            lines.append(f"inverse ({route}): {render_poly(inv_poly)}")
+            inverse = inverse_cyclotomic(spec)
+            doc["inverse"] = {"poly": [[e, c] for e, c in inverse.to_pairs()],
+                              "bezout": bezout(spec).to_record()}
+            lines.append(f"inverse ({route}): {render_poly(inverse)}")
         elif route == "closed":
             minv = mu_inverse(spec)
-            verified = _compose_identity_holds(ctx, evaluator, lift_inverse(spec))
-            doc["inverse"] = {
-                "route": route,
-                "case": minv.case,
-                "n_inv": minv.n_inv,
-                "bezout": bezout(spec).to_record(),
-            }
+            inverse = lift_inverse(spec)
+            doc["inverse"] = {"case": minv.case, "n_inv": minv.n_inv,
+                              "bezout": bezout(spec).to_record()}
             lines.append(f"inverse ({route}): case {minv.case}, "
                          f"inverse exponent {minv.n_inv}")
         elif route == "table":
-            table = inverse_table(ctx, evaluator)
-            verified = _compose_identity_holds(ctx, evaluator, table)
-            doc["inverse"] = {"route": route}
+            inverse = inverse_table(ctx, evaluator)
+            doc["inverse"] = {}
             lines.append("inverse (table): built exhaustively")
         elif route == "all":
             report = agreement_report(spec)
@@ -224,6 +198,9 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
         lines.append(f"error: {exc}")
         _emit(doc, "\n".join(lines) + "\n", cfg)
         return 1
+    if inverse is not None:
+        doc["inverse"]["route"] = route
+        verified = _compose_identity_holds(ctx, evaluator, inverse)
 
     doc["verified"] = verified
     lines.append("composition with P is the identity: "
@@ -236,28 +213,29 @@ def cmd_invert(cfg: RunConfig, variant: str, n: int, m: int, l: int,
 # count.
 # ---------------------------------------------------------------------------
 
-def cmd_count(cfg: RunConfig, m: int, k_max: int | None) -> int:
-    check_field_params(cfg.p, cfg.k)
-    top = cfg.k if k_max is None else k_max
-    if top < cfg.k:
-        raise ValueError(f"k-max = {top} is below k = {cfg.k}")
+def cmd_count(cfg: RunConfig, p: int, k: int, size_bound: int, m: int,
+              k_max: int | None) -> int:
+    check_field_params(p, k)
+    top = k if k_max is None else k_max
+    if top < k:
+        raise ValueError(f"k-max = {top} is below k = {k}")
     # p^b > 2^b > size_bound for b = its bit length, so capping the
     # exponent there keeps the power small and the comparison exact
-    if cfg.p ** min(top, cfg.size_bound.bit_length()) - 1 > cfg.size_bound:
-        raise ValueError(f"q - 1 = {cfg.p}^{top} - 1 exceeds the size bound "
-                         f"{cfg.size_bound}")
-    check_odd_prime(cfg.p)
+    if p ** min(top, size_bound.bit_length()) - 1 > size_bound:
+        raise ValueError(f"q - 1 = {p}^{top} - 1 exceeds the size bound "
+                         f"{size_bound}")
+    check_odd_prime(p)
     rows = []
     lines = []
-    for j in range(cfg.k, top + 1):
-        q = cfg.p ** j
+    for j in range(k, top + 1):
+        q = p ** j
         count = count_valid_n(q, m)
         ratio = f"{count / (q - 1):.6f}"
         rows.append({"q": q, "k": j, "count": count, "total": q - 1,
                      "ratio": ratio})
         lines.append(f"q = {q:>6} (k = {j}): {count}/{q - 1} admissible n, "
                      f"ratio {ratio}")
-    doc = {"p": cfg.p, "m": m, "rows": rows}
+    doc = {"p": p, "m": m, "rows": rows}
     _emit(doc, "\n".join(lines) + "\n", cfg)
     return 0
 
@@ -368,7 +346,7 @@ def _check_criterion_grid(qs, n_max: int, m_values) -> None:
                     for m in m_values:
                         spec = PermSpec(variant, n, m, alpha)
                         verdict = check_criterion(spec)
-                        _, ev = build_perm_poly(spec)
+                        ev = perm_coset_map(spec)
                         ok, _ = is_permutation_bruteforce(ctx, ev)
                         _ensure(
                             ok == verdict.is_perm,
@@ -463,7 +441,7 @@ def _check_inverse_routes(qs, n_max: int, m_values) -> None:
                         _ensure(report["agree"],
                                 f"inverse routes disagree at q={q} "
                                 f"variant={variant} n={n} m={m} l={l}")
-                        _, ev = build_perm_poly(spec)
+                        ev = perm_coset_map(spec)
                         inv = inverse_table(ctx, ev)
                         _ensure(_compose_identity_holds(ctx, ev, inv),
                                 "table inverse does not invert")
@@ -485,10 +463,9 @@ def _check_determinism() -> None:
         stdout = sys.stdout
         sys.stdout = buf
         try:
-            sub = RunConfig(p=3, k=2, size_bound=DEFAULT_SIZE_BOUND,
-                            fmt="json", out="-")
-            cmd_construct(sub, "H", 3, 0, 2)
-            cmd_invert(sub, "H", 3, 0, 2, "all")
+            sub, field = RunConfig("json", "-"), (3, 2, DEFAULT_SIZE_BOUND)
+            cmd_construct(sub, *field, "H", 3, 0, 2)
+            cmd_invert(sub, *field, "H", 3, 0, 2, "all")
         finally:
             sys.stdout = stdout
         outs.append(buf.getvalue())
@@ -579,17 +556,6 @@ def cmd_selftest(cfg: RunConfig, level: str, seed: int) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _default_size_bound() -> int:
-    raw = os.environ.get(ENV_SIZE_BOUND)
-    if raw is None:
-        return DEFAULT_SIZE_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SIZE_BOUND} must be an integer, "
-                         f"got {raw!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redeiperm",
@@ -602,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=int, required=True, help="odd prime")
             sp.add_argument("--k", type=int, default=1,
                             help="extension degree, q = p^k (default 1)")
-            sp.add_argument("--size-bound", type=int, default=None,
+            sp.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND,
                             help="bound on q^2 for tables and exhaustive checks")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
@@ -641,23 +607,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    cfg = RunConfig(fmt=args.format, out=args.out)
     try:
         if args.command == "selftest":
-            cfg = RunConfig(p=3, k=1, size_bound=DEFAULT_SIZE_BOUND,
-                            fmt=args.format, out=args.out)
             return cmd_selftest(cfg, args.level, args.seed)
-        size_bound = (_default_size_bound() if args.size_bound is None
-                      else args.size_bound)
-        cfg = RunConfig(p=args.p, k=args.k, size_bound=size_bound,
-                        fmt=args.format, out=args.out)
+        field = (args.p, args.k, args.size_bound)
         if args.command == "construct":
-            return cmd_construct(cfg, args.variant, args.n, args.m, args.l,
-                                 run_oracle=not args.skip_oracle)
+            return cmd_construct(cfg, *field, args.variant, args.n, args.m,
+                                 args.l, run_oracle=not args.skip_oracle)
         if args.command == "invert":
-            return cmd_invert(cfg, args.variant, args.n, args.m, args.l,
-                              args.route)
+            return cmd_invert(cfg, *field, args.variant, args.n, args.m,
+                              args.l, args.route)
         if args.command == "count":
-            return cmd_count(cfg, args.m, args.k_max)
+            return cmd_count(cfg, *field, args.m, args.k_max)
         raise SystemExit(2)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

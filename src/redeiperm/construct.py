@@ -166,13 +166,20 @@ def coset_factor_table(spec: PermSpec) -> list[int]:
                     [exp[(zl * i) % N] for i in range(ctx.q + 1)])
 
 
+def perm_coset_map(spec: PermSpec) -> CosetMap:
+    """The fast point evaluator of P alone: x -> x^r * F(x^(q-1), alpha)
+    through the coset table, with no coefficient form (so no gh_coeffs
+    degree cap)."""
+    return CosetMap(spec.ctx, spec.r % spec.ctx.units, coset_factor_table(spec))
+
+
 def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     """The reduced coefficient polynomial and a fast point evaluator.
 
     The coefficient form sends each term c*x^e of the coefficient
     polynomial to c*x^(r + (q-1)e), with r normalised into [1, q^2-1], and
-    reduces; the evaluator computes the same map through the coset table.
-    The two agree pointwise (they are built from independent paths).
+    reduces; the evaluator is perm_coset_map.  The two agree pointwise
+    (they are built from independent paths).
     """
     ctx = spec.ctx
     N = ctx.units
@@ -181,7 +188,7 @@ def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     f = (pair.g, pair.h)[spec.gh_index]
     poly = reduce_functional(Poly.from_terms(
         ctx, ((r_norm + (ctx.q - 1) * e, c) for e, c in f.terms.items())))
-    return poly, CosetMap(ctx, spec.r % N, coset_factor_table(spec))
+    return poly, perm_coset_map(spec)
 
 
 # The first range has RANGE_START points, each later one as many as all

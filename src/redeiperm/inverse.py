@@ -60,8 +60,8 @@ import sys
 from array import array
 from dataclasses import asdict, dataclass
 
-from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
-                        check_criterion, coset_factor_table, packed_ranges,
+from .construct import (CASE_IN, CosetMap, PermSpec, check_criterion,
+                        coset_factor_table, packed_ranges, perm_coset_map,
                         scan, sqrt_case)
 from .field_tower import Felt, FieldCtx, _prime_factors, require_field
 from .polyring import Poly, _eval_terms
@@ -403,6 +403,9 @@ class InverseTable:
     __slots__ = ("ctx", "_table")
 
     def __init__(self, ctx: FieldCtx, table: list[int]):
+        if len(table) != ctx.q2:
+            raise ValueError(f"an inverse table has q^2 = {ctx.q2} entries, "
+                             f"not {len(table)}")
         self.ctx = ctx
         self._table = table
 
@@ -411,7 +414,11 @@ class InverseTable:
 
     def __call__(self, x: Felt) -> Felt:
         require_field(self.ctx, x)
-        return Felt(self.ctx, self._table[x.val])
+        v = self._table[x.val]
+        if not 0 <= v < self.ctx.q2:  # per point: no O(q^2) pass at build
+            raise ValueError(f"inverse table entry {v} is not a packed value "
+                             f"0..{self.ctx.q2 - 1}")
+        return Felt(self.ctx, v)
 
 
 def inverse_table(ctx: FieldCtx, f) -> InverseTable:
@@ -470,7 +477,7 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     ctx = spec.ctx
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
-    _, perm_eval = build_perm_poly(spec)
+    perm_eval = perm_coset_map(spec)
     for route in routes:
         try:
             if route == "cyclotomic":

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from redeiperm import cli
+from redeiperm.redei import GH_DEGREE_CAP
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "v1")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -86,6 +87,40 @@ def test_count_golden(capsys):
     assert capsys.readouterr().out == _golden("count_p3.json")
 
 
+_Q9_H3 = ["--p", "3", "--k", "2", "--variant", "H", "--n", "3", "--m", "0",
+          "--l", "2"]
+_Q9_H3_INVERT = ["invert", *_Q9_H3, "--route"]
+# golden file stem -> (argv without --format, exit code); the first four are
+# the golden commands whose JSON the tests above pin
+GOLDEN_RUNS = {
+    "construct_q11_h3": (["construct", "--p", "11", "--variant", "H",
+                          "--n", "3", "--m", "0", "--l", "0"], 0),
+    "construct_q9_h3_l2": (["construct", *_Q9_H3], 0),
+    "invert_q9_all": ([*_Q9_H3_INVERT, "all"], 0),
+    "count_p3": (["count", "--p", "3", "--k", "2", "--k-max", "5"], 0),
+    "invert_q9_cyclotomic": ([*_Q9_H3_INVERT, "cyclotomic"], 0),
+    "invert_q9_closed": ([*_Q9_H3_INVERT, "closed"], 0),
+    "invert_q9_table": ([*_Q9_H3_INVERT, "table"], 0),
+    "invert_q9_g5_closed_refused": (["invert", "--p", "3", "--k", "2",
+                                     "--variant", "G", "--n", "5",
+                                     "--route", "closed"], 1),
+}
+
+
+@pytest.mark.parametrize("name,fmt", [
+    *((name, "txt") for name in GOLDEN_RUNS),
+    *((name, "json") for name in list(GOLDEN_RUNS)[4:]),
+    ("selftest_quick", "json"),
+])
+def test_golden_output(capsys, name, fmt):
+    """Every text and JSON shape the CLI writes, byte for byte.  selftest's
+    text carries timings, so only its JSON is pinned."""
+    argv, code = GOLDEN_RUNS.get(name, (["selftest", "--level", "quick"], 0))
+    rc = cli.main(argv + ["--format", "text" if fmt == "txt" else "json"])
+    assert rc == code
+    assert capsys.readouterr().out == _golden(f"{name}.{fmt}")
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     args = ["construct", "--p", "5", "--variant", "G", "--n", "3", "--m", "1",
             "--l", "1", "--format", "json"]
@@ -145,16 +180,16 @@ def test_invert_closed_refusal(capsys):
 
 
 def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
-    """A non-permutation is refused before build_perm_poly runs, except on
+    """A non-permutation is refused before perm_coset_map runs, except on
     the table route, which scans P for its collision witness."""
     calls = []
-    real = cli.build_perm_poly
+    real = cli.perm_coset_map
 
     def counted(spec):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(cli, "build_perm_poly", counted)
+    monkeypatch.setattr(cli, "perm_coset_map", counted)
     argv = ["invert", "--p", "7", "--variant", "H", "--n", "3"]
     for route in ("closed", "cyclotomic", "all"):
         assert cli.main(argv + ["--route", route]) == 1
@@ -163,6 +198,24 @@ def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
     assert cli.main(argv + ["--route", "table"]) == 1
     assert "both map to" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", [["--variant", "H"],
+                                  ["--variant", "G", "--m", "1", "--l", "3"]],
+                         ids=["H-l0", "G-m1-l3"])
+def test_invert_reads_no_coefficient_form_above_its_cap(capsys, spec):
+    """invert evaluates P through its coset table alone, so an n above the
+    coefficient-form cap is inverted by all three routes; construct prints
+    the coefficients and still refuses it."""
+    cap = GH_DEGREE_CAP
+    argv = ["--p", "11", "--n", str(cap + 1), *spec]
+    assert cli.main(["invert", *argv, "--route", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "routes computed: closed, cyclotomic, table" in out
+    assert "agreement: yes" in out
+    assert cli.main(["construct", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: n={cap + 1} exceeds the coefficient-form cap {cap}\n")
 
 
 def test_invert_all_still_agrees_without_closed(capsys):
@@ -224,13 +277,8 @@ def test_selftest_full(capsys):
     assert "PASS byte-identical repeated runs" in out
 
 
-def test_selftest_runs_at_the_default_bound(capsys, monkeypatch):
-    """selftest's fields are fixed and small: a small bound in the
-    environment does not reach them, and the flag is not accepted."""
-    monkeypatch.setenv(cli.ENV_SIZE_BOUND, "50")
-    rc = cli.main(["selftest", "--level", "quick"])
-    assert rc == 0
-    assert "12 checks: 12 passed, 0 failed [quick]" in capsys.readouterr().out
+def test_selftest_runs_at_the_default_bound():
+    """selftest's fields are fixed and small: the flag is not accepted."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["selftest", "--size-bound", "50"])
     assert exc.value.code == 2
@@ -349,8 +397,7 @@ def test_count_refuses_bad_ranges(capsys, argv, message):
 
 
 @pytest.mark.parametrize("k", ["5000", "3000000"])
-def test_large_k_refused_naming_the_bound(capsys, monkeypatch, k):
-    monkeypatch.delenv(cli.ENV_SIZE_BOUND, raising=False)
+def test_large_k_refused_naming_the_bound(capsys, k):
     rc = cli.main(["construct", "--p", "3", "--k", k, "--variant", "H",
                    "--n", "3", "--m", "0", "--l", "0"])
     captured = capsys.readouterr()
@@ -373,8 +420,7 @@ HUGE_P = 2 ** 61 - 1  # a Mersenne prime: trial division would take hours
      f"q - 1 = {HUGE_P}^1 - 1 exceeds the size bound {cli.DEFAULT_SIZE_BOUND}"),
 ], ids=["construct", "count"])
 def test_huge_p_is_refused_by_the_bound_before_primality(argv, message):
-    env = {k: v for k, v in os.environ.items() if k != cli.ENV_SIZE_BOUND}
-    env["PYTHONPATH"] = SRC
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-m", "redeiperm.cli", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=10, check=False)
@@ -479,26 +525,6 @@ def test_size_bound_flag(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "exceeds the size bound" in err
-
-
-def test_size_bound_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_SIZE_BOUND, "100")
-    rc = cli.main(["construct", "--p", "5", "--k", "2", "--variant", "H",
-                   "--n", "3"])
-    assert rc == 2
-    capsys.readouterr()
-    monkeypatch.setenv(cli.ENV_SIZE_BOUND, "not-a-number")
-    rc = cli.main(["construct", "--p", "5", "--variant", "H", "--n", "3"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err == ("error: REDEIPERM_SIZE_BOUND must be an integer, "
-                            "got 'not-a-number'\n")
-    monkeypatch.setenv(cli.ENV_SIZE_BOUND, "x")
-    rc = cli.main(["count", "--p", "3"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: REDEIPERM_SIZE_BOUND must be an integer, got 'x'\n")
 
 
 def test_unknown_command_exits_via_argparse():

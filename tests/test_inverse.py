@@ -8,9 +8,9 @@ import dataclasses
 
 import pytest
 
-from redeiperm import (PermSpec, Poly, agreement_report, bezout,
-                       build_perm_poly, check_criterion, field_tower, gh_eval,
-                       inverse, inverse_cyclotomic, inverse_table,
+from redeiperm import (InverseTable, PermSpec, Poly, agreement_report,
+                       bezout, build_perm_poly, check_criterion, field_tower,
+                       gh_eval, inverse, inverse_cyclotomic, inverse_table,
                        is_permutation_bruteforce, lift_inverse, make_field,
                        mu_inverse, mu_inverse_eval, poly_eval)
 
@@ -259,6 +259,28 @@ def test_inverse_table_rejects_collisions(q25):
         inverse_table(q25, cube)
 
 
+def test_an_inverse_table_of_the_wrong_length_is_refused(q9):
+    """InverseTable(q9, [-1] * 5) raised a bare IndexError at the point 7;
+    it is now refused when it is built."""
+    with pytest.raises(ValueError, match=r"^an inverse table has q\^2 = 81 "
+                                         r"entries, not 5$"):
+        InverseTable(q9, [-1] * 5)
+
+
+def test_an_inverse_table_entry_outside_the_field_is_refused_when_read(q9):
+    """A -1 entry came back at the point 2 as an element holding a packed
+    -1.  An entry outside 0..q^2-1 is now refused at the point that reads
+    it, so building the table costs no pass over it."""
+    values = list(range(q9.q2))
+    values[2], values[7] = -1, q9.q2
+    table = InverseTable(q9, values)
+    for point, entry in ((2, -1), (7, 81)):
+        with pytest.raises(ValueError, match=rf"^inverse table entry {entry} "
+                                             r"is not a packed value 0\.\.80$"):
+            table(q9.from_packed(point))
+    assert table(q9.from_packed(3)) == q9.from_packed(3)
+
+
 def test_oracle_and_table_name_the_same_collision(q25):
     cube = Poly.from_terms(q25, [(3, 1)])
     ok, (a, b) = is_permutation_bruteforce(q25, cube)
@@ -291,8 +313,8 @@ def test_agreement_report_subset_of_routes(q9):
 def test_agreement_report_refuses_an_unknown_route_before_any_work(
         q9, monkeypatch):
     calls = []
-    real = inverse.build_perm_poly
-    monkeypatch.setattr(inverse, "build_perm_poly",
+    real = inverse.perm_coset_map
+    monkeypatch.setattr(inverse, "perm_coset_map",
                         lambda spec: calls.append(spec) or real(spec))
     spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
     with pytest.raises(ValueError, match="unknown route 'tabel'"):
