@@ -30,12 +30,13 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         count_valid_n, cyclotomic_criterion, family_condition,
                         family_poly, family_spec, family_special_condition,
                         is_permutation_bruteforce, packed_ranges,
-                        perm_coset_map, sqrt_case)
+                        perm_coset_map, perm_factor, perm_poly, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
 from .inverse import (agreement_report, bezout, inverse_cyclotomic,
@@ -65,11 +66,9 @@ def _emit(doc: dict, text: str, cfg: RunConfig) -> None:
             fh.write(payload)
 
 
-def _unreduced_pairs(spec: PermSpec) -> list[tuple[int, list[int]]]:
-    """Term list of x^r * F(x^(q-1), alpha) with nothing normalised."""
+def _unreduced_pairs(spec: PermSpec, f: Poly) -> list[tuple[int, list[int]]]:
+    """Term list of x^r * f(x^(q-1)), f = perm_factor(spec), unnormalised."""
     ctx = spec.ctx
-    pair = gh_coeffs(spec.n, spec.alpha)
-    f = (pair.g, pair.h)[spec.gh_index]
     return [(spec.r + (ctx.q - 1) * e, f.terms[e].to_coeffs())
             for e in sorted(f.terms, reverse=True)]
 
@@ -95,7 +94,8 @@ def cmd_construct(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
                   n: int, m: int, l: int, run_oracle: bool = True) -> int:
     spec, verdict, doc, first = _header(p, k, size_bound, variant, n, m, l)
     ctx = spec.ctx
-    poly, evaluator = build_perm_poly(spec)
+    f = perm_factor(spec)  # one gh_coeffs call for both coefficient forms
+    poly, evaluator = perm_poly(spec, f), perm_coset_map(spec)
     oracle_doc: dict = {"ran": False}
     verified = True
     if run_oracle:
@@ -104,7 +104,7 @@ def cmd_construct(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
         if witness is not None:
             oracle_doc["witness"] = [witness[0].to_coeffs(), witness[1].to_coeffs()]
         verified = ok == verdict.is_perm
-    unreduced = _unreduced_pairs(spec)
+    unreduced = _unreduced_pairs(spec, f)
     doc.update(poly=[[e, c] for e, c in poly.to_pairs()],
                poly_unreduced=[[e, c] for e, c in unreduced],
                oracle=oracle_doc, verified=verified)
@@ -336,40 +336,34 @@ def _check_gh_coprime(ctx: FieldCtx, n_max: int) -> None:
                     f"gcd(G_{n}, H_{n}) != 1 at l={l}")
 
 
+def _spec_grid(ctx: FieldCtx, n_values, m_values) -> Iterator[tuple[int, PermSpec]]:
+    """(l, spec) for l = 0..q, variant H then G, n and m, nested in that order."""
+    for l in range(ctx.q + 1):
+        alpha = ctx.alpha_from_l(l)
+        for variant in ("H", "G"):
+            for n in n_values:
+                for m in m_values:
+                    yield l, PermSpec(variant, n, m, alpha)
+
+
 def _check_criterion_grid(qs, n_max: int, m_values) -> None:
     for q in qs:
         ctx = field_for_q(q)
-        for l in range(q + 2):
-            alpha = ctx.alpha_from_l(l)
-            for variant in ("H", "G"):
-                for n in range(1, n_max + 1):
-                    for m in m_values:
-                        spec = PermSpec(variant, n, m, alpha)
-                        verdict = check_criterion(spec)
-                        ev = perm_coset_map(spec)
-                        ok, _ = is_permutation_bruteforce(ctx, ev)
-                        _ensure(
-                            ok == verdict.is_perm,
-                            f"criterion mismatch at q={q} variant={variant} "
-                            f"n={n} m={m} l={l}: oracle={ok}")
+        for l, spec in _spec_grid(ctx, range(1, n_max + 1), m_values):
+            ok, _ = is_permutation_bruteforce(ctx, perm_coset_map(spec))
+            _ensure(ok == check_criterion(spec).is_perm,
+                    f"criterion mismatch at q={q} variant={spec.variant} "
+                    f"n={spec.n} m={spec.m} l={l}: oracle={ok}")
 
 
 def _check_coset_criterion(qs) -> None:
     for q in qs:
         ctx = field_for_q(q)
-        for l in range(q + 1):
-            alpha = ctx.alpha_from_l(l)
-            for variant in ("H", "G"):
-                for n in range(1, 7):
-                    for m in (-1, 0, 1):
-                        spec = PermSpec(variant, n, m, alpha)
-                        pair = gh_coeffs(n, alpha)
-                        f = (pair.g, pair.h)[spec.gh_index]
-                        got = cyclotomic_criterion(ctx, spec.r, f)
-                        want = check_criterion(spec).is_perm
-                        _ensure(got == want,
-                                f"coset criterion mismatch at q={q} n={n} "
-                                f"m={m} l={l} variant={variant}")
+        for l, spec in _spec_grid(ctx, range(1, 7), (-1, 0, 1)):
+            got = cyclotomic_criterion(ctx, spec.r, perm_factor(spec))
+            _ensure(got == check_criterion(spec).is_perm,
+                    f"coset criterion mismatch at q={q} n={spec.n} "
+                    f"m={spec.m} l={l} variant={spec.variant}")
 
 
 def _check_families(qs_by_degree: dict) -> None:
@@ -426,25 +420,19 @@ def _check_proof_identities(qs, n_max: int) -> None:
 def _check_inverse_routes(qs, n_max: int, m_values) -> None:
     for q in qs:
         ctx = field_for_q(q)
-        for l in range(q + 1):
-            alpha = ctx.alpha_from_l(l)
-            for variant in ("H", "G"):
-                for n in range(1, n_max + 1, 2):
-                    for m in m_values:
-                        spec = PermSpec(variant, n, m, alpha)
-                        if not check_criterion(spec).is_perm:
-                            continue
-                        report = agreement_report(spec)
-                        _ensure("cyclotomic" in report["routes"]
-                                and "table" in report["routes"],
-                                "baseline inverse routes missing")
-                        _ensure(report["agree"],
-                                f"inverse routes disagree at q={q} "
-                                f"variant={variant} n={n} m={m} l={l}")
-                        ev = perm_coset_map(spec)
-                        inv = inverse_table(ctx, ev)
-                        _ensure(_compose_identity_holds(ctx, ev, inv),
-                                "table inverse does not invert")
+        for l, spec in _spec_grid(ctx, range(1, n_max + 1, 2), m_values):
+            if not check_criterion(spec).is_perm:
+                continue
+            report = agreement_report(spec)
+            _ensure("cyclotomic" in report["routes"] and "table" in report["routes"],
+                    "baseline inverse routes missing")
+            _ensure(report["agree"],
+                    f"inverse routes disagree at q={q} variant={spec.variant} "
+                    f"n={spec.n} m={spec.m} l={l}")
+            ev = perm_coset_map(spec)
+            inv = inverse_table(ctx, ev)
+            _ensure(_compose_identity_holds(ctx, ev, inv),
+                    "table inverse does not invert")
 
 
 def _check_counting(qs) -> None:

@@ -173,22 +173,26 @@ def perm_coset_map(spec: PermSpec) -> CosetMap:
     return CosetMap(spec.ctx, spec.r % spec.ctx.units, coset_factor_table(spec))
 
 
-def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
-    """The reduced coefficient polynomial and a fast point evaluator.
-
-    The coefficient form sends each term c*x^e of the coefficient
-    polynomial to c*x^(r + (q-1)e), with r normalised into [1, q^2-1], and
-    reduces; the evaluator is perm_coset_map.  The two agree pointwise
-    (they are built from independent paths).
-    """
-    ctx = spec.ctx
-    N = ctx.units
-    r_norm = ((spec.r - 1) % N) + 1
+def perm_factor(spec: PermSpec) -> Poly:
+    """F's coefficient form, H_n (variant H) or G_n (variant G), from one
+    gh_coeffs call."""
     pair = gh_coeffs(spec.n, spec.alpha)
-    f = (pair.g, pair.h)[spec.gh_index]
-    poly = reduce_functional(Poly.from_terms(
+    return (pair.g, pair.h)[spec.gh_index]
+
+
+def perm_poly(spec: PermSpec, f: Poly) -> Poly:
+    """x^r * f(x^(q-1)) reduced, for f = perm_factor(spec): each term c*x^e
+    of f goes to c*x^(r + (q-1)e), with r normalised into [1, q^2-1]."""
+    ctx = spec.ctx
+    r_norm = ((spec.r - 1) % ctx.units) + 1
+    return reduce_functional(Poly.from_terms(
         ctx, ((r_norm + (ctx.q - 1) * e, c) for e, c in f.terms.items())))
-    return poly, perm_coset_map(spec)
+
+
+def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
+    """(perm_poly, perm_coset_map): the reduced coefficient polynomial and a
+    fast point evaluator, built by independent paths that agree pointwise."""
+    return perm_poly(spec, perm_factor(spec)), perm_coset_map(spec)
 
 
 # The first range has RANGE_START points, each later one as many as all

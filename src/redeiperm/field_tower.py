@@ -51,12 +51,9 @@ def check_field_params(p: int, k: int) -> None:
 
 
 def check_odd_prime(p: int) -> None:
-    """Refuse an odd p >= 3 with an odd divisor d, 3 <= d <= sqrt(p)."""
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"p={p} is not an odd prime")
-        d += 2
+    """Refuse an odd p >= 3 that is not prime, by trial division."""
+    if _prime_factors(p) != [p]:
+        raise ValueError(f"p={p} is not an odd prime")
 
 
 def _prime_factors(n: int, limit: float = math.inf) -> list[int]:
@@ -120,18 +117,8 @@ def _powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int
 def _gcd_fp(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        # a mod b, with b made monic on the fly
-        inv_lead = pow(b[-1], p - 2, p)
-        rem = list(a)
-        db = len(b) - 1
-        while len(rem) - 1 >= db and rem:
-            c = (rem[-1] * inv_lead) % p
-            shift = len(rem) - 1 - db
-            for j, bj in enumerate(b):
-                if bj:
-                    rem[shift + j] = (rem[shift + j] - c * bj) % p
-            _trim(rem)
-        a, b = b, rem
+        inv_lead = pow(b[-1], p - 2, p)  # a mod b is a mod b made monic
+        a, b = b, _mulmod(a, [1], [c * inv_lead % p for c in b], p)
     return a
 
 
@@ -158,6 +145,14 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
             if len(g) - 1 > 0:
                 return False
     return _trim(list(frob)) == x
+
+
+def _first_tuple(digits: list[range], accept, refusal: str) -> tuple[int, ...]:
+    """The first tuple of product(*digits) that accept takes, or ValueError(refusal)."""
+    for tail in itertools.product(*digits):
+        if accept(tail):
+            return tail
+    raise ValueError(refusal)
 
 
 def _digits(v: int, p: int, n: int) -> list[int]:
@@ -588,32 +583,20 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
         return cached
 
     deg = 2 * k
-    modulus: tuple[int, ...] | None = None
-    for tail in itertools.product(range(p), repeat=deg):
-        if tail[0] == 0:
-            continue  # divisible by x
-        f = list(tail) + [1]
-        if _is_irreducible(f, p):
-            modulus = tuple(f)
-            break
-    if modulus is None:  # every prime power has irreducibles; defensive
-        raise ValueError("no irreducible modulus found")
-
+    # defensive refusals: irreducibles exist and the unit group is cyclic
+    modulus = _first_tuple(  # no constant term 0: x would divide the modulus
+        [range(1, p)] + [range(p)] * (deg - 1),
+        lambda tail: _is_irreducible([*tail, 1], p),
+        "no irreducible modulus found") + (1,)
     N = p ** deg - 1
     cofactors = [N // r for r in _prime_factors(N)]
     mod = list(modulus)
-    gamma_packed = None
-    for tail in itertools.product(range(p), repeat=deg):
-        if not any(tail):
-            continue
-        cand = _trim(list(tail))
-        if all(_powmod(cand, cf, mod, p) != [1] for cf in cofactors):
-            gamma_packed = sum(c * p ** i for i, c in enumerate(tail))
-            break
-    if gamma_packed is None:  # the unit group is cyclic; defensive
-        raise ValueError("no primitive element found")
+    gamma = _first_tuple(
+        [range(p)] * deg, lambda tail: any(tail) and all(
+            _powmod(_trim(list(tail)), cf, mod, p) != [1] for cf in cofactors),
+        "no primitive element found")
 
-    ctx = FieldCtx(p, k, modulus, gamma_packed)
+    ctx = FieldCtx(p, k, modulus, sum(c * p ** i for i, c in enumerate(gamma)))
     _FIELD_CACHE[(p, k)] = ctx
     return ctx
 

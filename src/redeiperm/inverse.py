@@ -149,8 +149,8 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), and
     gamma^(W_i) = zeta^(-sigma(i)) for the forward map's CosetMap.sigma(),
     so coefficient j is the DFT sum_k w_k*zeta^(-jk) of w[sigma(i)] =
-    gamma^(B_i) (_dft_logs).  sigma permutes 0..q exactly when the map
-    permutes F_{q^2} (Akbary-Ghioca-Wang); if not, ArithmeticError.  Two
+    gamma^(B_i) (_dft_logs).  The forward map must pass CosetMap.permutes
+    (Akbary-Ghioca-Wang), so r1 exists; if not, ArithmeticError.  Two
     independent O(q) checks keep it honest, and either mismatch raises
     ArithmeticError: GH_SPOT_CHECKS coefficients are recomputed from the
     formula with add_packed and mul_packed (_cyclotomic_coefficient, which
@@ -164,21 +164,19 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     if not verdict.is_perm:
         raise ValueError(verdict.failure)
     q, N = ctx.q, ctx.units
+    perm = perm_coset_map(spec)
+    if not perm.permutes():
+        raise ArithmeticError("the gcd criterion certifies a map that does not "
+                              "permute F_{q^2} (Akbary-Ghioca-Wang)")
     b = bezout(spec)
-    if b.r_prime is None:
-        raise ArithmeticError("certified permutation with gcd(r, q-1) != 1")
-    a_table = coset_factor_table(spec)
+    a_table = perm.table
     exp, log = ctx._exp, ctx._log
     a_logs = [log[v] for v in a_table]
     zl, r, rp = q - 1, spec.r, b.r_prime  # zl: log of zeta
-    sigma = CosetMap(ctx, r, a_table).sigma() or []
-    w = dict(zip(sigma, ((zl * b.t * i - rp * la) % N  # w[sigma(i)] = B_i
-                         for i, la in enumerate(a_logs))))
-    if len(w) != q + 1:
-        raise ArithmeticError("the gcd criterion certifies a map whose sigma "
-                              "does not permute mu_{q+1} (Akbary-Ghioca-Wang)")
-    sums = [0 if l == N else exp[l]
-            for l in _dft_logs(ctx, [w[k] for k in range(q + 1)], -zl)]
+    w = [0] * (q + 1)
+    for i, (s, la) in enumerate(zip(perm.sigma(), a_logs)):
+        w[s] = (zl * b.t * i - rp * la) % N  # w[sigma(i)] = B_i
+    sums = [0 if l == N else exp[l] for l in _dft_logs(ctx, w, -zl)]
     for j in spot_positions(q + 1):
         if sums[j] != _cyclotomic_coefficient(spec, b, a_table, j):
             raise ArithmeticError(

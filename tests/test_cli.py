@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from redeiperm import cli
+from redeiperm import cli, construct
 from redeiperm.redei import GH_DEGREE_CAP
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "v1")
@@ -30,6 +30,22 @@ def test_construct_text_q11(capsys):
     assert "gcd = 1 -> pass" in out
     assert "verdict: permutation" in out
     assert "result: verdict confirmed" in out
+
+
+def test_construct_builds_the_coefficient_form_once(capsys, monkeypatch):
+    """The reduced and the unreduced polynomial come from one gh_coeffs call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = construct.gh_coeffs
+    for module in (construct, cli):
+        monkeypatch.setattr(module, "gh_coeffs", counted)
+    assert cli.main(["construct", "--p", "11", "--variant", "H", "--n", "3"]) == 0
+    assert "unreduced: 3*x^23 + x^3" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_construct_text_q7_failure_case(capsys):

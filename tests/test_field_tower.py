@@ -8,7 +8,9 @@ construction search cannot hide.
 
 import hashlib
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -489,6 +491,66 @@ def test_corrupt_step_exits_3_from_the_cli(monkeypatch, capsys):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: exp table step at index 0 ")
+
+
+def _ref_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Euclid's algorithm by long division over F_p, remainders not made
+    monic; the result is the last nonzero remainder, trimmed."""
+    def trim(f):
+        f = list(f)
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    a, b = trim(a), trim(b)
+    while b:
+        rem, inv = list(a), pow(b[-1], p - 2, p)
+        while len(rem) >= len(b):
+            c, shift = rem[-1] * inv % p, len(rem) - len(b)
+            for j, bj in enumerate(b):
+                rem[shift + j] = (rem[shift + j] - c * bj) % p
+            rem = trim(rem)
+        a, b = b, rem
+    return a
+
+
+def _ref_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gcd_fp_matches_euclid_by_long_division(p):
+    rnd = random.Random(p)
+
+    def poly(deg):
+        return [rnd.randrange(p) for _ in range(deg + 1)]
+
+    cases = [([], []), ([], [2]), ([2], []), ([0, 0], [1, 1]), ([p - 1], [2]),
+             ([1, 2, 1], [1, 2, 1]), ([2, 0, 2], [0, 0, p - 1, 0])]
+    for _ in range(200):
+        cases.append((poly(rnd.randrange(-1, 8)), poly(rnd.randrange(-1, 8))))
+        common = poly(rnd.randrange(0, 4))  # a nontrivial gcd, non-monic
+        cases.append((_ref_mul(common, poly(rnd.randrange(0, 4)), p),
+                      _ref_mul(common, poly(rnd.randrange(0, 4)), p)))
+    for a, b in cases:
+        assert field_tower._gcd_fp(a, b, p) == _ref_gcd(a, b, p), (a, b)
+
+
+def test_check_odd_prime_matches_a_sieve():
+    top = 2 * 10 ** 4
+    prime = [True] * top
+    for d in range(2, math.isqrt(top) + 1):
+        prime[d * d::d] = [False] * len(range(d * d, top, d))
+    for p in range(3, top, 2):
+        if prime[p]:
+            field_tower.check_odd_prime(p)
+        else:
+            with pytest.raises(ValueError, match=f"^p={p} is not an odd prime$"):
+                field_tower.check_odd_prime(p)
 
 
 def test_field_for_q():

@@ -186,6 +186,17 @@ def test_a_certified_map_whose_sigma_does_not_permute_is_refused(monkeypatch):
         inverse_cyclotomic(spec)
 
 
+def test_the_cyclotomic_route_refuses_what_coset_map_permutes_refuses(
+        monkeypatch):
+    """The Akbary-Ghioca-Wang refusal comes from the forward map's
+    CosetMap.permutes, whatever the criterion says."""
+    spec = _spec(5, 1, "H", 1, 0, 0)
+    assert check_criterion(spec).is_perm
+    monkeypatch.setattr(CosetMap, "permutes", lambda self: False)
+    with pytest.raises(ArithmeticError, match="Akbary-Ghioca-Wang"):
+        inverse_cyclotomic(spec)
+
+
 def test_only_the_cyclotomic_route_builds_the_zech_table(monkeypatch):
     """At q = 243, make_field, a certification and the closed and table
     routes make O(q) Zech steps per call and leave the table unbuilt; the
