@@ -29,8 +29,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         count_valid_n, cyclotomic_criterion, family_condition,
@@ -45,8 +44,7 @@ from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Output settings, the part of a run every subcommand reads."""
     fmt: str
     out: str
@@ -219,9 +217,10 @@ def cmd_count(cfg: RunConfig, p: int, k: int, size_bound: int, m: int,
     top = k if k_max is None else k_max
     if top < k:
         raise ValueError(f"k-max = {top} is below k = {k}")
-    # p^b > 2^b > size_bound for b = its bit length, so capping the
-    # exponent there keeps the power small and the comparison exact
-    if p ** min(top, size_bound.bit_length()) - 1 > size_bound:
+    # p^b - 1 >= 2^b > size_bound for b = its bit length + 1 (b >= 1, even
+    # at bound 0), so capping the exponent there keeps the power small and
+    # the comparison exact
+    if p ** min(top, size_bound.bit_length() + 1) - 1 > size_bound:
         raise ValueError(f"q - 1 = {p}^{top} - 1 exceeds the size bound "
                          f"{size_bound}")
     check_odd_prime(p)

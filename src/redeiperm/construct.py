@@ -34,8 +34,7 @@ admissible n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .field_tower import Felt, FieldCtx, require_field
 from .polyring import CosetMap, Poly, poly_eval, reduce_functional
@@ -45,21 +44,29 @@ CASE_IN = "sqrt_in_mu"
 CASE_OUT = "sqrt_not_in_mu"
 
 
-@dataclass(frozen=True)
-class PermSpec:
-    """A construction request: variant H or G, exponent data n and m, alpha."""
+class _PermSpecFields(NamedTuple):
     variant: str
     n: int
     m: int
     alpha: Felt
 
-    def __post_init__(self):
-        if self.variant not in ("H", "G"):
+
+class PermSpec(_PermSpecFields):
+    """A construction request: variant H or G, exponent data n and m, alpha."""
+    __slots__ = ()
+
+    def __new__(cls, variant: str, n: int, m: int, alpha: Felt):
+        if variant not in ("H", "G"):
             raise ValueError("variant must be 'H' or 'G'")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        if not self.alpha.in_mu(self.alpha.ctx.q + 1):
+        if not alpha.in_mu(alpha.ctx.q + 1):
             raise ValueError("alpha must lie in mu_{q+1}")
+        return super().__new__(cls, variant, n, m, alpha)
+
+    @classmethod
+    def _make(cls, iterable) -> PermSpec:
+        return cls(*iterable)  # so that _replace validates too
 
     @property
     def ctx(self) -> FieldCtx:
@@ -84,8 +91,7 @@ class PermSpec:
         }
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     value: int
     passed: bool
@@ -94,8 +100,7 @@ class Condition:
         return {"name": self.name, "gcd": self.value, "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class PermVerdict:
+class PermVerdict(NamedTuple):
     is_perm: bool
     case: str
     conditions: tuple[Condition, ...]

@@ -10,13 +10,14 @@ All q^2 - 1 powers of gamma and their logs are tabulated once at
 construction, so that multiplication, inversion, powering and discrete
 logarithms are O(1) lookups.  x -> gamma*x is F_p-linear, so each power is
 the digitwise sum of precomputed images of the low and high k digits of the
-one before: a few lookups, not an O(k^2) product.  Dense products at q + 2
-entries cross-check that step.  Addition needs no Zech table: 1 + v differs
-from v only in the constant digit, so log(1 + gamma^d) is an exp and a log
-lookup (add_logs).  Only the O(q^2) chains of sum_powers, which keep a sum
-of powers of gamma as a log, read a stored Zech table, built on first use.
-The size bound on q^2 keeps table construction cheap and guards every
-exhaustive operation downstream.
+one before: a few lookups, not an O(k^2) product.  The image tables come
+from the same linearity, digit by digit from 2k dense products, and dense
+products at q + 2 entries cross-check the step.  Addition needs no Zech
+table: 1 + v differs from v only in the constant digit, so log(1 + gamma^d)
+is an exp and a log lookup (add_logs).  Only the O(q^2) chains of
+sum_powers, which keep a sum of powers of gamma as a log, read a stored
+Zech table, built on first use.  The size bound on q^2 keeps table
+construction cheap and guards every exhaustive operation downstream.
 
 On top of the tables the module provides the Frobenius x -> x^q, membership
 in the subgroups mu_ell of ell-th roots of unity, square roots with a
@@ -164,6 +165,11 @@ def _digits(v: int, p: int, n: int) -> list[int]:
     return out
 
 
+def _copies(table: list[int], offsets: Iterable[int]) -> list[int]:
+    """table once per offset, in the order of offsets, with the offset added."""
+    return [t + a for a in offsets for t in table]
+
+
 def _step_tables(p: int, k: int, gamma: Sequence[int],
                  mod: Sequence[int]) -> tuple[list[int], list[int], list[int], int]:
     """Tables for one multiplication by gamma on packed values of F_{q^2}.
@@ -173,23 +179,42 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
     encoding that gives each base-p digit its own slot of w bits, w the bit
     length of 2p - 2, so that lo_tab[lo] + hi_tab[hi] adds digitwise with no
     carries.  shift = k*w bits hold the low k slots; unspread maps each
-    reachable k-slot sum (digits 0..2p-2) to its packed value reduced mod p.
+    reachable k-slot sum (digits 0..2p-2) to its packed value reduced mod p,
+    and holds 0 at every other index.
+
+    Every table is built by linearity, with no product per entry.  The
+    reachable slot sums grow one slot at a time: those of s+1 slots are
+    those of s slots once per top digit c, at index + c*2^(s*w) with value
+    + (c mod p)*p^s.  lo_tab grows one base-p digit at a time from the k
+    dense images gamma*x^i (gamma*x^(k+i) for hi_tab): for v < p^i,
+    lo_tab[v + d*p^i] is lo_tab[v + (d-1)*p^i] plus the image of x^i, a
+    carry-free spread sum reduced mod p through unspread.
     """
-    q = p ** k
     w = (2 * p - 2).bit_length()
+    shift = k * w
+    mask = (1 << shift) - 1
+    index, value, spread = [0], [0], [0]  # spread[v]: v < q in the encoding
+    for slot in range(k):
+        index = _copies(index, [c << slot * w for c in range(2 * p - 1)])
+        value = _copies(value, [c % p * p ** slot for c in range(2 * p - 1)])
+        spread = _copies(spread, [c << slot * w for c in range(p)])
+    unspread = [0] * (index[-1] + 1)
+    for i, v in zip(index, value):
+        unspread[i] = v
 
-    def spread(coeffs: Sequence[int]) -> int:
-        return sum(c << (i * w) for i, c in enumerate(coeffs))
+    def by_digits(first: int) -> list[int]:
+        tab = [0]
+        for i in range(k):
+            image = _mulmod(gamma, [0] * (first + i) + [1], mod, p)
+            step = sum(c << j * w for j, c in enumerate(image))
+            block = tab
+            for _ in range(1, p):
+                block = [spread[unspread[(s := t + step) & mask]]
+                         | spread[unspread[s >> shift]] << shift for t in block]
+                tab += block
+        return tab
 
-    gamma_xk = _mulmod(gamma, [0] * k + [1], mod, p)
-    lo_tab = [spread(_mulmod(_trim(_digits(v, p, k)), gamma, mod, p))
-              for v in range(q)]
-    hi_tab = [spread(_mulmod(_trim(_digits(v, p, k)), gamma_xk, mod, p))
-              for v in range(q)]
-    unspread = [0] * (spread([2 * p - 2] * k) + 1)
-    for sums in itertools.product(range(2 * p - 1), repeat=k):
-        unspread[spread(sums)] = sum(c % p * p ** i for i, c in enumerate(sums))
-    return lo_tab, hi_tab, unspread, k * w
+    return by_digits(0), by_digits(k), unspread, shift
 
 
 def require_field(ctx: FieldCtx, *items) -> None:

@@ -54,11 +54,10 @@ that choice of sign.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from array import array
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .construct import (CASE_IN, CosetMap, PermSpec, check_criterion,
                         coset_factor_table, packed_ranges, perm_coset_map,
@@ -74,8 +73,7 @@ def _modinv_or_none(a: int, mod: int) -> int | None:
     return pow(a, -1, mod)
 
 
-@dataclass(frozen=True)
-class BezoutData:
+class BezoutData(NamedTuple):
     """Integer inverses required by the inverse formulas, least non-negative.
 
     r_prime, t: r*r_prime + (q-1)*t = 1 (exists iff gcd(r, q-1) = 1).
@@ -92,7 +90,7 @@ class BezoutData:
     r_prime_full: int | None
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def bezout(spec: PermSpec) -> BezoutData:
@@ -207,8 +205,7 @@ def _cyclotomic_coefficient(spec: PermSpec, b: BezoutData, a_table: list[int],
     return acc
 
 
-@dataclass(frozen=True)
-class MuInverse:
+class MuInverse(NamedTuple):
     """The inverse on mu_{q+1} of b -> b^n * F(b, alpha)^(q-1).
 
     case I1: variant H, root of alpha in mu_{q+1}; exponent n1.
@@ -448,7 +445,10 @@ def _little_endian(values: list[int], width: int) -> bytearray:
 
 def _value_digest(ctx: FieldCtx, f) -> str:
     """sha256 of f's packed values at 0, ..., q^2-1, each little-endian in
-    the byte width of q^2; fed to the hash one range at a time."""
+    the byte width of q^2; fed to the hash one range at a time.  hashlib
+    (and with it OpenSSL) is imported here, on the first digest, not with
+    the package."""
+    import hashlib
     h = hashlib.sha256()
     width = (ctx.q2.bit_length() + 7) // 8
     for _, values in packed_ranges(ctx, f):

@@ -40,8 +40,8 @@ H_n(x, alpha) = D_n(2s, alpha - x^2) / (2s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .field_tower import Felt, FieldCtx, require_field
 from .polyring import Poly
@@ -62,8 +62,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class RedeiPair:
+class RedeiPair(NamedTuple):
     """Coefficient form of (G_n, H_n) for a given n and alpha in mu_{q+1}."""
     n: int
     alpha: Felt

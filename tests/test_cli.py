@@ -1,7 +1,6 @@
 """Command-line behaviour: frozen examples, exit codes, canonical JSON,
 golden outputs, determinism, and the selftest harness."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -365,7 +364,7 @@ def test_selftest_detects_corrupted_coefficients(capsys, monkeypatch):
 
     def corrupted(n, alpha):
         pair = real(n, alpha)
-        return dataclasses.replace(pair, g=pair.h, h=pair.g)
+        return pair._replace(g=pair.h, h=pair.g)
 
     monkeypatch.setattr(cli, "gh_coeffs", corrupted)
     rc = cli.main(["selftest", "--level", "quick"])
@@ -523,6 +522,19 @@ def test_count_bounds_q_minus_1_and_the_field_commands_q_squared(capsys):
         assert captured.out == ""
         assert captured.err == ("error: q^2 = 9 exceeds the size bound 5; its "
                                 "exp and log tables would take about 648 bytes\n")
+
+
+@pytest.mark.parametrize("bound,rc,out,err", [
+    (0, 2, "", "error: q - 1 = 3^1 - 1 exceeds the size bound 0\n"),
+    (1, 2, "", "error: q - 1 = 3^1 - 1 exceeds the size bound 1\n"),
+    (2, 0, "q =      3 (k = 1): 1/2 admissible n, ratio 0.500000\n", ""),
+])
+def test_count_compares_q_minus_1_with_the_smallest_bounds(capsys, bound, rc,
+                                                            out, err):
+    """At bound 0 the capped exponent is still at least 1, so q - 1 = 2 is
+    compared with the bound and refused, as at bound 1; bound 2 admits it."""
+    assert cli.main(["count", "--p", "3", "--size-bound", str(bound)]) == rc
+    assert capsys.readouterr() == (out, err)
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):

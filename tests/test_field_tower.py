@@ -493,6 +493,41 @@ def test_corrupt_step_exits_3_from_the_cli(monkeypatch, capsys):
     assert captured.err.startswith("error: exp table step at index 0 ")
 
 
+def _reference_step_tables(ctx):
+    """The step tables entry by entry: a dense product per lo_tab and hi_tab
+    entry, and unspread from every k-tuple of slot sums."""
+    p, k, q = ctx.p, ctx.k, ctx.q
+    w = (2 * p - 2).bit_length()
+    mod, gamma = list(ctx.modulus), ctx._unpack_dense(ctx.gamma.val)
+
+    def spread(coeffs):
+        return sum(c << (i * w) for i, c in enumerate(coeffs))
+
+    def dense(v):
+        return field_tower._trim(field_tower._digits(v, p, k))
+
+    gamma_xk = field_tower._mulmod(gamma, [0] * k + [1], mod, p)
+    lo_tab = [spread(field_tower._mulmod(dense(v), gamma, mod, p)) for v in range(q)]
+    hi_tab = [spread(field_tower._mulmod(dense(v), gamma_xk, mod, p))
+              for v in range(q)]
+    unspread = [0] * (spread([2 * p - 2] * k) + 1)
+    for sums in itertools.product(range(2 * p - 1), repeat=k):
+        unspread[spread(sums)] = sum(c % p * p ** i for i, c in enumerate(sums))
+    return lo_tab, hi_tab, unspread, k * w
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 65, 2)
+                               if len(field_tower._prime_factors(q)) == 1] + [243])
+def test_step_tables_built_by_linearity_match_the_entrywise_build(q):
+    """Every field with q^2 <= 2^12, and q = 243: the linear build of
+    _step_tables returns exactly the tables of one dense product per entry
+    and of the slot-sum product, holes of unspread (0) included."""
+    ctx = field_for_q(q)
+    tables = field_tower._step_tables(ctx.p, ctx.k, ctx._unpack_dense(ctx.gamma.val),
+                                      list(ctx.modulus))
+    assert tables == _reference_step_tables(ctx)
+
+
 def _ref_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Euclid's algorithm by long division over F_p, remainders not made
     monic; the result is the last nonzero remainder, trimmed."""

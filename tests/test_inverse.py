@@ -4,7 +4,6 @@ exhaustive value table.  The routes share no arithmetic beyond the field
 tables, so agreement is strong evidence of correctness; composition with
 the forward map is still checked directly."""
 
-import dataclasses
 
 import pytest
 
@@ -153,7 +152,7 @@ def test_mu_inverse_rejects_even_n(q9):
 def test_mu_inverse_sqrt_choice(q9):
     spec = PermSpec("H", 5, 0, q9.alpha_from_l(2))
     inv_r = mu_inverse(spec)
-    inv_s = dataclasses.replace(inv_r, sqrt_alpha=-inv_r.sqrt_alpha)
+    inv_s = inv_r._replace(sqrt_alpha=-inv_r.sqrt_alpha)
     assert (inv_r.sqrt_alpha, inv_s.sqrt_alpha) == q9.sqrt(spec.alpha)
     for y in q9.mu(q9.q + 1):
         assert mu_inverse_eval(inv_r, y) == mu_inverse_eval(inv_s, y)

@@ -10,7 +10,6 @@ fast path is corrupted.  The coset tables of CosetMap.from_poly are
 compared with the same add_packed loop.
 """
 
-import dataclasses
 import math
 import random
 
@@ -181,7 +180,7 @@ def test_a_certified_map_whose_sigma_does_not_permute_is_refused(monkeypatch):
     real = check_criterion(spec)
     assert not real.is_perm and bezout(spec).r_prime is not None
     monkeypatch.setattr(inverse, "check_criterion",
-                        lambda s: dataclasses.replace(real, is_perm=True))
+                        lambda s: real._replace(is_perm=True))
     with pytest.raises(ArithmeticError, match="Akbary-Ghioca-Wang"):
         inverse_cyclotomic(spec)
 
@@ -234,7 +233,7 @@ def _assert_mu_table_matches_eval(spec):
     ctx = spec.ctx
     first = mu_inverse(spec)
     for root in (first.sqrt_alpha, -first.sqrt_alpha):
-        inv = dataclasses.replace(first, sqrt_alpha=root)
+        inv = first._replace(sqrt_alpha=root)
         table = inverse._mu_inverse_values(inv)
         assert table == [mu_inverse_eval(inv, y).val
                          for y in ctx.mu(ctx.q + 1)], (spec, root)
@@ -404,5 +403,5 @@ def test_lift_accepts_either_square_root(q9):
     roots = (inv.sqrt_alpha, -inv.sqrt_alpha)
     assert roots == q9.sqrt(spec.alpha)
     tables = {tuple(inverse._mu_inverse_values(
-        dataclasses.replace(inv, sqrt_alpha=root))) for root in roots}
+        inv._replace(sqrt_alpha=root))) for root in roots}
     assert len(tables) == 1
