@@ -20,6 +20,10 @@ when an internal arithmetic cross-check failed.
 
 --size-bound caps q^2 (q - 1 for count) before make_field builds the tables
 every exhaustive check reads; selftest's fields are fixed and small.
+
+Each subcommand is declared by one add(...) call in _build_parser, which
+adds the shared field, output and spec options and stores the handler;
+main calls that handler with the parsed arguments.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import json
 import random
 import sys
 import time
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         count_valid_n, cyclotomic_criterion, family_condition,
@@ -44,23 +48,17 @@ from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
 
 
-class RunConfig(NamedTuple):
-    """Output settings, the part of a run every subcommand reads."""
-    fmt: str
-    out: str
-
-
 # ---------------------------------------------------------------------------
 # Output helpers.
 # ---------------------------------------------------------------------------
 
-def _emit(doc: dict, text: str, cfg: RunConfig) -> None:
+def _emit(doc: dict, text: str, args: argparse.Namespace) -> None:
     payload = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-               if cfg.fmt == "json" else text)
-    if cfg.out == "-":
+               if args.format == "json" else text)
+    if args.out == "-":
         sys.stdout.write(payload)
     else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
 
 
@@ -71,14 +69,13 @@ def _unreduced_pairs(spec: PermSpec, f: Poly) -> list[tuple[int, list[int]]]:
             for e in sorted(f.terms, reverse=True)]
 
 
-def _header(p: int, k: int, size_bound: int, variant: str, n: int, m: int,
-            l: int):
+def _header(args: argparse.Namespace):
     """The field, the spec and its verdict: (spec, verdict, the JSON's
     field/spec/verdict part, the text's first line)."""
-    ctx = make_field(p, k, size_bound)
-    spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
+    ctx = make_field(args.p, args.k, args.size_bound)
+    spec = PermSpec(args.variant, args.n, args.m, ctx.alpha_from_l(args.l))
     verdict = check_criterion(spec)
-    doc = {"field": ctx.to_record(), "spec": {**spec.to_record(), "l": l},
+    doc = {"field": ctx.to_record(), "spec": {**spec.to_record(), "l": args.l},
            "verdict": verdict.to_record()}
     return (spec, verdict, doc,
             f"field: q = {ctx.q} (p = {ctx.p}, k = {ctx.k}), q^2 = {ctx.q2}")
@@ -88,15 +85,14 @@ def _header(p: int, k: int, size_bound: int, variant: str, n: int, m: int,
 # construct.
 # ---------------------------------------------------------------------------
 
-def cmd_construct(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
-                  n: int, m: int, l: int, run_oracle: bool = True) -> int:
-    spec, verdict, doc, first = _header(p, k, size_bound, variant, n, m, l)
+def cmd_construct(args: argparse.Namespace) -> int:
+    spec, verdict, doc, first = _header(args)
     ctx = spec.ctx
     f = perm_factor(spec)  # one gh_coeffs call for both coefficient forms
     poly, evaluator = perm_poly(spec, f), perm_coset_map(spec)
     oracle_doc: dict = {"ran": False}
     verified = True
-    if run_oracle:
+    if not args.skip_oracle:
         ok, witness = is_permutation_bruteforce(ctx, evaluator)
         oracle_doc = {"ran": True, "is_perm": ok}
         if witness is not None:
@@ -110,8 +106,8 @@ def cmd_construct(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
         first,
         f"modulus (low to high): {list(ctx.modulus)}",
         f"gamma: {ctx.gamma.to_coeffs()}",
-        f"spec: variant {variant}, n = {n}, m = {m}, l = {l}, "
-        f"alpha = {render_terms([(0, spec.alpha.coeffs)])}",
+        f"spec: variant {args.variant}, n = {args.n}, m = {args.m}, "
+        f"l = {args.l}, alpha = {render_terms([(0, spec.alpha.coeffs)])}",
         f"exponent r = n + m(q+1) = {spec.r}",
         f"unreduced: {render_terms(unreduced)}",
         f"reduced:   {render_poly(poly)}",
@@ -130,7 +126,7 @@ def cmd_construct(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
                                    else "VERDICT CONTRADICTED BY ORACLE"))
     else:
         lines.append("oracle: skipped")
-    _emit(doc, "\n".join(lines) + "\n", cfg)
+    _emit(doc, "\n".join(lines) + "\n", args)
     return 0 if verified else 1
 
 
@@ -144,13 +140,12 @@ def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
                for xv, v in enumerate(values, start))
 
 
-def cmd_invert(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
-               n: int, m: int, l: int, route: str) -> int:
-    spec, verdict, doc, first = _header(p, k, size_bound, variant, n, m, l)
-    ctx = spec.ctx
+def cmd_invert(args: argparse.Namespace) -> int:
+    spec, verdict, doc, first = _header(args)
+    ctx, route = spec.ctx, args.route
     lines = [
         first,
-        f"spec: variant {variant}, n = {n}, m = {m}, l = {l}",
+        f"spec: variant {args.variant}, n = {args.n}, m = {args.m}, l = {args.l}",
         "verdict: " + ("permutation" if verdict.is_perm else "not a permutation"),
     ]
     try:
@@ -174,7 +169,7 @@ def cmd_invert(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
             inverse = inverse_table(ctx, evaluator)
             doc["inverse"] = {}
             lines.append("inverse (table): built exhaustively")
-        elif route == "all":
+        else:  # all
             report = agreement_report(spec)
             doc["report"] = report
             computed = sorted(report["routes"])
@@ -189,12 +184,10 @@ def cmd_invert(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
                 # table is ground truth; without it confirm by composition
                 inv_poly = inverse_cyclotomic(spec)
                 verified = _compose_identity_holds(ctx, evaluator, inv_poly)
-        else:
-            raise ValueError(f"unknown route {route!r}")
     except ValueError as exc:  # ArithmeticError is a failed check: exit 3
         doc["error"] = str(exc)
         lines.append(f"error: {exc}")
-        _emit(doc, "\n".join(lines) + "\n", cfg)
+        _emit(doc, "\n".join(lines) + "\n", args)
         return 1
     if inverse is not None:
         doc["inverse"]["route"] = route
@@ -203,7 +196,7 @@ def cmd_invert(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
     doc["verified"] = verified
     lines.append("composition with P is the identity: "
                  + ("verified" if verified else "FAILED"))
-    _emit(doc, "\n".join(lines) + "\n", cfg)
+    _emit(doc, "\n".join(lines) + "\n", args)
     return 0 if verified else 1
 
 
@@ -211,10 +204,10 @@ def cmd_invert(cfg: RunConfig, p: int, k: int, size_bound: int, variant: str,
 # count.
 # ---------------------------------------------------------------------------
 
-def cmd_count(cfg: RunConfig, p: int, k: int, size_bound: int, m: int,
-              k_max: int | None) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
+    p, k, size_bound, m = args.p, args.k, args.size_bound, args.m
     check_field_params(p, k)
-    top = k if k_max is None else k_max
+    top = k if args.k_max is None else args.k_max
     if top < k:
         raise ValueError(f"k-max = {top} is below k = {k}")
     # p^b - 1 >= 2^b > size_bound for b = its bit length + 1 (b >= 1, even
@@ -235,7 +228,7 @@ def cmd_count(cfg: RunConfig, p: int, k: int, size_bound: int, m: int,
         lines.append(f"q = {q:>6} (k = {j}): {count}/{q - 1} admissible n, "
                      f"ratio {ratio}")
     doc = {"p": p, "m": m, "rows": rows}
-    _emit(doc, "\n".join(lines) + "\n", cfg)
+    _emit(doc, "\n".join(lines) + "\n", args)
     return 0
 
 
@@ -444,17 +437,15 @@ def _check_counting(qs) -> None:
 
 def _check_determinism() -> None:
     import io
+    from contextlib import redirect_stdout
+    argv = ["--p", "3", "--k", "2", "--variant", "H", "--n", "3", "--l", "2",
+            "--format", "json"]
     outs = []
     for _ in range(2):
-        buf = io.StringIO()
-        stdout = sys.stdout
-        sys.stdout = buf
-        try:
-            sub, field = RunConfig("json", "-"), (3, 2, DEFAULT_SIZE_BOUND)
-            cmd_construct(sub, *field, "H", 3, 0, 2)
-            cmd_invert(sub, *field, "H", 3, 0, 2, "all")
-        finally:
-            sys.stdout = stdout
+        with redirect_stdout(io.StringIO()) as buf:
+            codes = (main(["construct", *argv]),
+                     main(["invert", *argv, "--route", "all"]))
+        _ensure(codes == (0, 0), f"a repeated run exited with {codes}")
         outs.append(buf.getvalue())
     _ensure(outs[0] == outs[1], "two identical runs differ byte-wise")
 
@@ -513,8 +504,8 @@ def _selftest_suite(level: str, seed: int):
     return checks
 
 
-def cmd_selftest(cfg: RunConfig, level: str, seed: int) -> int:
-    checks = _selftest_suite(level, seed)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    checks = _selftest_suite(args.level, args.seed)
     results = []
     all_pass = True
     lines = []
@@ -533,9 +524,9 @@ def cmd_selftest(cfg: RunConfig, level: str, seed: int) -> int:
         lines.append(f"{status} {name} [{elapsed:.2f}s]{suffix}")
     n_pass = sum(1 for r in results if r["passed"])
     lines.append(f"{len(results)} checks: {n_pass} passed, "
-                 f"{len(results) - n_pass} failed [{level}]")
-    doc = {"level": level, "checks": results, "passed": all_pass}
-    _emit(doc, "\n".join(lines) + "\n", cfg)
+                 f"{len(results) - n_pass} failed [{args.level}]")
+    doc = {"level": args.level, "checks": results, "passed": all_pass}
+    _emit(doc, "\n".join(lines) + "\n", args)
     return 0 if all_pass else 1
 
 
@@ -550,8 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(G_n, H_n) pair, with certified inverses")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_field=True):
-        if with_field:
+    def add(name, handler, help, field=True, spec=False):
+        sp = sub.add_parser(name, help=help)
+        if field:
             sp.add_argument("--p", type=int, required=True, help="odd prime")
             sp.add_argument("--k", type=int, default=1,
                             help="extension degree, q = p^k (default 1)")
@@ -559,33 +551,29 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="bound on q^2 for tables and exhaustive checks")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
+        if spec:
+            sp.add_argument("--variant", choices=("H", "G"), required=True)
+            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--m", type=int, default=0)
+            sp.add_argument("--l", type=int, default=0,
+                            help="alpha = gamma^(l(q-1))")
+        sp.set_defaults(run=handler)
+        return sp
 
-    sp = sub.add_parser("construct", help="build and certify one polynomial")
-    add_common(sp)
-    sp.add_argument("--variant", choices=("H", "G"), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--l", type=int, default=0,
-                    help="alpha = gamma^(l(q-1))")
+    sp = add("construct", cmd_construct, "build and certify one polynomial",
+             spec=True)
     sp.add_argument("--skip-oracle", action="store_true")
 
-    sp = sub.add_parser("invert", help="compute a compositional inverse")
-    add_common(sp)
-    sp.add_argument("--variant", choices=("H", "G"), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--l", type=int, default=0)
+    sp = add("invert", cmd_invert, "compute a compositional inverse", spec=True)
     sp.add_argument("--route", choices=("cyclotomic", "closed", "table", "all"),
                     default="all")
 
-    sp = sub.add_parser("count", help="density of admissible n per field size")
-    add_common(sp)
+    sp = add("count", cmd_count, "density of admissible n per field size")
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--k-max", type=int, default=None,
                     help="sweep k from --k to this value")
 
-    sp = sub.add_parser("selftest", help="run module invariant suites")
-    add_common(sp, with_field=False)
+    sp = add("selftest", cmd_selftest, "run module invariant suites", field=False)
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
     sp.add_argument("--seed", type=int, default=0)
 
@@ -594,20 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(fmt=args.format, out=args.out)
     try:
-        if args.command == "selftest":
-            return cmd_selftest(cfg, args.level, args.seed)
-        field = (args.p, args.k, args.size_bound)
-        if args.command == "construct":
-            return cmd_construct(cfg, *field, args.variant, args.n, args.m,
-                                 args.l, run_oracle=not args.skip_oracle)
-        if args.command == "invert":
-            return cmd_invert(cfg, *field, args.variant, args.n, args.m,
-                              args.l, args.route)
-        if args.command == "count":
-            return cmd_count(cfg, *field, args.m, args.k_max)
-        raise SystemExit(2)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -475,7 +475,6 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     ctx = spec.ctx
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
-    perm_eval = perm_coset_map(spec)
     for route in routes:
         try:
             if route == "cyclotomic":
@@ -483,7 +482,7 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
             elif route == "closed":
                 inverse = lift_inverse(spec)
             else:
-                inverse = inverse_table(ctx, perm_eval)
+                inverse = inverse_table(ctx, perm_coset_map(spec))
         except ValueError as exc:
             skipped[route] = str(exc)
             continue

@@ -571,3 +571,59 @@ def test_large_l_is_reduced(capsys):
                     "--l", "1", "--format", "json"])
     ref_doc = json.loads(capsys.readouterr().out)
     assert doc["spec"]["alpha"] == ref_doc["spec"]["alpha"]
+
+
+# Each subcommand's usage line, as argparse prints it at 80 columns.
+USAGE = {
+    "construct":
+        "usage: redeiperm construct [-h] --p P [--k K] [--size-bound SIZE_BOUND]\n"
+        "                           [--format {text,json}] [--out OUT] --variant {H,G}\n"
+        "                           --n N [--m M] [--l L] [--skip-oracle]\n",
+    "invert":
+        "usage: redeiperm invert [-h] --p P [--k K] [--size-bound SIZE_BOUND]\n"
+        "                        [--format {text,json}] [--out OUT] --variant {H,G} --n\n"
+        "                        N [--m M] [--l L]\n"
+        "                        [--route {cyclotomic,closed,table,all}]\n",
+    "count":
+        "usage: redeiperm count [-h] --p P [--k K] [--size-bound SIZE_BOUND]\n"
+        "                       [--format {text,json}] [--out OUT] [--m M]\n"
+        "                       [--k-max K_MAX]\n",
+    "selftest":
+        "usage: redeiperm selftest [-h] [--format {text,json}] [--out OUT]\n"
+        "                          [--level {quick,full}] [--seed SEED]\n",
+}
+
+
+def test_each_subcommand_keeps_its_usage_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser()
+    assert parser.format_usage() == (
+        "usage: redeiperm [-h] {construct,invert,count,selftest} ...\n")
+    subparsers = next(a for a in parser._actions
+                      if a.dest == "command").choices
+    assert {name: sp.format_usage() for name, sp in subparsers.items()} == USAGE
+
+
+ROUTE_CHOICES = "'cyclotomic', 'closed', 'table', 'all'"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--p", "11", "--n", "3"],
+     USAGE["construct"] + "redeiperm construct: error: the following arguments "
+                          "are required: --variant\n"),
+    (["invert", "--p", "9", "--variant", "H", "--n", "3", "--route", "bogus"],
+     USAGE["invert"] + "redeiperm invert: error: argument --route: invalid "
+                       f"choice: 'bogus' (choose from {ROUTE_CHOICES})\n"),
+    (["selftest", "--size-bound", "50"],
+     "usage: redeiperm [-h] {construct,invert,count,selftest} ...\n"
+     "redeiperm: error: unrecognized arguments: --size-bound 50\n"),
+], ids=["missing-variant", "bad-route", "selftest-size-bound"])
+def test_argparse_errors_keep_their_bytes(monkeypatch, capsys, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    # later argparse releases list the choices by str() instead of repr()
+    assert captured.err in (message, message.replace(ROUTE_CHOICES,
+                                                     ROUTE_CHOICES.replace("'", "")))

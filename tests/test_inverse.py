@@ -321,6 +321,21 @@ def test_agreement_report_refuses_an_unknown_route_before_any_work(
     assert calls == []
 
 
+@pytest.mark.parametrize("routes,built", [(("closed",), 0), (("cyclotomic",), 1),
+                                          (("table",), 1), (inverse.ROUTES, 2)])
+def test_agreement_report_builds_the_forward_map_only_for_the_table_route(
+        q9, monkeypatch, routes, built):
+    """The report builds P's coset map for the table route alone; the one
+    other build is inverse_cyclotomic's own, whose coset table it reads."""
+    calls = []
+    real = inverse.perm_coset_map
+    monkeypatch.setattr(inverse, "perm_coset_map",
+                        lambda spec: calls.append(spec) or real(spec))
+    spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
+    assert agreement_report(spec, routes=routes)["agree"]
+    assert calls == [spec] * built
+
+
 def test_agreement_report_computes_every_route_above_the_default_bound(
         monkeypatch):
     """The size bound is make_field's alone: on a field built with a bound

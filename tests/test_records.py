@@ -1,9 +1,9 @@
 """The frozen records keep the contracts they had as dataclasses.
 
 PermSpec, Condition and PermVerdict (construct), BezoutData and MuInverse
-(inverse), RedeiPair (redei) and RunConfig (cli) are NamedTuples: they
-refuse assignment, equal records hash equal, and every repr and to_record
-dict is pinned as it was.  PermSpec still validates, also through _replace.
+(inverse) and RedeiPair (redei) are NamedTuples: they refuse assignment,
+equal records hash equal, and every repr and to_record dict is pinned as it
+was.  PermSpec still validates, also through _replace.
 Importing the CLI loads neither dataclasses (with inspect) nor hashlib.
 """
 
@@ -15,7 +15,6 @@ import sys
 import pytest
 
 from redeiperm import PermSpec, bezout, check_criterion, gh_coeffs, mu_inverse
-from redeiperm.cli import RunConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -27,8 +26,7 @@ def _records(ctx):
     return {"spec": spec, "verdict": verdict,
             "condition": verdict.conditions[0], "bezout": bezout(spec),
             "mu_inverse": mu_inverse(spec),
-            "pair": gh_coeffs(3, ctx.alpha_from_l(1)),
-            "config": RunConfig("json", "-")}
+            "pair": gh_coeffs(3, ctx.alpha_from_l(1))}
 
 
 def test_records_refuse_assignment(q9):
@@ -79,7 +77,6 @@ def test_reprs_are_unchanged(q9):
                       "sqrt_alpha=Felt(0, 1, 1, 2))",
         "pair": "RedeiPair(n=3, alpha=Felt(0, 2, 2, 1), g=Poly(x^3), "
                 "h=Poly((0,2,2,1)))",
-        "config": "RunConfig(fmt='json', out='-')",
     }
 
 
