@@ -89,11 +89,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     spec, verdict, doc, first = _header(args)
     ctx = spec.ctx
     f = perm_factor(spec)  # one gh_coeffs call for both coefficient forms
-    poly, evaluator = perm_poly(spec, f), perm_coset_map(spec)
+    poly = perm_poly(spec, f)
     oracle_doc: dict = {"ran": False}
     verified = True
     if not args.skip_oracle:
-        ok, witness = is_permutation_bruteforce(ctx, evaluator)
+        ok, witness = is_permutation_bruteforce(ctx, perm_coset_map(spec))
         oracle_doc = {"ran": True, "is_perm": ok}
         if witness is not None:
             oracle_doc["witness"] = [witness[0].to_coeffs(), witness[1].to_coeffs()]
@@ -151,8 +151,10 @@ def cmd_invert(args: argparse.Namespace) -> int:
     try:
         if not verdict.is_perm and route != "table":
             raise ValueError(verdict.failure)
-        evaluator = perm_coset_map(spec)
-        inverse = None  # route all confirms by its own digests
+        # route all confirms by its own digests, and reads P itself only
+        # when the table route is missing
+        evaluator = None if route == "all" else perm_coset_map(spec)
+        inverse = None
         if route == "cyclotomic":
             inverse = inverse_cyclotomic(spec)
             doc["inverse"] = {"poly": [[e, c] for e, c in inverse.to_pairs()],
@@ -183,7 +185,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
             if verified and "table" not in report["routes"]:
                 # table is ground truth; without it confirm by composition
                 inv_poly = inverse_cyclotomic(spec)
-                verified = _compose_identity_holds(ctx, evaluator, inv_poly)
+                verified = _compose_identity_holds(ctx, perm_coset_map(spec),
+                                                   inv_poly)
     except ValueError as exc:  # ArithmeticError is a failed check: exit 3
         doc["error"] = str(exc)
         lines.append(f"error: {exc}")
@@ -258,7 +261,7 @@ def _check_field_axioms(ctx: FieldCtx, rng: random.Random, samples: int) -> None
 
 
 def _check_zech_against_digits(ctx: FieldCtx) -> None:
-    _ensure(ctx.add_logs((0, d) for d in range(ctx.units)) == ctx._zech,
+    _ensure(ctx.add_logs((0, d) for d in range(ctx.units)) == list(ctx._zech),
             "the stored Zech table differs from the table-free rule")
     for av in range(ctx.q2):
         for bv in range(ctx.q2):

@@ -197,10 +197,10 @@ class CosetMap:
             return 0
         ctx = self.ctx
         t = ctx._log[xv]
-        fv = self.table[t % (ctx.q + 1)]
-        if fv == 0:
+        lt = self._table_logs[t % (ctx.q + 1)]
+        if lt is None:
             return 0
-        return ctx._exp[(self.e * t + ctx._log[fv]) % ctx.units]
+        return ctx._exp[(self.e * t + lt) % ctx.units]
 
     def eval_range(self, start: int, stop: int) -> list[int]:
         """Packed values at the packed points start, ..., stop-1."""

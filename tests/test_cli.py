@@ -215,6 +215,27 @@ def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name,extra", [("invert_q9_all", []),
+                                        ("construct_q11_h3", ["--skip-oracle"])])
+def test_p_coset_map_is_built_only_where_it_is_read(capsys, monkeypatch, name,
+                                                     extra):
+    """invert --route all reads P's coset map only to confirm by
+    composition when the table route is missing, and construct only for
+    its oracle: neither builds it here, and the text keeps its golden
+    bytes, the oracle's two lines aside."""
+    calls = []
+    real = cli.perm_coset_map
+    monkeypatch.setattr(cli, "perm_coset_map",
+                        lambda spec: calls.append(spec) or real(spec))
+    argv, code = GOLDEN_RUNS[name]
+    assert cli.main(argv + extra) == code
+    assert calls == []
+    golden = _golden(f"{name}.txt")
+    if extra:
+        golden = golden[:golden.index("oracle: ")] + "oracle: skipped\n"
+    assert capsys.readouterr().out == golden
+
+
 @pytest.mark.parametrize("spec", [["--variant", "H"],
                                   ["--variant", "G", "--m", "1", "--l", "3"]],
                          ids=["H-l0", "G-m1-l3"])
@@ -244,13 +265,18 @@ def test_invert_all_still_agrees_without_closed(capsys):
 
 def test_invert_all_confirms_by_composition_without_the_table(capsys,
                                                               monkeypatch):
-    """With the table route refused, route all falls back to composing P
-    with the cyclotomic inverse over the whole field."""
+    """With the table route refused, route all falls back to composing P,
+    its coset map built once for that, with the cyclotomic inverse over
+    the whole field."""
     from redeiperm import inverse
 
     def refuse(*args, **kwargs):
         raise ValueError("table refused for the test")
 
+    calls = []
+    real = cli.perm_coset_map
+    monkeypatch.setattr(cli, "perm_coset_map",
+                        lambda spec: calls.append(spec) or real(spec))
     monkeypatch.setattr(inverse, "inverse_table", refuse)
     rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
                    "--n", "3", "--m", "0", "--l", "2", "--route", "all"])
@@ -259,6 +285,7 @@ def test_invert_all_confirms_by_composition_without_the_table(capsys,
     assert "route table skipped: table refused for the test" in out
     assert "agreement: yes" in out
     assert "composition with P is the identity: verified" in out
+    assert len(calls) == 1
 
 
 def test_invert_table_on_non_permutation(capsys):
@@ -420,7 +447,7 @@ def test_large_k_refused_naming_the_bound(capsys, k):
     assert captured.out == ""
     assert captured.err == (f"error: q^2 = 3^{2 * int(k)} exceeds the size "
                             f"bound {cli.DEFAULT_SIZE_BOUND}; its exp and log "
-                            f"tables would take about 72*3^{2 * int(k)} "
+                            f"tables would take about 44*3^{2 * int(k)} "
                             f"bytes\n")
 
 
@@ -430,7 +457,7 @@ HUGE_P = 2 ** 61 - 1  # a Mersenne prime: trial division would take hours
 @pytest.mark.parametrize("argv,message", [
     (["construct", "--p", str(HUGE_P), "--variant", "H", "--n", "3"],
      f"q^2 = {HUGE_P ** 2} exceeds the size bound {cli.DEFAULT_SIZE_BOUND}; "
-     f"its exp and log tables would take about {72 * HUGE_P ** 2} bytes"),
+     f"its exp and log tables would take about {44 * HUGE_P ** 2} bytes"),
     (["count", "--p", str(HUGE_P)],
      f"q - 1 = {HUGE_P}^1 - 1 exceeds the size bound {cli.DEFAULT_SIZE_BOUND}"),
 ], ids=["construct", "count"])
@@ -521,7 +548,7 @@ def test_count_bounds_q_minus_1_and_the_field_commands_q_squared(capsys):
         assert rc == 2
         assert captured.out == ""
         assert captured.err == ("error: q^2 = 9 exceeds the size bound 5; its "
-                                "exp and log tables would take about 648 bytes\n")
+                                "exp and log tables would take about 396 bytes\n")
 
 
 @pytest.mark.parametrize("bound,rc,out,err", [

@@ -6,6 +6,7 @@ in-file oracles re-derive the small cases from scratch so a regression in the
 construction search cannot hide.
 """
 
+import array
 import hashlib
 import itertools
 import math
@@ -127,7 +128,7 @@ def test_table_free_rule_matches_the_zech_table_and_the_digits(p, k):
     q^2-1 passes through on either side, and scaled pairs agree too."""
     ctx = make_field(p, k)
     N, exp = ctx.units, ctx._exp
-    assert ctx.add_logs((0, d) for d in range(N)) == ctx._zech
+    assert ctx.add_logs((0, d) for d in range(N)) == list(ctx._zech)
     for d in range(N):
         assert ctx.add_packed(1, exp[d]) == ctx._add_digits(1, exp[d])
     assert ctx.add_logs([(N, N), (N, 5 % N), (5 % N, N)]) == [N, 5 % N, 5 % N]
@@ -153,8 +154,40 @@ def test_the_zech_table_is_built_on_first_read(monkeypatch):
     assert table is not None and ctx._zech is table and len(table) == ctx.units
 
 
+@pytest.mark.parametrize("p,k,code", [(3, 1, "b"), (3, 4, "h"), (3, 5, "i")])
+def test_log_and_zech_are_the_narrowest_signed_arrays(p, k, code):
+    """exp stays a list, whose ints every derived table shares; log and
+    Zech are arrays of the narrowest signed items that hold q^2-1, the
+    log's -1 sentinel included."""
+    ctx = make_field(p, k)
+    assert type(ctx._exp) is list
+    for table in (ctx._log, ctx._zech):
+        assert isinstance(table, array.array) and table.typecode == code
+        assert len(table) == (ctx.q2 if table is ctx._log else ctx.units)
+    assert ctx._log[0] == -1
+
+
+def test_the_zech_table_adds_one_array_item_per_element(monkeypatch):
+    """Building Zech on F_{81^2} holds about itemsize bytes per element
+    (the array's growth slack aside) and peaks below three items per
+    element: no int object is made per entry (tracemalloc)."""
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    ctx = make_field(3, 4)
+    size = ctx._log.itemsize * ctx.q2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        zech = ctx._zech
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert zech.itemsize == ctx._log.itemsize
+    assert size <= held < 1.15 * size, held
+    assert peak < 3 * size, peak
+
+
 def test_the_size_refusal_estimates_the_table_bytes(monkeypatch):
-    """The refusal names 72 bytes per element, worked out from q^2 before
+    """The refusal names 44 bytes per element, worked out from q^2 before
     anything is allocated; the estimate is within 15% of what exp and log
     really take, traced on a field under the bound."""
     tracemalloc.start()
@@ -165,7 +198,7 @@ def test_the_size_refusal_estimates_the_table_bytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert str(exc.value) == ("q^2 = 1062961 exceeds the size bound 1048576; its "
-                              "exp and log tables would take about 76533192 bytes")
+                              "exp and log tables would take about 46770284 bytes")
     assert peak < 64 * 1024
     monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
     tracemalloc.start()
@@ -175,7 +208,8 @@ def test_the_size_refusal_estimates_the_table_bytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert ctx._zech_table is None
-    assert abs(held - 72 * ctx.q2) < 0.15 * 72 * ctx.q2, held
+    per = field_tower.TABLE_BYTES_PER_ELEMENT
+    assert abs(held - per * ctx.q2) < 0.15 * per * ctx.q2, held
 
 
 def test_field_axioms_exhaustive_small(q3):
@@ -343,22 +377,22 @@ def test_make_field_refuses_large_k_from_the_estimate(k):
         tracemalloc.stop()
     assert str(exc.value) == (f"q^2 = 3^{2 * k} exceeds the size bound {1 << 20}; "
                               f"its exp and log tables would take about "
-                              f"72*3^{2 * k} bytes")
+                              f"44*3^{2 * k} bytes")
     assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("call,message", [
     (lambda: make_field(10 ** 2500 + 1, 1),
      "q^2 = (16610-bit integer) exceeds the size bound 1048576; its exp and "
-     f"log tables would take about ({(72 * (10 ** 2500 + 1) ** 2).bit_length()}"
+     f"log tables would take about ({(44 * (10 ** 2500 + 1) ** 2).bit_length()}"
      "-bit integer) bytes"),
     (lambda: make_field(10 ** 5000 + 1, 10 ** 5000),
      "q^2 = (16610-bit integer)^(16611-bit integer) exceeds the size bound "
      "1048576; its exp and log tables would take about "
-     "72*(16610-bit integer)^(16611-bit integer) bytes"),
+     "44*(16610-bit integer)^(16611-bit integer) bytes"),
     (lambda: field_for_q(37 ** 3000),
      "q^2 = (31257-bit integer) exceeds the size bound 1048576; its exp and "
-     f"log tables would take about ({(72 * 37 ** 6000).bit_length()}-bit "
+     f"log tables would take about ({(44 * 37 ** 6000).bit_length()}-bit "
      "integer) bytes"),
     (lambda: make_field(10 ** 5000, 1), "p=(16610-bit integer) is not an odd prime"),
     (lambda: field_for_q(3 * 37 ** 3000), "q=(15630-bit integer) is not a prime power"),
@@ -423,8 +457,8 @@ def test_tables_match_the_per_entry_build(p, k):
     ctx = make_field(p, k)
     exp, log, zech = _reference_tables(ctx)
     assert ctx._exp == exp
-    assert ctx._log == log
-    assert ctx._zech == zech
+    assert list(ctx._log) == log
+    assert list(ctx._zech) == zech
 
 
 # sha256 of ",".join(map(str, table)) for exp, log and zech, computed on
@@ -607,11 +641,11 @@ HUGE_PRIME = 2 ** 61 - 1  # trial division up to its square root takes minutes
 @pytest.mark.parametrize("q,message", [
     (HUGE_PRIME, f"q^2 = {HUGE_PRIME ** 2} exceeds the size bound "
                  f"{field_tower.DEFAULT_SIZE_BOUND}; its exp and log tables "
-                 f"would take about {72 * HUGE_PRIME ** 2} bytes"),
+                 f"would take about {44 * HUGE_PRIME ** 2} bytes"),
     (3 * HUGE_PRIME, f"q={3 * HUGE_PRIME} is not a prime power"),
     (37 * 41, f"q^2 = {1517 ** 2} exceeds the size bound "
               f"{field_tower.DEFAULT_SIZE_BOUND}; its exp and log tables "
-              f"would take about {72 * 1517 ** 2} bytes"),
+              f"would take about {44 * 1517 ** 2} bytes"),
 ], ids=["prime", "small-factor", "large-factors"])
 def test_field_for_q_refuses_a_huge_q_before_trial_division(q, message):
     code = ("from redeiperm.field_tower import field_for_q\n"
