@@ -29,8 +29,9 @@ point.  A CosetMap is read through its LogTable (CosetMap.log_table): the
 map's q^2-1 nonzero values in discrete-log order, built once per loop in
 O(q) Python steps from strided slices of the exp table, then gathered a
 range at a time through the log table in C, or read in log order by the
-scan.  Only a scan of a CosetMap that fails permutes() runs
-CosetMap.eval_range: eval_packed's arithmetic in one comprehension.
+scan and the oracle.  Only their packed-order loop over a CosetMap that
+fails permutes() runs CosetMap.eval_range: eval_packed's arithmetic in
+one comprehension.
 """
 
 from __future__ import annotations

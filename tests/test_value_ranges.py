@@ -10,7 +10,9 @@ the log-order table only for a scan of a CosetMap that permutes by the AGW
 test and keep it off the map, and a tracemalloc guard keeps the scan's
 table to the exp table's own ints.  The AGW test only orders the work:
 forced either way, it leaves every scan's table and witness unchanged, and
-it agrees with the gcd criterion and with the oracle.
+it agrees with the gcd criterion and with the oracle.  The oracle
+certifies a map that passes it from one byte per value, with one AGW test
+per call and no list of preimages.
 """
 
 import gc
@@ -23,8 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redeiperm import (CosetMap, Felt, InverseTable, PermSpec, Poly,
-                       build_perm_poly, check_criterion, cli, inverse_table,
-                       is_permutation_bruteforce, make_field)
+                       build_perm_poly, check_criterion, cli, construct,
+                       inverse_table, is_permutation_bruteforce, make_field)
 from redeiperm.construct import RANGE_START, packed_ranges, scan
 from redeiperm.inverse import _little_endian, _value_digest
 from redeiperm.polyring import LogTable
@@ -513,3 +515,67 @@ def test_the_inverse_table_holds_the_exp_tables_ints():
         tracemalloc.stop()
     assert kept <= 10 * ctx.q2
     assert peak <= 24 * ctx.q2
+
+
+# -- the oracle's one byte per value ------------------------------------------------
+
+def test_the_oracle_certifies_a_permutation_without_the_packed_loop(
+        monkeypatch):
+    """A permutation of F_{81^2} that passes the AGW test is certified by
+    the log-order pass alone: the packed-order loop never runs."""
+    ctx = make_field(3, 4)
+    _, cm = build_perm_poly(_permutation(ctx))
+
+    def refused(*args):
+        raise AssertionError("the packed-order loop ran")
+
+    monkeypatch.setattr(construct, "_packed_scan", refused)
+    assert is_permutation_bruteforce(ctx, cm) == (True, None)
+
+
+def test_the_oracle_runs_the_agw_test_once_per_call(monkeypatch):
+    """One permutes() call per oracle call, whether the map permutes or
+    not: a non-permutation does not pay for the AGW test twice."""
+    ctx = make_field(3, 4)
+    _, perm = build_perm_poly(_permutation(ctx))
+    _, other = build_perm_poly(PermSpec("H", 2, 0, ctx.alpha_from_l(1)))
+    calls = []
+    real = CosetMap.permutes
+    monkeypatch.setattr(CosetMap, "permutes",
+                        lambda self: calls.append(self) or real(self))
+    for cm, ok in ((perm, True), (other, False)):
+        calls.clear()
+        assert is_permutation_bruteforce(ctx, cm)[0] is ok
+        assert calls == [cm]
+
+
+def test_a_forced_log_order_pass_over_a_zero_entry_keeps_the_witness(
+        q11, monkeypatch):
+    """With the AGW test forced True, a zero entry of T sends its whole
+    coset onto 0, the value the oracle's byte array holds from the start
+    (0 -> 0); the log-order pass leaves slots unmarked and the oracle
+    gives the point loop's witness."""
+    monkeypatch.setattr(CosetMap, "permutes", lambda self: True)
+    for s in (0, 5, q11.q):
+        table = [q11.gamma.val] * (q11.q + 1)
+        table[s] = 0
+        cm = CosetMap(q11, 1, table)
+        _, (a, b, _) = reference_scan(q11, cm.eval_packed)
+        assert a == 0
+        assert is_permutation_bruteforce(q11, cm) == (
+            False, (Felt(q11, a), Felt(q11, b)))
+
+
+def test_the_oracle_keeps_one_byte_per_value_beside_the_log_table():
+    """On F_{81^2} the oracle's traced peak is under 12 bytes per point: the
+    LogTable's list (8) and a q^2-byte array, with no list of preimages."""
+    ctx = make_field(3, 4)
+    _, cm = build_perm_poly(_permutation(ctx))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_permutation_bruteforce(ctx, cm) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * ctx.q2
