@@ -21,6 +21,11 @@ when an internal arithmetic cross-check failed.
 --size-bound caps q^2 (q - 1 for count) before make_field builds the tables
 every exhaustive check reads; selftest's fields are fixed and small.
 
+invert's --route is a name in inverse.ROUTES, built by inverse.route_inverse
+(the only function that names a route's constructor) and verified by
+composition with P, or "all", verified exactly when the table route (the
+ground truth) was computed and every computed digest agreed.
+
 Each subcommand is declared by one add(...) call in _build_parser, which
 adds the shared field, output and spec options and stores the handler;
 main calls that handler with the parsed arguments.
@@ -42,8 +47,8 @@ from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         perm_coset_map, perm_factor, perm_poly, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
-from .inverse import (agreement_report, bezout, inverse_cyclotomic,
-                      inverse_table, lift_inverse, mu_inverse)
+from .inverse import (ROUTES, agreement_report, bezout, inverse_table,
+                      mu_inverse, route_inverse)
 from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
 
@@ -149,29 +154,26 @@ def cmd_invert(args: argparse.Namespace) -> int:
         "verdict: " + ("permutation" if verdict.is_perm else "not a permutation"),
     ]
     try:
-        if not verdict.is_perm and route != "table":
+        if route != "all":
+            inverse = route_inverse(spec, route)
+            if route == "cyclotomic":
+                doc["inverse"] = {"poly": [[e, c] for e, c in inverse.to_pairs()],
+                                  "bezout": bezout(spec).to_record()}
+                lines.append(f"inverse ({route}): {render_poly(inverse)}")
+            elif route == "closed":
+                minv = mu_inverse(spec)
+                doc["inverse"] = {"case": minv.case, "n_inv": minv.n_inv,
+                                  "bezout": bezout(spec).to_record()}
+                lines.append(f"inverse ({route}): case {minv.case}, "
+                             f"inverse exponent {minv.n_inv}")
+            else:
+                doc["inverse"] = {}
+                lines.append("inverse (table): built exhaustively")
+            doc["inverse"]["route"] = route
+            verified = _compose_identity_holds(ctx, perm_coset_map(spec), inverse)
+        elif not verdict.is_perm:
             raise ValueError(verdict.failure)
-        # route all confirms by its own digests, and reads P itself only
-        # when the table route is missing
-        evaluator = None if route == "all" else perm_coset_map(spec)
-        inverse = None
-        if route == "cyclotomic":
-            inverse = inverse_cyclotomic(spec)
-            doc["inverse"] = {"poly": [[e, c] for e, c in inverse.to_pairs()],
-                              "bezout": bezout(spec).to_record()}
-            lines.append(f"inverse ({route}): {render_poly(inverse)}")
-        elif route == "closed":
-            minv = mu_inverse(spec)
-            inverse = lift_inverse(spec)
-            doc["inverse"] = {"case": minv.case, "n_inv": minv.n_inv,
-                              "bezout": bezout(spec).to_record()}
-            lines.append(f"inverse ({route}): case {minv.case}, "
-                         f"inverse exponent {minv.n_inv}")
-        elif route == "table":
-            inverse = inverse_table(ctx, evaluator)
-            doc["inverse"] = {}
-            lines.append("inverse (table): built exhaustively")
-        else:  # all
+        else:
             report = agreement_report(spec)
             doc["report"] = report
             computed = sorted(report["routes"])
@@ -181,20 +183,13 @@ def cmd_invert(args: argparse.Namespace) -> int:
             for name in computed:
                 lines.append(f"digest {name}: {report['routes'][name]}")
             lines.append("agreement: " + ("yes" if report["agree"] else "NO"))
-            verified = report["agree"]
-            if verified and "table" not in report["routes"]:
-                # table is ground truth; without it confirm by composition
-                inv_poly = inverse_cyclotomic(spec)
-                verified = _compose_identity_holds(ctx, perm_coset_map(spec),
-                                                   inv_poly)
+            # the table route is the ground truth
+            verified = report["agree"] and "table" in report["routes"]
     except ValueError as exc:  # ArithmeticError is a failed check: exit 3
         doc["error"] = str(exc)
         lines.append(f"error: {exc}")
         _emit(doc, "\n".join(lines) + "\n", args)
         return 1
-    if inverse is not None:
-        doc["inverse"]["route"] = route
-        verified = _compose_identity_holds(ctx, evaluator, inverse)
 
     doc["verified"] = verified
     lines.append("composition with P is the identity: "
@@ -568,8 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--skip-oracle", action="store_true")
 
     sp = add("invert", cmd_invert, "compute a compositional inverse", spec=True)
-    sp.add_argument("--route", choices=("cyclotomic", "closed", "table", "all"),
-                    default="all")
+    sp.add_argument("--route", choices=(*ROUTES, "all"), default="all")
 
     sp = add("count", cmd_count, "density of admissible n per field size")
     sp.add_argument("--m", type=int, default=0)

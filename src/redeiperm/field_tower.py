@@ -24,11 +24,8 @@ from it (CosetMap.log_values, the scan's inverse table) store rather than
 copy.  log and Zech are arrays of the narrowest signed item that holds
 q^2 - 1 (4 bytes from q^2 > 2^15 to far above the default bound), so they
 own no int object: exp and log take about 44 bytes per element
-(TABLE_BYTES_PER_ELEMENT) where two lists of ints took about 72, and Zech
-adds one item per element.  A read from an array makes a fresh int, a
-little slower than a list read.  On the benchmark's field-large workload
-(F_{1021^2}, then F_{729^2}; Python 3.11, x86-64) the peak RSS fell from
-164 MB to 110 MB.
+(TABLE_BYTES_PER_ELEMENT), and Zech adds one item per element.  A read
+from an array makes a fresh int, a little slower than a list read.
 
 On top of the tables the module provides the Frobenius x -> x^q, membership
 in the subgroups mu_ell of ell-th roots of unity, square roots with a

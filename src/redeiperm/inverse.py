@@ -170,7 +170,7 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     a_table = perm.table
     exp, log = ctx._exp, ctx._log
     a_logs = [log[v] for v in a_table]
-    zl, r, rp = q - 1, spec.r, b.r_prime  # zl: log of zeta
+    zl, rp = q - 1, b.r_prime  # zl: log of zeta
     w = [0] * (q + 1)
     for i, (s, la) in enumerate(zip(perm.sigma(), a_logs)):
         w[s] = (zl * b.t * i - rp * la) % N  # w[sigma(i)] = B_i
@@ -184,8 +184,7 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     inverse = Poly(ctx, {rp + zl * j: inv_q1 * Felt(ctx, v)
                          for j, v in enumerate(sums) if v})
     for s in spot_positions(q + 1):
-        yv = exp[(r * s + a_logs[s]) % N]  # P(gamma^s); gamma^(s(q-1)) = zeta^s
-        if _eval_terms(inverse, yv) != exp[s]:
+        if _eval_terms(inverse, perm.eval_packed(exp[s])) != exp[s]:
             raise ArithmeticError(
                 f"cyclotomic inverse does not send P(gamma^{s}) back to gamma^{s}")
     return inverse
@@ -459,6 +458,19 @@ def _value_digest(ctx: FieldCtx, f) -> str:
 ROUTES = ("cyclotomic", "closed", "table")
 
 
+def route_inverse(spec: PermSpec, route: str):
+    """spec's inverse by the named route: the one place that maps a name in
+    ROUTES to its constructor, looked up at call time.  Each route raises
+    its own ValueError when its hypotheses fail, as does an unknown name."""
+    if route == "cyclotomic":
+        return inverse_cyclotomic(spec)
+    if route == "closed":
+        return lift_inverse(spec)
+    if route == "table":
+        return inverse_table(spec.ctx, perm_coset_map(spec))
+    raise ValueError(f"unknown route {route!r}")
+
+
 def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     """Compute the requested inverse routes and compare their value tables.
 
@@ -472,21 +484,15 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     for route in routes:
         if route not in ROUTES:
             raise ValueError(f"unknown route {route!r}")
-    ctx = spec.ctx
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
     for route in routes:
         try:
-            if route == "cyclotomic":
-                inverse = inverse_cyclotomic(spec)
-            elif route == "closed":
-                inverse = lift_inverse(spec)
-            else:
-                inverse = inverse_table(ctx, perm_coset_map(spec))
+            inverse = route_inverse(spec, route)
         except ValueError as exc:
             skipped[route] = str(exc)
             continue
-        digests[route] = _value_digest(ctx, inverse)
+        digests[route] = _value_digest(spec.ctx, inverse)
     agree = len(set(digests.values())) == 1 if digests else False
     return {
         "spec": spec.to_record(),

@@ -1,14 +1,19 @@
 """Command-line behaviour: frozen examples, exit codes, canonical JSON,
 golden outputs, determinism, and the selftest harness."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cli_corpus
 from redeiperm import cli, construct
+from redeiperm.inverse import ROUTES
 from redeiperm.redei import GH_DEGREE_CAP
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "v1")
@@ -195,8 +200,11 @@ def test_invert_closed_refusal(capsys):
 
 
 def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
-    """A non-permutation is refused before perm_coset_map runs, except on
-    the table route, which scans P for its collision witness."""
+    """A non-permutation is refused before perm_coset_map runs, in cli or
+    in inverse.route_inverse, except on the table route, which scans P
+    for its collision witness."""
+    from redeiperm import inverse
+
     calls = []
     real = cli.perm_coset_map
 
@@ -204,7 +212,8 @@ def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(cli, "perm_coset_map", counted)
+    for module in (cli, inverse):
+        monkeypatch.setattr(module, "perm_coset_map", counted)
     argv = ["invert", "--p", "7", "--variant", "H", "--n", "3"]
     for route in ("closed", "cyclotomic", "all"):
         assert cli.main(argv + ["--route", route]) == 1
@@ -219,10 +228,10 @@ def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
                                         ("construct_q11_h3", ["--skip-oracle"])])
 def test_p_coset_map_is_built_only_where_it_is_read(capsys, monkeypatch, name,
                                                      extra):
-    """invert --route all reads P's coset map only to confirm by
-    composition when the table route is missing, and construct only for
-    its oracle: neither builds it here, and the text keeps its golden
-    bytes, the oracle's two lines aside."""
+    """invert --route all is confirmed by its own digests and never reads
+    P's coset map in cli, and construct reads it only for its oracle:
+    neither builds it here, and the text keeps its golden bytes, the
+    oracle's two lines aside."""
     calls = []
     real = cli.perm_coset_map
     monkeypatch.setattr(cli, "perm_coset_map",
@@ -263,11 +272,10 @@ def test_invert_all_still_agrees_without_closed(capsys):
     assert "agreement: yes" in out
 
 
-def test_invert_all_confirms_by_composition_without_the_table(capsys,
-                                                              monkeypatch):
-    """With the table route refused, route all falls back to composing P,
-    its coset map built once for that, with the cyclotomic inverse over
-    the whole field."""
+def test_invert_all_is_not_verified_without_the_table(capsys, monkeypatch):
+    """The table route is the ground truth of route all: with it refused,
+    the other routes still agree, but nothing is verified (exit 1), and
+    cli builds no coset map of P to make up for it."""
     from redeiperm import inverse
 
     def refuse(*args, **kwargs):
@@ -278,14 +286,17 @@ def test_invert_all_confirms_by_composition_without_the_table(capsys,
     monkeypatch.setattr(cli, "perm_coset_map",
                         lambda spec: calls.append(spec) or real(spec))
     monkeypatch.setattr(inverse, "inverse_table", refuse)
-    rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
-                   "--n", "3", "--m", "0", "--l", "2", "--route", "all"])
+    argv = ["invert", "--p", "3", "--k", "2", "--variant", "H", "--n", "3",
+            "--m", "0", "--l", "2", "--route", "all"]
+    assert cli.main(argv) == 1
     out = capsys.readouterr().out
-    assert rc == 0
     assert "route table skipped: table refused for the test" in out
     assert "agreement: yes" in out
-    assert "composition with P is the identity: verified" in out
-    assert len(calls) == 1
+    assert "composition with P is the identity: FAILED" in out
+    assert cli.main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is False and doc["report"]["agree"] is True
+    assert calls == []
 
 
 def test_invert_table_on_non_permutation(capsys):
@@ -654,3 +665,80 @@ def test_argparse_errors_keep_their_bytes(monkeypatch, capsys, argv, message):
     # later argparse releases list the choices by str() instead of repr()
     assert captured.err in (message, message.replace(ROUTE_CHOICES,
                                                      ROUTE_CHOICES.replace("'", "")))
+
+
+CORPUS = cli_corpus.load()["entries"]
+
+
+@pytest.mark.parametrize("index", range(0, len(CORPUS), 8))
+def test_the_cli_corpus_replays_byte_identical(index):
+    """Every eighth argv of tests/data/v1/cli_corpus.json keeps its exit
+    code and the sha256 of its stdout and stderr; CI replays them all."""
+    assert cli_corpus.run(CORPUS[index]["argv"]) == CORPUS[index]
+
+
+_JUNK = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", " 3", "nan"])
+_BIG = st.integers(-10**22, 10**22)
+# each option's plausible values, bad ones among them; --size-bound stays
+# at most 6561, even in its wide draws, so no argv builds a field beyond q = 81
+_PLAUSIBLE = {
+    "--p": st.one_of(st.sampled_from(["3", "5", "7", "11", "13"]),
+                     st.sampled_from(["2", "1", "0", "-3", "4", "9", "15", "25"])),
+    "--k": st.integers(-1, 4), "--n": st.integers(-3, 12),
+    "--m": st.integers(-3, 3), "--l": st.integers(-2, 12),
+    "--k-max": st.integers(-1, 6),
+    "--size-bound": st.sampled_from([6561, 2401, 625, 81, 48, 0, -1]),
+    "--variant": st.sampled_from(["H", "G", "h"]),
+    "--route": st.sampled_from([*ROUTES, "all", "bogus"]),
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--out": st.sampled_from(["-", os.devnull, os.devnull + "/x"]),
+}
+_INTEGERS = ("--p", "--k", "--n", "--m", "--l", "--k-max", "--size-bound")
+_KINDS = st.sampled_from(["plausible"] * 13 + ["missing", "junk", "big"])
+_REQUIRED = {"construct": ["--p", "--variant", "--n"],
+             "invert": ["--p", "--variant", "--n"], "count": ["--p"]}
+_OPTIONAL = {
+    "construct": ["--k", "--m", "--l", "--format", "--out", "--skip-oracle"],
+    "invert": ["--k", "--m", "--l", "--format", "--out", "--route"],
+    "count": ["--k", "--m", "--k-max", "--format", "--out"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A construct, invert or count argv: --size-bound, the required options
+    and some optional ones, in any order.  Each value is plausible or, one
+    time in sixteen, missing; an integer option's value is, one time in
+    sixteen each, not an integer or an integer up to 10^22 in size."""
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    names = ["--size-bound", *_REQUIRED[command],
+             *draw(st.lists(st.sampled_from(_OPTIONAL[command]), max_size=4))]
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        kind = "flag" if name == "--skip-oracle" else draw(_KINDS)
+        if kind in ("flag", "missing"):
+            argv.append(name)
+            continue
+        if name in _INTEGERS:
+            value = draw({"junk": _JUNK, "big": _BIG}.get(kind, _PLAUSIBLE[name]))
+        else:  # a choice, or an --out path that is never a file here
+            value = draw(_PLAUSIBLE[name])
+        if name == "--size-bound" and kind == "big":
+            value = min(value, 6561)
+        argv += [name, str(value)]
+    return argv
+
+
+# 1400 draws: about 5 s on one x86-64 core (Python 3.11)
+@settings(max_examples=1400)
+@given(_argv())
+def test_no_argv_makes_main_raise(argv):
+    """cli.main returns an exit code 0-3 for any argv, or argparse exits
+    with 2; nothing else escapes."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
