@@ -2,13 +2,13 @@
 and the sha256 of the stdout and stderr bytes it produced.
 
     python3 tests/cli_corpus.py generate          # write the manifest
-    python3 tests/cli_corpus.py replay [--every N]
+    python3 tests/cli_corpus.py replay
 
 generate runs every argv of corpus_argv() and writes tests/data/v1/
 cli_corpus.json with the commit it ran at; it refuses to run when src/ has
 uncommitted changes, so that commit names the code that made the bytes.
-replay runs the stored argv (every N-th entry with --every N), prints each
-entry whose exit code or bytes differ, and exits 1 if any does.
+replay runs every stored argv, prints each entry whose exit code or bytes
+differ, and exits 1 if any does.
 
 Each argv runs in process through redeiperm.cli.main with COLUMNS=80.  An
 argparse SystemExit counts as an exit code.  argparse's list of choices is
@@ -190,8 +190,8 @@ def generate() -> int:
     return 0
 
 
-def replay(every: int = 1) -> int:
-    entries = load()["entries"][::every]
+def replay() -> int:
+    entries = load()["entries"]
     bad = [(e, got) for e in entries if (got := run(e["argv"])) != e]
     for e, got in bad:
         print(f"MISMATCH {' '.join(e['argv'])}: exit {e['exit']} -> {got['exit']}, "
@@ -204,7 +204,5 @@ def replay(every: int = 1) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="generate or replay the CLI byte corpus")
     parser.add_argument("action", choices=("generate", "replay"))
-    parser.add_argument("--every", type=int, default=1,
-                        help="replay every N-th entry (default 1: all)")
     args = parser.parse_args()
-    sys.exit(generate() if args.action == "generate" else replay(args.every))
+    sys.exit(generate() if args.action == "generate" else replay())

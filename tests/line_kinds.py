@@ -1,6 +1,7 @@
-"""Count the lines of Python files by kind: code, docstring, comment, blank.
+"""Count the lines of the library, src/redeiperm/*.py, by kind: code,
+docstring, comment, blank.
 
-    python3 tests/line_kinds.py [FILE ...]     # default: src/redeiperm/*.py
+    python3 tests/line_kinds.py
 
 A docstring line is one spanned by a string that is a statement on its own
 (the docstrings of modules, classes and functions); a comment line holds a
@@ -52,9 +53,9 @@ def line_kinds(source: str) -> dict[str, int]:
     return counts
 
 
-def main(paths: list[str]) -> int:
+def main() -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = paths or sorted(glob.glob(os.path.join(root, "src", "redeiperm", "*.py")))
+    paths = sorted(glob.glob(os.path.join(root, "src", "redeiperm", "*.py")))
     total = dict.fromkeys(KINDS, 0)
     print(f"{'file':<16}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
     for path in paths:
@@ -70,4 +71,4 @@ def main(paths: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
