@@ -44,7 +44,8 @@ from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         count_valid_n, cyclotomic_criterion, family_condition,
                         family_poly, family_spec, family_special_condition,
                         is_permutation_bruteforce, packed_ranges,
-                        perm_coset_map, perm_factor, perm_poly, sqrt_case)
+                        perm_coset_map, perm_factor, perm_poly, perm_terms,
+                        sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
 from .inverse import (ROUTES, agreement_report, bezout, inverse_table,
@@ -65,13 +66,6 @@ def _emit(doc: dict, text: str, args: argparse.Namespace) -> None:
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-
-
-def _unreduced_pairs(spec: PermSpec, f: Poly) -> list[tuple[int, list[int]]]:
-    """Term list of x^r * f(x^(q-1)), f = perm_factor(spec), unnormalised."""
-    ctx = spec.ctx
-    return [(spec.r + (ctx.q - 1) * e, f.terms[e].to_coeffs())
-            for e in sorted(f.terms, reverse=True)]
 
 
 def _header(args: argparse.Namespace):
@@ -103,7 +97,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if witness is not None:
             oracle_doc["witness"] = [witness[0].to_coeffs(), witness[1].to_coeffs()]
         verified = ok == verdict.is_perm
-    unreduced = _unreduced_pairs(spec, f)
+    unreduced = [(e, c.to_coeffs()) for e, c in perm_terms(spec, f)]
     doc.update(poly=[[e, c] for e, c in poly.to_pairs()],
                poly_unreduced=[[e, c] for e, c in unreduced],
                oracle=oracle_doc, verified=verified)
@@ -326,34 +320,33 @@ def _check_gh_coprime(ctx: FieldCtx, n_max: int) -> None:
                     f"gcd(G_{n}, H_{n}) != 1 at l={l}")
 
 
-def _spec_grid(ctx: FieldCtx, n_values, m_values) -> Iterator[tuple[int, PermSpec]]:
-    """(l, spec) for l = 0..q, variant H then G, n and m, nested in that order."""
-    for l in range(ctx.q + 1):
-        alpha = ctx.alpha_from_l(l)
-        for variant in ("H", "G"):
-            for n in n_values:
-                for m in m_values:
-                    yield l, PermSpec(variant, n, m, alpha)
+def _spec_grid(qs, n_values, m_values) -> Iterator[tuple[FieldCtx, int, PermSpec]]:
+    """(ctx, l, spec) for q in qs, l = 0..q, variant H then G, n and m,
+    nested in that order."""
+    for q in qs:
+        ctx = field_for_q(q)
+        for l in range(q + 1):
+            alpha = ctx.alpha_from_l(l)
+            for variant in ("H", "G"):
+                for n in n_values:
+                    for m in m_values:
+                        yield ctx, l, PermSpec(variant, n, m, alpha)
 
 
 def _check_criterion_grid(qs, n_max: int, m_values) -> None:
-    for q in qs:
-        ctx = field_for_q(q)
-        for l, spec in _spec_grid(ctx, range(1, n_max + 1), m_values):
-            ok, _ = is_permutation_bruteforce(ctx, perm_coset_map(spec))
-            _ensure(ok == check_criterion(spec).is_perm,
-                    f"criterion mismatch at q={q} variant={spec.variant} "
-                    f"n={spec.n} m={spec.m} l={l}: oracle={ok}")
+    for ctx, l, spec in _spec_grid(qs, range(1, n_max + 1), m_values):
+        ok, _ = is_permutation_bruteforce(ctx, perm_coset_map(spec))
+        _ensure(ok == check_criterion(spec).is_perm,
+                f"criterion mismatch at q={ctx.q} variant={spec.variant} "
+                f"n={spec.n} m={spec.m} l={l}: oracle={ok}")
 
 
 def _check_coset_criterion(qs) -> None:
-    for q in qs:
-        ctx = field_for_q(q)
-        for l, spec in _spec_grid(ctx, range(1, 7), (-1, 0, 1)):
-            got = cyclotomic_criterion(ctx, spec.r, perm_factor(spec))
-            _ensure(got == check_criterion(spec).is_perm,
-                    f"coset criterion mismatch at q={q} n={spec.n} "
-                    f"m={spec.m} l={l} variant={spec.variant}")
+    for ctx, l, spec in _spec_grid(qs, range(1, 7), (-1, 0, 1)):
+        got = cyclotomic_criterion(ctx, spec.r, perm_factor(spec))
+        _ensure(got == check_criterion(spec).is_perm,
+                f"coset criterion mismatch at q={ctx.q} n={spec.n} "
+                f"m={spec.m} l={l} variant={spec.variant}")
 
 
 def _check_families(qs_by_degree: dict) -> None:
@@ -408,21 +401,19 @@ def _check_proof_identities(qs, n_max: int) -> None:
 
 
 def _check_inverse_routes(qs, n_max: int, m_values) -> None:
-    for q in qs:
-        ctx = field_for_q(q)
-        for l, spec in _spec_grid(ctx, range(1, n_max + 1, 2), m_values):
-            if not check_criterion(spec).is_perm:
-                continue
-            report = agreement_report(spec)
-            _ensure("cyclotomic" in report["routes"] and "table" in report["routes"],
-                    "baseline inverse routes missing")
-            _ensure(report["agree"],
-                    f"inverse routes disagree at q={q} variant={spec.variant} "
-                    f"n={spec.n} m={spec.m} l={l}")
-            ev = perm_coset_map(spec)
-            inv = inverse_table(ctx, ev)
-            _ensure(_compose_identity_holds(ctx, ev, inv),
-                    "table inverse does not invert")
+    for ctx, l, spec in _spec_grid(qs, range(1, n_max + 1, 2), m_values):
+        if not check_criterion(spec).is_perm:
+            continue
+        report = agreement_report(spec)
+        _ensure("cyclotomic" in report["routes"] and "table" in report["routes"],
+                "baseline inverse routes missing")
+        _ensure(report["agree"],
+                f"inverse routes disagree at q={ctx.q} variant={spec.variant} "
+                f"n={spec.n} m={spec.m} l={l}")
+        ev = perm_coset_map(spec)
+        inv = inverse_table(ctx, ev)
+        _ensure(_compose_identity_holds(ctx, ev, inv),
+                "table inverse does not invert")
 
 
 def _check_counting(qs) -> None:

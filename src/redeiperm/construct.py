@@ -187,13 +187,20 @@ def perm_factor(spec: PermSpec) -> Poly:
     return (pair.g, pair.h)[spec.gh_index]
 
 
+def perm_terms(spec: PermSpec, f: Poly) -> list[tuple[int, Felt]]:
+    """The terms of x^r * f(x^(q-1)), f = perm_factor(spec), unreduced: each
+    term c*x^e of f gives (r + (q-1)e, c), r not normalised, highest first."""
+    qm = spec.ctx.q - 1
+    return [(spec.r + qm * e, f.terms[e]) for e in sorted(f.terms, reverse=True)]
+
+
 def perm_poly(spec: PermSpec, f: Poly) -> Poly:
-    """x^r * f(x^(q-1)) reduced, for f = perm_factor(spec): each term c*x^e
-    of f goes to c*x^(r + (q-1)e), with r normalised into [1, q^2-1]."""
-    ctx = spec.ctx
-    r_norm = ((spec.r - 1) % ctx.units) + 1
-    return reduce_functional(Poly.from_terms(
-        ctx, ((r_norm + (ctx.q - 1) * e, c) for e, c in f.terms.items())))
+    """x^r * f(x^(q-1)) reduced, for f = perm_factor(spec): each exponent e
+    of perm_terms goes to ((e - 1) mod (q^2-1)) + 1, as reduce_functional
+    sends a positive one, so P(0) = 0 whatever the sign of r."""
+    N = spec.ctx.units
+    return Poly.from_terms(spec.ctx, (((e - 1) % N + 1, c)
+                                      for e, c in perm_terms(spec, f)))
 
 
 def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:

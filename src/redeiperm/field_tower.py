@@ -237,6 +237,15 @@ def require_field(ctx: FieldCtx, *items) -> None:
         raise ValueError("elements from different fields")
 
 
+# entries of a fast table that each cross-check recomputes by its reference
+SPOT_CHECKS = 4
+
+
+def spot_positions(size: int) -> list[int]:
+    """SPOT_CHECKS indices spread evenly over range(size), ascending."""
+    return sorted({j * size // SPOT_CHECKS for j in range(SPOT_CHECKS)})
+
+
 class Felt:
     """One element of F_{q^2}, stored as an integer packing its coefficients.
 
@@ -258,9 +267,6 @@ class Felt:
 
     def to_coeffs(self) -> list[int]:
         return list(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return self.val == 0
 
     def __bool__(self) -> bool:
         return self.val != 0
@@ -645,18 +651,17 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
     return ctx
 
 
-def field_for_q(q: int, size_bound: int | None = None) -> FieldCtx:
+def field_for_q(q: int) -> FieldCtx:
     """The field with exactly q^2 elements, for a prime-power q.
 
-    A composite q with q^2 <= bound has a prime factor d with d^4 <= bound,
-    so trial division stops there; a q with no such factor is passed on as
-    a prime, and make_field refuses it by the bound if q^2 exceeds it.
+    A composite q with q^2 <= DEFAULT_SIZE_BOUND has a prime factor d with
+    d^4 <= it, so trial division stops there; a q with no such factor is
+    passed on as a prime, and make_field refuses it if q^2 exceeds the bound.
     """
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    factors = _prime_factors(q, math.isqrt(math.isqrt(bound)))
+    factors = _prime_factors(q, math.isqrt(math.isqrt(DEFAULT_SIZE_BOUND)))
     if len(factors) != 1:
         raise ValueError(f"q={_decimal(q)} is not a prime power")
     p, k = factors[0], 1
     while p ** k < q:
         k += 1
-    return make_field(p, k, size_bound)
+    return make_field(p, k)

@@ -7,10 +7,10 @@ Route "cyclotomic": a coefficient polynomial with q+1 terms,
 reduced mod x^(q^2) - x, where r = n + m(q+1), the integers r1, t solve
 r*r1 + (q-1)*t = 1, and A_i is H_n(zeta^i, alpha) for variant H (G_n for
 variant G).  The leading scalar is the field identity, because q+1 reduces
-to 1 mod p, but it is computed as a genuine inverse anyway.  The
-coefficients are a length-(q+1) DFT over mu_{q+1} (Wang's inverses of
-cyclotomic mappings), computed by a mixed-radix Cooley-Tukey transform on
-discrete logs, O(q * sum of the prime factors of q+1) Zech steps.  A few
+to 1 mod p, so no coefficient is scaled by it.  The coefficients are a
+length-(q+1) DFT over mu_{q+1} (Wang's inverses of cyclotomic mappings),
+computed by a mixed-radix Cooley-Tukey transform on discrete logs,
+O(q * sum of the prime factors of q+1) Zech steps.  A few
 coefficients are recomputed term by term with add_packed and mul_packed,
 and the polynomial must send P(x) back to x at a few points; a mismatch
 raises ArithmeticError.
@@ -60,11 +60,11 @@ from array import array
 from typing import NamedTuple
 
 from .construct import (CASE_IN, CosetMap, PermSpec, check_criterion,
-                        coset_factor_table, packed_ranges, perm_coset_map,
-                        scan, sqrt_case)
-from .field_tower import Felt, FieldCtx, _prime_factors, require_field
+                        packed_ranges, perm_coset_map, scan, sqrt_case)
+from .field_tower import (Felt, FieldCtx, _prime_factors, require_field,
+                          spot_positions)
 from .polyring import Poly, _eval_terms
-from .redei import _gh_eval_packed, gh_table, spot_positions
+from .redei import _gh_eval_packed, gh_table
 
 
 def _modinv_or_none(a: int, mod: int) -> int | None:
@@ -150,11 +150,11 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     gamma^(B_i) (_dft_logs).  The forward map must pass CosetMap.permutes
     (Akbary-Ghioca-Wang), so r1 exists; if not, ArithmeticError.  Two
     independent O(q) checks keep it honest, and either mismatch raises
-    ArithmeticError: GH_SPOT_CHECKS coefficients are recomputed from the
+    ArithmeticError: SPOT_CHECKS coefficients are recomputed from the
     formula with add_packed and mul_packed (_cyclotomic_coefficient, which
     shares no code with sum_powers), and the polynomial, summed term by
     term (_eval_terms, not poly_eval), must send P(gamma^s) back to
-    gamma^s at GH_SPOT_CHECKS coset representatives, a check that involves
+    gamma^s at SPOT_CHECKS coset representatives, a check that involves
     every coefficient.
     """
     ctx = spec.ctx
@@ -180,9 +180,8 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
             raise ArithmeticError(
                 f"cyclotomic coefficient of x^{rp + zl * j} disagrees with "
                 "the term-by-term sum")
-    inv_q1 = ctx.scalar(q + 1).inv()  # equals one: q+1 = 1 mod p
-    inverse = Poly(ctx, {rp + zl * j: inv_q1 * Felt(ctx, v)
-                         for j, v in enumerate(sums) if v})
+    # the formula's 1/(q+1) is the field's 1: q+1 = 1 mod p
+    inverse = Poly(ctx, {rp + zl * j: Felt(ctx, v) for j, v in enumerate(sums) if v})
     for s in spot_positions(q + 1):
         if _eval_terms(inverse, perm.eval_packed(exp[s])) != exp[s]:
             raise ArithmeticError(
@@ -326,14 +325,14 @@ def _mu_inverse_values(inv: MuInverse) -> list[int]:
             for j, fv in enumerate(fvs)]
 
 
-def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> None:
+def _check_mu_table(inv: MuInverse, table: list[int], perm: CosetMap) -> None:
     """Three independent checks of the mu-inverse table; ArithmeticError on
     any failure.
 
-    Every entry must lie in mu_{q+1}; GH_SPOT_CHECKS entries must equal
+    Every entry must lie in mu_{q+1}; SPOT_CHECKS entries must equal
     mu_inverse_eval (pair powering, power form against rational form);
-    and I(b^n * A_b^(q-1)) = b must hold for every b = zeta^i, with A_b the
-    coset factor table: the table inverts the forward map (CosetMap.sigma).
+    and I(b^n * A_b^(q-1)) = b must hold for every b = zeta^i, A_b perm's
+    coset factor table: the table inverts perm.sigma(), as r = n mod q+1.
     """
     ctx = inv.ctx
     q, exp, log = ctx.q, ctx._exp, ctx._log
@@ -344,7 +343,7 @@ def _check_mu_table(inv: MuInverse, table: list[int], a_table: list[int]) -> Non
         if table[j] != mu_inverse_eval(inv, Felt(ctx, exp[zl * j])).val:
             raise ArithmeticError(
                 f"mu-inverse table disagrees with mu_inverse_eval at zeta^{j}")
-    sigma = CosetMap(ctx, inv.n, a_table).sigma()
+    sigma = perm.sigma()
     if sigma is None:
         raise ArithmeticError("coset factor vanishes on mu_{q+1}")
     if [table[k] for k in sigma] != exp[::zl]:
@@ -360,8 +359,8 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     tabulated over the q+1 values of y.  I is tabulated once per spec
     (_mu_inverse_values: one gh_table call and log-domain powers, no pair
     powering per point) from mu_inverse(spec) and checked by
-    _check_mu_table; F(I(y)) is then read off the coset factor table, since
-    I(y) lies in mu_{q+1}.
+    _check_mu_table; F(I(y)) is then read off the coset factor table of
+    perm_coset_map(spec), since I(y) lies in mu_{q+1}.
 
     Requires gcd(n + m(q+1), q^2-1) = 1.  When the root of alpha lies in
     mu_{q+1} this adds gcd(n, q+1) = 1 on top of the permutation criterion,
@@ -384,10 +383,10 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     e1 = (rp * (q * q - q + 1)) % N
     e2 = (rp * (q - 2)) % N
     ivs = _mu_inverse_values(inv)
-    a_table = coset_factor_table(spec)
-    _check_mu_table(inv, ivs, a_table)
+    perm = perm_coset_map(spec)
+    _check_mu_table(inv, ivs, perm)
     zl = q - 1  # I(y) = zeta^k with k = log I(y) / (q-1), so F(I(y)) = A_k
-    return CosetMap(ctx, e1, [exp[(e2 * log[a_table[log[iv] // zl]] + log[iv]) % N]
+    return CosetMap(ctx, e1, [exp[(e2 * log[perm.table[log[iv] // zl]] + log[iv]) % N]
                               for iv in ivs])
 
 

@@ -40,7 +40,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .field_tower import Felt, FieldCtx, require_field
+from .field_tower import Felt, FieldCtx, require_field, spot_positions
 
 
 class Poly:
@@ -236,10 +236,9 @@ class CosetMap:
     def log_table(self) -> "LogTable":
         """log_values as a LogTable, checked in O(q): at the q+1 coset
         representatives gamma^s, one point of every row, and at
-        GH_SPOT_CHECKS points spread over the logs, the value must equal
+        SPOT_CHECKS points spread over the logs, the value must equal
         gamma^(e*t) * T[t mod (q+1)] by mul_packed; a mismatch raises
         ArithmeticError."""
-        from .redei import spot_positions  # redei imports this module
         ctx = self.ctx
         q1, N, exp, mul = ctx.q + 1, ctx.units, ctx._exp, ctx.mul_packed
         values = self.log_values()

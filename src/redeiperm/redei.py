@@ -43,7 +43,7 @@ import math
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .field_tower import Felt, FieldCtx, require_field
+from .field_tower import Felt, FieldCtx, require_field, spot_positions
 from .polyring import Poly
 
 GH_DEGREE_CAP = 10 ** 4
@@ -199,21 +199,12 @@ def _gh_closed_packed(ctx: FieldCtx, n: int, av: int, pick: int,
     return out
 
 
-# points at which gh_table checks the closed form against _gh_eval_packed
-GH_SPOT_CHECKS = 4
-
-
-def spot_positions(size: int) -> list[int]:
-    """GH_SPOT_CHECKS indices spread evenly over range(size), ascending."""
-    return sorted({j * size // GH_SPOT_CHECKS for j in range(GH_SPOT_CHECKS)})
-
-
 def gh_table(ctx: FieldCtx, n: int, av: int, pick: int,
              points: list[int]) -> list[int]:
     """G_n (pick 0) or H_n (pick 1) at a list of packed points.
 
     The values come from the closed form (_gh_closed_packed), O(1) per
-    point.  GH_SPOT_CHECKS of them, spread evenly over the list, are
+    point.  SPOT_CHECKS of them, spread evenly over the list, are
     recomputed by powering the pair (_gh_eval_packed); a mismatch raises
     ArithmeticError.
     """

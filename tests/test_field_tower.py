@@ -631,8 +631,6 @@ def test_field_for_q():
             field_for_q(q)
     with pytest.raises(ValueError, match="p=2 is not an odd prime"):
         field_for_q(8)
-    with pytest.raises(ValueError, match="exceeds the size bound 100"):
-        field_for_q(27, size_bound=100)
 
 
 HUGE_PRIME = 2 ** 61 - 1  # trial division up to its square root takes minutes

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from redeiperm import PermSpec, cli, field_tower, inverse, redei
+from redeiperm import CosetMap, PermSpec, cli, field_tower, inverse, redei
 from redeiperm.construct import coset_factor_table, sqrt_case
 
 Q9_H3 = ["--p", "3", "--k", "2", "--variant", "H", "--n", "3", "--l", "2"]
@@ -77,8 +77,13 @@ def test_a_vanishing_coset_factor_fails_the_table_check(monkeypatch, capsys, q9)
     Without the check, sigma() is None there and the inversion check raises
     TypeError ('NoneType' object is not iterable), which the CLI does not
     catch, in place of exit 3."""
-    monkeypatch.setattr(inverse, "coset_factor_table",
-                        lambda spec: [0, *coset_factor_table(spec)[1:]])
+    real = inverse.perm_coset_map
+
+    def vanishing(spec):
+        perm = real(spec)
+        return CosetMap(spec.ctx, perm.e, [0, *perm.table[1:]])
+
+    monkeypatch.setattr(inverse, "perm_coset_map", vanishing)
     message = "coset factor vanishes on mu_{q+1}"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         inverse.lift_inverse(_spec(q9))

@@ -321,12 +321,13 @@ def test_agreement_report_refuses_an_unknown_route_before_any_work(
     assert calls == []
 
 
-@pytest.mark.parametrize("routes,built", [(("closed",), 0), (("cyclotomic",), 1),
-                                          (("table",), 1), (inverse.ROUTES, 2)])
+@pytest.mark.parametrize("routes,built", [(("closed",), 1), (("cyclotomic",), 1),
+                                          (("table",), 1), (inverse.ROUTES, 3)])
 def test_agreement_report_builds_the_forward_map_only_for_the_table_route(
         q9, monkeypatch, routes, built):
-    """The report builds P's coset map for the table route alone; the one
-    other build is inverse_cyclotomic's own, whose coset table it reads."""
+    """The report builds P's coset map for the table route alone; the other
+    builds are inverse_cyclotomic's and lift_inverse's own, whose coset
+    tables they read."""
     calls = []
     real = inverse.perm_coset_map
     monkeypatch.setattr(inverse, "perm_coset_map",

@@ -237,7 +237,7 @@ def _assert_mu_table_matches_eval(spec):
         table = inverse._mu_inverse_values(inv)
         assert table == [mu_inverse_eval(inv, y).val
                          for y in ctx.mu(ctx.q + 1)], (spec, root)
-        inverse._check_mu_table(inv, table, coset_factor_table(spec))
+        inverse._check_mu_table(inv, table, construct.perm_coset_map(spec))
 
 
 @pytest.mark.parametrize("p,k", GRID_FIELDS)
