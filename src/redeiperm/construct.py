@@ -21,10 +21,12 @@ from f.eval_range: an InverseTable as a slice, a Poly through poly_eval
 per point, a CosetMap as a gather from its log-order value table
 (CosetMap.log_table), which the loop builds once and drops when it ends.
 The oracle and the scan read a CosetMap that passes CosetMap.permutes
-from that table in discrete-log order (_log_order_table) and any other
-map in packed order, which builds no table and stops at the first
-collision.  Only the table inverse needs preimages: the scan keeps one
-per value, the oracle one byte.  make_field bounds these loops.
+in discrete-log order (_in_log_order) and any other map in packed order,
+which builds no table and stops at the first collision.  Only the table
+inverse needs preimages: the scan keeps one per value, read from the
+LogTable, and the oracle one byte, marked one checked coset row at a
+time (CosetMap.log_rows) with no LogTable built.  make_field bounds these
+loops.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -39,7 +41,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .field_tower import Felt, FieldCtx, require_field
-from .polyring import CosetMap, LogTable, Poly, poly_eval, reduce_functional
+from .polyring import CosetMap, Poly, poly_eval, reduce_functional
 from .redei import gh_coeffs, gh_table
 
 CASE_IN = "sqrt_in_mu"
@@ -250,13 +252,11 @@ def _packed_scan(q2: int, f) -> tuple:
     return first, None
 
 
-def _log_order_table(f) -> LogTable | None:
-    """f's LogTable when f is a CosetMap that passes CosetMap.permutes, else
-    None: only such a map is read in discrete-log order, every other one in
-    packed order with an early exit."""
-    if isinstance(f, CosetMap) and f.permutes():
-        return f.log_table()
-    return None
+def _in_log_order(f) -> bool:
+    """Is f read in discrete-log order?  Only a CosetMap that passes
+    CosetMap.permutes is, from its coset rows (CosetMap.log_rows); every
+    other map is read in packed order with an early exit."""
+    return isinstance(f, CosetMap) and f.permutes()
 
 
 def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
@@ -267,15 +267,15 @@ def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
     it stops and returns (partial table, (a, b, v)): packed inputs a < b
     both map to v, and no point after b enters the table.  Values come a
     range at a time, so f may have been evaluated past b, to the end of
-    b's range.  A map that _log_order_table picks is read once in
-    discrete-log order from its LogTable, storing the exp table's own ints;
-    a repeated value there is a collision, and the packed-order loop then
-    runs over the table.  Every other map runs that loop alone.
+    b's range.  A map that _in_log_order picks is laid out once into its
+    LogTable and read in discrete-log order, storing the exp table's own
+    ints; a repeated value there is a collision, and the packed-order loop
+    then runs over the table.  Every other map runs that loop alone.
     """
     require_field(ctx, f)
-    table = _log_order_table(f)
-    if table is None:
+    if not _in_log_order(f):
         return _packed_scan(ctx.q2, f)
+    table = f.log_table()
     first = [-1] * ctx.q2
     first[0] = 0
     for x, v in zip(ctx._exp, table.values):
@@ -290,23 +290,24 @@ def is_permutation_bruteforce(
     """Evaluate f on all of F_{q^2}; (True, None) or (False, colliding pair).
 
     f may be a CosetMap, an InverseTable or a Poly (see packed_ranges).
-    The verdict needs no preimages: a map that _log_order_table picks is
-    read once in discrete-log order, each value marked in one byte of a
-    q^2-byte array with slot 0 set (0 -> 0), and a slot left unmarked
-    means a repeat.  That map permutes by the AGW test, so the pass makes
-    no per-point test and has no early exit.  A repeat there, or any other
-    map, runs scan's packed-order loop for the first collision a < b.
+    The verdict needs no preimages: a map that _in_log_order picks is read
+    one checked coset row at a time (CosetMap.log_rows), each value marked
+    in one byte of a q^2-byte array with slot 0 set (0 -> 0) as its row is
+    made, and a slot left unmarked means a repeat.  No list of the map's
+    q^2-1 values is built.  That map permutes by the AGW test, so the pass
+    makes no per-point test and has no early exit.  A repeat there, or any
+    other map, runs scan's packed-order loop over f for the first
+    collision a < b.
     """
     require_field(ctx, f)
-    table = _log_order_table(f)
-    if table is not None:
+    if _in_log_order(f):
         seen = bytearray(ctx.q2)
         seen[0] = 1
-        for v in table.values:
-            seen[v] = 1
+        for _, row in f.log_rows():
+            for v in row:
+                seen[v] = 1
         if 0 not in seen:
             return True, None
-        f = table
     _, collision = _packed_scan(ctx.q2, f)
     if collision is None:
         return True, None

@@ -20,7 +20,7 @@ Zech table, built on first use.  The size bound on q^2 keeps table
 construction cheap and guards every exhaustive operation downstream.
 
 Memory: exp is a list, one int object per power, which the tables derived
-from it (CosetMap.log_values, the scan's inverse table) store rather than
+from it (CosetMap.log_rows, the scan's inverse table) store rather than
 copy.  log and Zech are arrays of the narrowest signed item that holds
 q^2 - 1 (4 bytes from q^2 > 2^15 to far above the default bound), so they
 own no int object: exp and log take about 44 bytes per element
@@ -332,12 +332,6 @@ class Felt:
     def frobenius_q(self) -> "Felt":
         """The Frobenius x -> x^q; an order-2 automorphism fixing F_q."""
         return self ** self.ctx.q
-
-    def log(self) -> int:
-        """Discrete logarithm base gamma; errors on zero."""
-        if self.val == 0:
-            raise ZeroDivisionError("zero has no discrete logarithm")
-        return self.ctx._log[self.val]
 
     def in_mu(self, ell: int) -> bool:
         """True iff this element is an ell-th root of unity.

@@ -194,11 +194,11 @@ def _cyclotomic_coefficient(spec: PermSpec, b: BezoutData, a_table: list[int],
     """Packed sum_i zeta^(t*i - r*i*j) * A_i^-(r1 + (q-1)j), term by term
     with add_packed and mul_packed, O(q): the reference for coefficient j."""
     ctx = spec.ctx
-    q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
+    q, N, exp, log, r = ctx.q, ctx.units, ctx._exp, ctx._log, spec.r
     e_j = b.r_prime + (q - 1) * j
     acc = 0
     for i, a in enumerate(a_table):
-        zpow = exp[(q - 1) * ((b.t * i - spec.r * i * j) % (q + 1)) % N]
+        zpow = exp[(q - 1) * ((b.t * i - r * i * j) % (q + 1)) % N]
         acc = ctx.add_packed(acc, ctx.mul_packed(zpow, exp[(-log[a] * e_j) % N]))
     return acc
 

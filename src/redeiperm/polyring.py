@@ -25,20 +25,23 @@ point (a discrete log, a table pick, one multiplication) whatever the number
 of terms.  Every other polynomial is evaluated by the term sum, O(terms)
 per point.  The exhaustive loops read a map a range of consecutive points
 at a time through eval_range: Poly.eval_range calls poly_eval once per
-point.  A CosetMap is read through its LogTable (CosetMap.log_table): the
-map's q^2-1 nonzero values in discrete-log order, built once per loop in
-O(q) Python steps from strided slices of the exp table, then gathered a
-range at a time through the log table in C, or read in log order by the
-scan and the oracle.  Only their packed-order loop over a CosetMap that
-fails permutes() runs CosetMap.eval_range: eval_packed's arithmetic in
-one comprehension.
+point.  A CosetMap's values come in coset rows (CosetMap.log_rows): row s
+is the map at gamma^(s + (q+1)k), k = 0..q-2, a strided slice of the exp
+table, each row checked as it is made, O(q) Python steps for all q+1.  The
+oracle reads the rows as they come; the digests and the scan lay them out
+once per loop into a LogTable, the map's q^2-1 nonzero values in
+discrete-log order, gathered a range at a time through the log table in
+C, or read in log order by the scan.  Only the packed-order loop runs
+CosetMap.eval_range, eval_packed's arithmetic in one comprehension: the
+scan's and the oracle's over a CosetMap that fails permutes(), and the
+oracle's rerun after a repeated value in the rows.
 """
 
 from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .field_tower import Felt, FieldCtx, require_field, spot_positions
 
@@ -135,8 +138,9 @@ class CosetMap:
     its q+1 packed values T are tabulated once; each evaluation is then a
     discrete log, a table pick and one multiplication.  A zero entry of T
     sends its whole coset to 0.  eval_range does the same for a range in
-    one comprehension, with the logs of T taken once per map; log_table
-    tabulates the map on all of F_{q^2} for a loop that reads every point.
+    one comprehension, with the logs of T taken once per map; log_rows
+    tabulates the map one coset row at a time for a loop that reads every
+    point, and log_table lays those rows out in discrete-log order.
     """
 
     __slots__ = ("ctx", "e", "table", "_table_logs")
@@ -213,40 +217,58 @@ class CosetMap:
             out.insert(0, 0)
         return out
 
-    def log_values(self) -> list[int]:
-        """The map at gamma^0, ..., gamma^(q^2-2), in discrete-log order.
+    def _raw_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """log_rows unchecked.
 
         gamma^(s + (q+1)k) goes to gamma^(c_s + (q+1)(e*k mod (q-1))) with
-        c_s = (e*s + log T[s]) mod (q^2-1), so row s (positions s, s+q+1,
-        ...) is the slice of exp with stride q+1 from c_s, wrapped round,
-        and permuted by k -> e*k mod (q-1), one permutation for every row.
-        A zero entry of T gives a zero row.  O(q) Python steps and about
-        3*q^2 element copies in C.
+        c_s = (e*s + log T[s]) mod (q^2-1), so row s is the slice of exp
+        with stride q+1 from c_s, wrapped round, and permuted by
+        k -> e*k mod (q-1), one permutation for every row.  A zero entry
+        of T gives a zero row.  O(1) Python steps and about 3*q element
+        copies in C per row.
         """
         ctx = self.ctx
         e, q1, qm, N, exp = self.e, ctx.q + 1, ctx.q - 1, ctx.units, ctx._exp
         spread = itemgetter(*[e * k % qm for k in range(qm)])
-        values = [0] * N
+        zero = (0,) * qm
         for s, lt in enumerate(self._table_logs):
-            if lt is not None:
+            if lt is None:
+                yield s, zero
+            else:
                 c = (e * s + lt) % N
-                values[s::q1] = spread(exp[c::q1] + exp[c % q1:c:q1])
-        return values
+                yield s, spread(exp[c::q1] + exp[c % q1:c:q1])
 
-    def log_table(self) -> "LogTable":
-        """log_values as a LogTable, checked in O(q): at the q+1 coset
-        representatives gamma^s, one point of every row, and at
-        SPOT_CHECKS points spread over the logs, the value must equal
-        gamma^(e*t) * T[t mod (q+1)] by mul_packed; a mismatch raises
-        ArithmeticError."""
+    def log_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """The map on F_{q^2}^*, one coset row at a time: (s, row) for
+        s = 0..q, with row[k] the value at gamma^(s + (q+1)k), k = 0..q-2.
+
+        Each row is checked as it is made, in O(1) steps: at its coset
+        representative gamma^s and at the spot_positions(q^2-1) logs that
+        fall in it, the value must equal gamma^(e*t) * T[t mod (q+1)] by
+        mul_packed; a mismatch raises ArithmeticError.
+        """
         ctx = self.ctx
         q1, N, exp, mul = ctx.q + 1, ctx.units, ctx._exp, ctx.mul_packed
-        values = self.log_values()
-        for t in (*range(q1), *spot_positions(N)):
-            if values[t] != mul(exp[self.e * t % N], self.table[t % q1]):
-                raise ArithmeticError(
-                    f"log-order value table disagrees with the map at gamma^{t}")
-        return LogTable(ctx, values)
+        spots: dict[int, list[int]] = {}
+        for t in spot_positions(N):
+            spots.setdefault(t % q1, []).append(t)
+        for s, row in self._raw_rows():
+            for t in (s, *spots.get(s, ())):
+                if row[(t - s) // q1] != mul(exp[self.e * t % N], self.table[s]):
+                    raise ArithmeticError(
+                        f"log-order value table disagrees with the map at gamma^{t}")
+            yield s, row
+
+    def log_table(self) -> "LogTable":
+        """The map at gamma^0, ..., gamma^(q^2-2) as a LogTable, for the
+        loops that gather ranges of it or keep preimages (the digests, the
+        scan): the checked log_rows, row s laid out at positions s, s+q+1,
+        ...  O(q) Python steps and about 4*q^2 element copies in C."""
+        values = [0] * self.ctx.units
+        q1 = self.ctx.q + 1
+        for s, row in self.log_rows():
+            values[s::q1] = row
+        return LogTable(self.ctx, values)
 
     def __call__(self, x: Felt) -> Felt:
         require_field(self.ctx, x)

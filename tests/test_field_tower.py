@@ -245,8 +245,6 @@ def test_pow_and_div_edges(q9):
         zero.inv()
     with pytest.raises(ZeroDivisionError):
         one / zero
-    with pytest.raises(ZeroDivisionError):
-        zero.log()
     a = q9.gamma
     assert a ** (-3) == (a ** 3).inv()
     assert a ** q9.units == one

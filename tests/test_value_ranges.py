@@ -6,13 +6,14 @@ must agree with eval_packed, scan with a first-collision loop over single
 points (same table, same witness), and the value digest with a per-point
 sha256, on every q^2 <= 2^12 and on F_{3^5}.  The work-count guards keep
 the loops from falling back to one call per point; the lifetime tests build
-the log-order table only for a scan of a CosetMap that permutes by the AGW
-test and keep it off the map, and a tracemalloc guard keeps the scan's
-table to the exp table's own ints.  The AGW test only orders the work:
-forced either way, it leaves every scan's table and witness unchanged, and
-it agrees with the gcd criterion and with the oracle.  The oracle
-certifies a map that passes it from one byte per value, with one AGW test
-per call and no list of preimages.
+the log-order table only for a scan or a digest, the scan's only for a
+CosetMap that permutes by the AGW test, and keep it off the map, and a
+tracemalloc guard keeps the scan's table to the exp table's own ints.
+The AGW test only orders the work: forced either way, it leaves every
+scan's table and witness unchanged, and it agrees with the gcd criterion
+and with the oracle.  The oracle certifies a map that passes it from one
+byte per value, marked one checked coset row at a time, with one AGW test
+per call, no LogTable and no list of preimages.
 """
 
 import gc
@@ -220,13 +221,13 @@ def test_little_endian_matches_to_bytes(width):
     assert _little_endian([], width) == b""
 
 
-# -- the log-order value table (CosetMap.log_table) -----------------------------
+# -- the coset rows (CosetMap.log_rows) and the log-order value table -----------
 
-def _record_log_values(monkeypatch):
-    """Make CosetMap.log_values append its map to the returned list."""
+def _record(monkeypatch, name="log_table"):
+    """Make CosetMap.<name> append its map to the returned list."""
     built = []
-    real = CosetMap.log_values
-    monkeypatch.setattr(CosetMap, "log_values",
+    real = getattr(CosetMap, name)
+    monkeypatch.setattr(CosetMap, name,
                         lambda self: built.append(self) or real(self))
     return built
 
@@ -235,10 +236,11 @@ def _record_log_values(monkeypatch):
 def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
     """packed_ranges reads a CosetMap from one LogTable, built at its first
     range.  scan builds exactly one for a CosetMap that permutes by the AGW
-    test and none for any other.  The values equal eval_packed at every
-    point, the scan the point loop, and the AGW verdict the scan's."""
+    test and none for any other; the oracle builds none.  The values equal
+    eval_packed at every point, the scan the point loop, and the AGW
+    verdict the scan's and the oracle's."""
     ctx = make_field(p, k)
-    built = _record_log_values(monkeypatch)
+    built = _record(monkeypatch)
     zero_row = [0] + [ctx.gamma.val] * ctx.q
     _, perm = build_perm_poly(_permutation(ctx))
     for cm in (CosetMap(ctx, 5, zero_row), perm,
@@ -256,32 +258,38 @@ def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
         assert (table, witness) == reference_scan(ctx, cm.eval_packed)
         assert cm.permutes() == (witness is None)
         assert built == ([cm] if witness is None else [])
+        built.clear()
+        assert is_permutation_bruteforce(ctx, cm)[0] == (witness is None)
+        assert built == []
     assert perm.permutes() and not CosetMap(ctx, 5, zero_row).permutes()
 
 
 def _corrupt_row(monkeypatch, row):
-    """Make CosetMap.log_values rotate the given row of its result by one."""
-    real = CosetMap.log_values
+    """Make CosetMap._raw_rows rotate the given row by one, before
+    CosetMap.log_rows checks it."""
+    real = CosetMap._raw_rows
 
     def corrupted(self):
-        values = real(self)
-        q1 = self.ctx.q + 1
-        shifted = values[row::q1]
-        values[row::q1] = shifted[1:] + shifted[:1]
-        return values
+        for s, values in real(self):
+            yield s, (values[1:] + values[:1] if s == row else values)
 
-    monkeypatch.setattr(CosetMap, "log_values", corrupted)
+    monkeypatch.setattr(CosetMap, "_raw_rows", corrupted)
 
 
 @pytest.mark.parametrize("row", [0, 5, 11])
 def test_a_corrupted_row_of_the_log_table_is_refused(q11, row, monkeypatch):
+    """One rotated row is refused by every loop that reads the rows: the
+    LogTable, the oracle, the scan and the digest."""
     _, cm = build_perm_poly(_permutation(q11))
-    good = cm.log_table().values
+    good = dict(cm.log_rows())
     _corrupt_row(monkeypatch, row)
-    assert cm.log_values() != good
+    raw = dict(cm._raw_rows())
+    assert [s for s in raw if raw[s] != good[s]] == [row]
     message = f"log-order value table disagrees with the map at gamma\\^{row}$"
     with pytest.raises(ArithmeticError, match=message):
         cm.log_table()
+    with pytest.raises(ArithmeticError, match=message):
+        is_permutation_bruteforce(q11, cm)
     with pytest.raises(ArithmeticError, match=message):
         scan(q11, cm)
     with pytest.raises(ArithmeticError, match=message):
@@ -302,13 +310,10 @@ def test_a_corrupted_row_of_the_log_table_exits_3_from_invert(route, capsys,
 
 
 def test_an_early_collision_never_builds_the_log_table(monkeypatch):
-    """Scans of non-permutations of F_{81^2}, which collide in the first
-    eighth of the points, build no LogTable."""
+    """Scans and oracle calls on non-permutations of F_{81^2}, which collide
+    in the first eighth of the points, make no coset row."""
     ctx = make_field(3, 4)
-    built = []
-    real = CosetMap.log_values
-    monkeypatch.setattr(CosetMap, "log_values",
-                        lambda self: built.append(self) or real(self))
+    built = _record(monkeypatch, "_raw_rows")
     square = CosetMap(ctx, 2, [1] * (ctx.q + 1))  # 1 and -1 = p-1 collide
     assert scan(ctx, square)[1] == (1, ctx.p - 1, 1)
     for n, m, l in ((2, 0, 1), (5, 0, 2), (4, 1, 2)):
@@ -323,9 +328,9 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
 
 
 def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
-    """The oracle, the table inverse, the digest and the composition check
-    each build one LogTable, and nothing but the test holds it afterwards:
-    not the map, not a finished loop."""
+    """The oracle builds no LogTable; the table inverse, the digest and the
+    composition check build one each, and nothing but the test holds it
+    afterwards: not the map, not a finished loop."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
     tables = []
@@ -337,10 +342,13 @@ def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
 
     monkeypatch.setattr(CosetMap, "log_table", recorded)
     assert is_permutation_bruteforce(ctx, cm) == (True, None)
+    assert tables == []
     inverse = inverse_table(ctx, cm)
+    assert len(tables) == 1
     _value_digest(ctx, cm)
+    assert len(tables) == 2
     assert cli._compose_identity_holds(ctx, cm, inverse)
-    assert len(tables) == 4
+    assert len(tables) == 3
     gc.collect()
     for i in range(len(tables)):
         assert gc.get_referrers(tables[i]) == [tables]
@@ -415,7 +423,7 @@ def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
     maps = _straddling_maps(ctx)
     assert sorted(maps) == [(False, False), (False, True),
                             (True, False), (True, True)]
-    built = _record_log_values(monkeypatch)
+    built = _record(monkeypatch)
     for cm, witness in maps.values():
         built.clear()
         want = reference_scan(ctx, cm.eval_packed)
@@ -468,12 +476,13 @@ def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
     """With CosetMap.permutes forced to one answer, scan, the oracle and
     the table inverse still give the point loop's table and witness.  Forced
     True, every scan builds one LogTable and a collision reruns the packed
-    order over it; forced False, no scan builds one."""
+    order over it; forced False, no scan builds one.  The oracle builds
+    none either way."""
     ctx = make_field(p, k)
     cases = _oracle_cases(ctx)
     assert [want[1] is None for _, want in cases].count(True) == 1
     monkeypatch.setattr(CosetMap, "permutes", lambda self: verdict)
-    built = _record_log_values(monkeypatch)
+    built = _record(monkeypatch)
     reads = []
     real = LogTable.eval_range
     monkeypatch.setattr(LogTable, "eval_range", lambda self, *span:
@@ -484,13 +493,16 @@ def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
         assert scan(ctx, cm) == (table, witness)
         assert built == ([cm] if verdict else [])
         assert bool(reads) == (verdict and witness is not None)
+        built.clear()
         if witness is None:
             assert is_permutation_bruteforce(ctx, cm) == (True, None)
+            assert built == []
             assert inverse_table(ctx, cm).eval_range(0, ctx.q2) == table
         else:
             a, b, _ = witness
             assert is_permutation_bruteforce(ctx, cm) == (
                 False, (Felt(ctx, a), Felt(ctx, b)))
+            assert built == []
             with pytest.raises(ValueError, match="not a bijection"):
                 inverse_table(ctx, cm)
 
@@ -498,7 +510,7 @@ def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
 def test_the_inverse_table_holds_the_exp_tables_ints():
     """On F_{243^2}, the table inverse of a CosetMap permutation keeps no
     int of its own, about 8 bytes per point, and the oracle peaks at under
-    24 bytes per point (tracemalloc)."""
+    2 bytes per point (tracemalloc)."""
     ctx = make_field(3, 5)
     _, cm = build_perm_poly(_permutation(ctx))
     tracemalloc.start()
@@ -514,7 +526,7 @@ def test_the_inverse_table_holds_the_exp_tables_ints():
     finally:
         tracemalloc.stop()
     assert kept <= 10 * ctx.q2
-    assert peak <= 24 * ctx.q2
+    assert peak < 2 * ctx.q2
 
 
 # -- the oracle's one byte per value ------------------------------------------------
@@ -566,9 +578,37 @@ def test_a_forced_log_order_pass_over_a_zero_entry_keeps_the_witness(
             False, (Felt(q11, a), Felt(q11, b)))
 
 
-def test_the_oracle_keeps_one_byte_per_value_beside_the_log_table():
-    """On F_{81^2} the oracle's traced peak is under 12 bytes per point: the
-    LogTable's list (8) and a q^2-byte array, with no list of preimages."""
+@pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
+def test_the_oracle_never_builds_a_log_table(p, k, monkeypatch):
+    """With CosetMap.log_table refusing, the oracle still certifies a
+    permutation from its rows, and with the AGW test forced True it still
+    gives the point loop's witness for the straddling maps and for zero
+    entries of T: a repeat in the rows reruns the packed order over the
+    map itself."""
+    ctx = make_field(p, k)
+    _, perm = build_perm_poly(_permutation(ctx))
+
+    def refused(self):
+        raise AssertionError("the oracle built a LogTable")
+
+    monkeypatch.setattr(CosetMap, "log_table", refused)
+    assert is_permutation_bruteforce(ctx, perm) == (True, None)
+    monkeypatch.setattr(CosetMap, "permutes", lambda self: True)
+    maps = [cm for cm, _ in _straddling_maps(ctx).values()]
+    for s in (0, ctx.q // 2, ctx.q):
+        table = [ctx.gamma.val] * (ctx.q + 1)
+        table[s] = 0
+        maps.append(CosetMap(ctx, 1, table))
+    for cm in maps:
+        _, (a, b, _) = reference_scan(ctx, cm.eval_packed)
+        assert is_permutation_bruteforce(ctx, cm) == (
+            False, (Felt(ctx, a), Felt(ctx, b)))
+
+
+def test_the_oracle_keeps_one_byte_per_value_and_one_row():
+    """On F_{81^2} the oracle's traced peak is under 2 bytes per point: a
+    q^2-byte array and one coset row at a time, with no LogTable and no
+    list of preimages."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
     tracemalloc.start()
@@ -578,4 +618,4 @@ def test_the_oracle_keeps_one_byte_per_value_beside_the_log_table():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 12 * ctx.q2
+    assert peak < 2 * ctx.q2
