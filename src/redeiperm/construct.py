@@ -16,17 +16,15 @@ q+1 coset values F(zeta^i, alpha) come from the closed form
 (x +- sqrt(alpha))^n, not from powering x + S modulo S^2 - alpha, which
 only spot-checks them (redei.gh_table).
 
-Every exhaustive loop reads f a range of consecutive points at a time
-from f.eval_range: an InverseTable as a slice, a Poly through poly_eval
-per point, a CosetMap as a gather from its log-order value table
-(CosetMap.log_table), which the loop builds once and drops when it ends.
-The oracle and the scan read a CosetMap that passes CosetMap.permutes
-in discrete-log order (_in_log_order) and any other map in packed order,
-which builds no table and stops at the first collision.  Only the table
-inverse needs preimages: the scan keeps one per value, read from the
-LogTable, and the oracle one byte, marked one checked coset row at a
-time (CosetMap.log_rows) with no LogTable built.  make_field bounds these
-loops.
+Every exhaustive loop reads f in packed order, a range of consecutive
+points at a time (f.eval_range), with one exception: a CosetMap is read
+one checked coset row at a time (CosetMap.log_rows) by packed_ranges,
+which lays the rows out into a log-order list and gathers each range from
+it, and by the oracle and the scan when the map passes CosetMap.permutes
+(_in_log_order).  After a repeated value in the rows, and for every other
+map, they run the packed-order loop, which stops at the first collision.
+The oracle keeps one byte per value; only the scan, behind the table
+inverse, keeps preimages.  make_field bounds these loops.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -38,6 +36,7 @@ admissible n.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .field_tower import Felt, FieldCtx, require_field
@@ -231,14 +230,26 @@ def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
 
     f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
     gives the packed values at the packed points start, ..., stop-1.  A
-    CosetMap is read from its LogTable from the first range; only this
-    loop holds the table.
+    CosetMap's checked rows are instead laid out at its first range into a
+    list of its values in discrete-log order, and each range is gathered
+    from that list through the log table in C; only this loop holds it.
     """
     require_field(ctx, f)
-    if isinstance(f, CosetMap):
-        f = f.log_table()
+    if not isinstance(f, CosetMap):
+        for start, stop in _ranges(ctx.q2):
+            yield start, f.eval_range(start, stop)
+        return
+    values, q1, log = [0] * ctx.units, ctx.q + 1, ctx._log
+    for s, row in f.log_rows():
+        values[s::q1] = row
     for start, stop in _ranges(ctx.q2):
-        yield start, f.eval_range(start, stop)
+        logs = log[max(start, 1):stop]
+        # itemgetter of one index returns the item, not a tuple
+        out = (list(itemgetter(*logs)(values)) if len(logs) > 1
+               else [values[t] for t in logs])
+        if start == 0 < stop:  # log 0 is undefined; 0 -> 0
+            out.insert(0, 0)
+        yield start, out
 
 
 def _packed_scan(q2: int, f) -> tuple:
@@ -253,9 +264,9 @@ def _packed_scan(q2: int, f) -> tuple:
 
 
 def _in_log_order(f) -> bool:
-    """Is f read in discrete-log order?  Only a CosetMap that passes
-    CosetMap.permutes is, from its coset rows (CosetMap.log_rows); every
-    other map is read in packed order with an early exit."""
+    """Is f read from its coset rows (CosetMap.log_rows)?  Only a CosetMap
+    that passes CosetMap.permutes is; every other map is read in packed
+    order with an early exit."""
     return isinstance(f, CosetMap) and f.permutes()
 
 
@@ -267,21 +278,23 @@ def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
     it stops and returns (partial table, (a, b, v)): packed inputs a < b
     both map to v, and no point after b enters the table.  Values come a
     range at a time, so f may have been evaluated past b, to the end of
-    b's range.  A map that _in_log_order picks is laid out once into its
-    LogTable and read in discrete-log order, storing the exp table's own
-    ints; a repeated value there is a collision, and the packed-order loop
-    then runs over the table.  Every other map runs that loop alone.
+    b's range.  A map that _in_log_order picks is read one checked coset
+    row at a time (CosetMap.log_rows), as the oracle reads it: each value's
+    preimage is stored as the exp table's own int, with no per-point test,
+    and a slot left at -1 then means a repeated value, so the packed-order
+    loop runs over the map itself.  Every other map runs that loop alone.
     """
     require_field(ctx, f)
     if not _in_log_order(f):
         return _packed_scan(ctx.q2, f)
-    table = f.log_table()
+    exp, q1 = ctx._exp, ctx.q + 1
     first = [-1] * ctx.q2
     first[0] = 0
-    for x, v in zip(ctx._exp, table.values):
-        if first[v] >= 0:
-            return _packed_scan(ctx.q2, table)
-        first[v] = x
+    for s, row in f.log_rows():
+        for x, v in zip(exp[s::q1], row):
+            first[v] = x
+    if -1 in first:
+        return _packed_scan(ctx.q2, f)
     return first, None
 
 

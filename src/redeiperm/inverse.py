@@ -34,10 +34,10 @@ ArithmeticError.  mu_inverse_eval stays the per-point reference.
 
 Route "table": exhaustive inversion of the value table, the ground truth.
 
-Route agreement digests each route's values at all q^2 points, read by
-construct.packed_ranges through eval_range: the InverseTable a slice at a
-time, the closed route's CosetMap by gathers from its log-order value
-table (CosetMap.log_table), the cyclotomic Poly by poly_eval per point.
+Route agreement digests each route's values at all q^2 points, read a
+range at a time by construct.packed_ranges: the InverseTable as slices,
+the closed route's CosetMap from its coset rows, the cyclotomic Poly by
+poly_eval per point.
 All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
 tabulated on mu_{q+1} once, by the term sum at the q+1 coset

@@ -25,16 +25,11 @@ point (a discrete log, a table pick, one multiplication) whatever the number
 of terms.  Every other polynomial is evaluated by the term sum, O(terms)
 per point.  The exhaustive loops read a map a range of consecutive points
 at a time through eval_range: Poly.eval_range calls poly_eval once per
-point.  A CosetMap's values come in coset rows (CosetMap.log_rows): row s
-is the map at gamma^(s + (q+1)k), k = 0..q-2, a strided slice of the exp
-table, each row checked as it is made, O(q) Python steps for all q+1.  The
-oracle reads the rows as they come; the digests and the scan lay them out
-once per loop into a LogTable, the map's q^2-1 nonzero values in
-discrete-log order, gathered a range at a time through the log table in
-C, or read in log order by the scan.  Only the packed-order loop runs
-CosetMap.eval_range, eval_packed's arithmetic in one comprehension: the
-scan's and the oracle's over a CosetMap that fails permutes(), and the
-oracle's rerun after a repeated value in the rows.
+point, CosetMap.eval_range runs eval_packed's arithmetic in one
+comprehension.  A loop that reads every point of a CosetMap takes it in
+coset rows instead (CosetMap.log_rows): row s is the map at
+gamma^(s + (q+1)k), k = 0..q-2, a strided slice of the exp table, each
+row checked as it is made, O(q) Python steps for all q+1.
 """
 
 from __future__ import annotations
@@ -140,7 +135,7 @@ class CosetMap:
     sends its whole coset to 0.  eval_range does the same for a range in
     one comprehension, with the logs of T taken once per map; log_rows
     tabulates the map one coset row at a time for a loop that reads every
-    point, and log_table lays those rows out in discrete-log order.
+    point.
     """
 
     __slots__ = ("ctx", "e", "table", "_table_logs")
@@ -259,42 +254,9 @@ class CosetMap:
                         f"log-order value table disagrees with the map at gamma^{t}")
             yield s, row
 
-    def log_table(self) -> "LogTable":
-        """The map at gamma^0, ..., gamma^(q^2-2) as a LogTable, for the
-        loops that gather ranges of it or keep preimages (the digests, the
-        scan): the checked log_rows, row s laid out at positions s, s+q+1,
-        ...  O(q) Python steps and about 4*q^2 element copies in C."""
-        values = [0] * self.ctx.units
-        q1 = self.ctx.q + 1
-        for s, row in self.log_rows():
-            values[s::q1] = row
-        return LogTable(self.ctx, values)
-
     def __call__(self, x: Felt) -> Felt:
         require_field(self.ctx, x)
         return Felt(self.ctx, self.eval_packed(x.val))
-
-
-class LogTable:
-    """A map's packed values at gamma^0, ..., gamma^(q^2-2), indexed by the
-    discrete log, with 0 -> 0 (CosetMap.log_table).  eval_range gathers a
-    range of packed points through the log table in C."""
-
-    __slots__ = ("ctx", "values")
-
-    def __init__(self, ctx: FieldCtx, values: list[int]):
-        self.ctx = ctx
-        self.values = values
-
-    def eval_range(self, start: int, stop: int) -> list[int]:
-        """Packed values at the packed points start, ..., stop-1."""
-        logs = self.ctx._log[max(start, 1):stop]
-        # itemgetter of one index returns the item, not a tuple
-        out = (list(itemgetter(*logs)(self.values)) if len(logs) > 1
-               else [self.values[t] for t in logs])
-        if start == 0 < stop:  # log 0 is undefined; 0 -> 0
-            out.insert(0, 0)
-        return out
 
 
 def _eval_terms(f: Poly, xv: int) -> int:

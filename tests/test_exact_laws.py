@@ -35,7 +35,7 @@ def _ls(q: int) -> tuple[int, ...]:
 def _table_and_verdict(ctx, variant: str, n: int, m: int, l: int):
     spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
     cm = perm_coset_map(spec)
-    return (cm.eval_packed(0), cm.log_table().values,
+    return (cm.eval_packed(0), list(cm.log_rows()),
             check_criterion(spec).to_record())
 
 

@@ -20,25 +20,27 @@ def test_all_lists_every_public_name_once():
     assert redeiperm.__version__
 
 
-def _names_read(path: Path) -> set[str]:
-    """Names a file reads, imports or reaches as attributes; a definition
-    (def, class, assignment target) is not a use."""
+def _names_read(path: Path, bare: bool = True) -> set[str]:
+    """Names a file imports or reads as attributes, and with bare also the
+    bare names it reads; a definition (def, class, assignment target) is
+    not a use."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+            if bare:
+                used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     return used
 
 
-def _names_read_outside_the_tests() -> set[str]:
+def _names_read_outside_the_tests(bare: bool = True) -> set[str]:
     files = [path for path in (ROOT / "src" / "redeiperm").glob("*.py")
              if path.name != "__init__.py"]
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    return set().union(*map(_names_read, files))
+    return set().union(*(_names_read(path, bare) for path in files))
 
 
 def test_every_export_is_used_outside_the_tests():
@@ -48,7 +50,10 @@ def test_every_export_is_used_outside_the_tests():
 
 
 def test_every_public_name_of_an_exported_class_is_used_outside_the_tests():
-    used = _names_read_outside_the_tests()
+    """A method or attribute counts as used only where it is read as an
+    attribute or imported: a local variable of the same name (log =
+    ctx._log) is not a use of Felt.log."""
+    used = _names_read_outside_the_tests(bare=False)
     classes = [getattr(redeiperm, name) for name in redeiperm.__all__]
     unused = sorted(f"{cls.__name__}.{attr}" for cls in classes
                     if isinstance(cls, type) for attr in vars(cls)

@@ -17,9 +17,9 @@ Write alpha = zeta^l = gamma^(l(q-1)) and r = n + m(q+1).
         P^H_{n1,0}[alpha^(2-n2)] o P^H_{n2,m2}[alpha]
             = alpha^(-(n1-1)(n2-1)/2) * P^H_{n1*n2, n1*m2}[alpha].
 
-Every field with q^2 <= 2^12 is covered.  Value tables come from
-perm_coset_map(spec).log_table(), which checks itself against the coset
-table at O(q) points; the identities are then compared at all q^2 points.
+Every field with q^2 <= 2^12 is covered.  Value tables are laid out from
+perm_coset_map(spec).log_rows(), which checks each row against the coset
+table; the identities are then compared at all q^2 points.
 The grids are chosen so that each test stays within a few seconds: every
 l on the fields with q <= 13 and a seeded draw of l elsewhere.
 """
@@ -49,7 +49,10 @@ def _values(spec: PermSpec) -> list[int]:
     """P at gamma^0, ..., gamma^(q^2-2), packed; P(0) = 0 is checked here."""
     cm = perm_coset_map(spec)
     assert cm.eval_packed(0) == 0
-    return cm.log_table().values
+    values = [0] * cm.ctx.units
+    for s, row in cm.log_rows():
+        values[s::cm.ctx.q + 1] = row
+    return values
 
 
 def _scaled(ctx, c: int, values) -> list[int]:

@@ -1,25 +1,28 @@
 """The range adapter behind every exhaustive loop, against per-point loops.
 
 construct.packed_ranges hands out f's packed values over consecutive ranges
-of the points 0, ..., q^2-1.  CosetMap.eval_range and the LogTable gather
-must agree with eval_packed, scan with a first-collision loop over single
-points (same table, same witness), and the value digest with a per-point
-sha256, on every q^2 <= 2^12 and on F_{3^5}.  The work-count guards keep
-the loops from falling back to one call per point; the lifetime tests build
-the log-order table only for a scan or a digest, the scan's only for a
-CosetMap that permutes by the AGW test, and keep it off the map, and a
-tracemalloc guard keeps the scan's table to the exp table's own ints.
+of the points 0, ..., q^2-1.  CosetMap.eval_range and packed_ranges' gather
+from a CosetMap's log-order layout must agree with eval_packed, scan with a
+first-collision loop over single points (same table, same witness), and
+the value digest with a per-point sha256, on every q^2 <= 2^12 and on
+F_{3^5}.  The work-count guards keep the loops from falling back to one
+call per point; the lifetime tests make a row pass (CosetMap.log_rows)
+only in the oracle, the scan and packed_ranges, lay the rows out only in
+packed_ranges, and the scan and the oracle pass over the rows only of a
+CosetMap that permutes by the AGW test, leaving nothing on the map; the
+tracemalloc guards keep the scan to one list of the exp table's own ints.
 The AGW test only orders the work: forced either way, it leaves every
 scan's table and witness unchanged, and it agrees with the gcd criterion
 and with the oracle.  The oracle certifies a map that passes it from one
 byte per value, marked one checked coset row at a time, with one AGW test
-per call, no LogTable and no list of preimages.
+per call, no layout and no list of preimages.
 """
 
 import gc
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -30,7 +33,6 @@ from redeiperm import (CosetMap, Felt, InverseTable, PermSpec, Poly,
                        inverse_table, is_permutation_bruteforce, make_field)
 from redeiperm.construct import RANGE_START, packed_ranges, scan
 from redeiperm.inverse import _little_endian, _value_digest
-from redeiperm.polyring import LogTable
 
 
 def _odd_prime_powers(top):
@@ -122,8 +124,9 @@ def coset_maps(draw):
 @given(coset_maps(), st.data())
 def test_eval_range_matches_eval_packed(cm, data):
     """On any window, empty and one-point ones and those around a range
-    boundary included, both the per-point comprehension and the LogTable
-    gather equal eval_packed."""
+    boundary included, both the per-point comprehension and packed_ranges'
+    gather from the log-order layout (given that one window) equal
+    eval_packed."""
     ctx = cm.ctx
     q2, edge = ctx.q2, data.draw(st.sampled_from(_range_starts(ctx)))
     near = st.integers(max(0, edge - 3), min(q2 - 1, edge + 3))
@@ -132,7 +135,9 @@ def test_eval_range_matches_eval_packed(cm, data):
                                        st.integers(0, q2 - start)))
     want = [cm.eval_packed(xv) for xv in range(start, stop)]
     assert cm.eval_range(start, stop) == want
-    assert cm.log_table().eval_range(start, stop) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_ranges", lambda q2: iter([(start, stop)]))
+        assert list(packed_ranges(ctx, cm)) == [(start, want)]
 
 
 @settings(max_examples=40)
@@ -221,46 +226,59 @@ def test_little_endian_matches_to_bytes(width):
     assert _little_endian([], width) == b""
 
 
-# -- the coset rows (CosetMap.log_rows) and the log-order value table -----------
+# -- the coset rows (CosetMap.log_rows) and their log-order layout --------------
 
-def _record(monkeypatch, name="log_table"):
-    """Make CosetMap.<name> append its map to the returned list."""
-    built = []
+def _record(monkeypatch, name="log_rows"):
+    """Make CosetMap.<name> append (the function that called it, its map)
+    to the returned list.  A row pass called from packed_ranges is the one
+    kind that lays the rows out into a log-order list."""
+    passes = []
     real = getattr(CosetMap, name)
-    monkeypatch.setattr(CosetMap, name,
-                        lambda self: built.append(self) or real(self))
-    return built
+    monkeypatch.setattr(CosetMap, name, lambda self: passes.append(
+        (sys._getframe(1).f_code.co_name, self)) or real(self))
+    return passes
+
+
+def _counted_eval_range(monkeypatch):
+    """Make CosetMap.eval_range, the packed-order read, append each window
+    it reads to the returned list."""
+    reads = []
+    real = CosetMap.eval_range
+    monkeypatch.setattr(CosetMap, "eval_range", lambda self, *span:
+                        reads.append(span) or real(self, *span))
+    return reads
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
-    """packed_ranges reads a CosetMap from one LogTable, built at its first
-    range.  scan builds exactly one for a CosetMap that permutes by the AGW
-    test and none for any other; the oracle builds none.  The values equal
-    eval_packed at every point, the scan the point loop, and the AGW
-    verdict the scan's and the oracle's."""
+    """packed_ranges lays a CosetMap out from one row pass, made at its
+    first range.  scan and the oracle each make exactly one row pass for a
+    CosetMap that permutes by the AGW test and none for any other, and lay
+    nothing out.  The values equal eval_packed at every point, the scan the
+    point loop, and the AGW verdict the scan's and the oracle's."""
     ctx = make_field(p, k)
-    built = _record(monkeypatch)
+    passes = _record(monkeypatch)
     zero_row = [0] + [ctx.gamma.val] * ctx.q
     _, perm = build_perm_poly(_permutation(ctx))
     for cm in (CosetMap(ctx, 5, zero_row), perm,
                CosetMap(ctx, -7, list(range(1, ctx.q + 2))),
                CosetMap(ctx, ctx.units + 2, zero_row[::-1])):
-        built.clear()
+        passes.clear()
         ranges = packed_ranges(ctx, cm)
         values = next(ranges)[1]
-        assert built == [cm]
+        assert passes == [("packed_ranges", cm)]
         values += [v for _, vs in ranges for v in vs]
-        assert built == [cm]
+        assert passes == [("packed_ranges", cm)]
         assert values == [cm.eval_packed(xv) for xv in range(ctx.q2)]
-        built.clear()
+        passes.clear()
         table, witness = scan(ctx, cm)
         assert (table, witness) == reference_scan(ctx, cm.eval_packed)
         assert cm.permutes() == (witness is None)
-        assert built == ([cm] if witness is None else [])
-        built.clear()
+        assert passes == ([("scan", cm)] if witness is None else [])
+        passes.clear()
         assert is_permutation_bruteforce(ctx, cm)[0] == (witness is None)
-        assert built == []
+        assert passes == ([("is_permutation_bruteforce", cm)]
+                          if witness is None else [])
     assert perm.permutes() and not CosetMap(ctx, 5, zero_row).permutes()
 
 
@@ -278,8 +296,8 @@ def _corrupt_row(monkeypatch, row):
 
 @pytest.mark.parametrize("row", [0, 5, 11])
 def test_a_corrupted_row_of_the_log_table_is_refused(q11, row, monkeypatch):
-    """One rotated row is refused by every loop that reads the rows: the
-    LogTable, the oracle, the scan and the digest."""
+    """One rotated row is refused by the row producer and by every loop
+    that reads the rows: the oracle, the scan and the digest."""
     _, cm = build_perm_poly(_permutation(q11))
     good = dict(cm.log_rows())
     _corrupt_row(monkeypatch, row)
@@ -287,7 +305,7 @@ def test_a_corrupted_row_of_the_log_table_is_refused(q11, row, monkeypatch):
     assert [s for s in raw if raw[s] != good[s]] == [row]
     message = f"log-order value table disagrees with the map at gamma\\^{row}$"
     with pytest.raises(ArithmeticError, match=message):
-        cm.log_table()
+        dict(cm.log_rows())
     with pytest.raises(ArithmeticError, match=message):
         is_permutation_bruteforce(q11, cm)
     with pytest.raises(ArithmeticError, match=message):
@@ -328,34 +346,33 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
 
 
 def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
-    """The oracle builds no LogTable; the table inverse, the digest and the
-    composition check build one each, and nothing but the test holds it
-    afterwards: not the map, not a finished loop."""
+    """The oracle and the table inverse make one row pass each and lay out
+    nothing; the digest and the composition check lay the rows out once
+    each, in packed_ranges.  Nothing holds a layout or a row afterwards,
+    not the map, not a finished loop: the four leave under one byte per
+    point traced (a layout is 8)."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
-    tables = []
-    real = CosetMap.log_table
-
-    def recorded(self):
-        tables.append(real(self))
-        return tables[-1]
-
-    monkeypatch.setattr(CosetMap, "log_table", recorded)
-    assert is_permutation_bruteforce(ctx, cm) == (True, None)
-    assert tables == []
+    _value_digest(ctx, cm)  # hashlib is imported on the first digest
+    passes = _record(monkeypatch)
     inverse = inverse_table(ctx, cm)
-    assert len(tables) == 1
-    _value_digest(ctx, cm)
-    assert len(tables) == 2
-    assert cli._compose_identity_holds(ctx, cm, inverse)
-    assert len(tables) == 3
-    gc.collect()
-    for i in range(len(tables)):
-        assert gc.get_referrers(tables[i]) == [tables]
-        assert gc.get_referrers(tables[i].values) == [tables[i]]
-    assert all(getattr(cm, name) is not tables[0].values
-               and not isinstance(getattr(cm, name), LogTable)
-               for name in CosetMap.__slots__)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_permutation_bruteforce(ctx, cm) == (True, None)
+        assert inverse_table(ctx, cm).eval_range(0, ctx.q2) == (
+            inverse.eval_range(0, ctx.q2))
+        _value_digest(ctx, cm)
+        assert cli._compose_identity_holds(ctx, cm, inverse)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [caller for caller, _ in passes] == [
+        "scan", "is_permutation_bruteforce", "scan", "packed_ranges",
+        "packed_ranges"]
+    assert all(m is cm for _, m in passes)
+    assert kept < ctx.q2
 
 
 @st.composite
@@ -416,28 +433,25 @@ def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
         p, k, monkeypatch):
     """A late first collision, with the other point early or late, in both
     log orders, gives the point loop's witness and partial table from the
-    packed-order loop: these maps fail the AGW test, so no LogTable is
-    built.  The identity they are built from passes it and is read once
-    in log order from one LogTable, with no range of it gathered."""
+    packed-order loop: these maps fail the AGW test, so no row pass is
+    made.  The identity they are built from passes it and is read in one
+    row pass, with no range of it read in packed order."""
     ctx = make_field(p, k)
     maps = _straddling_maps(ctx)
     assert sorted(maps) == [(False, False), (False, True),
                             (True, False), (True, True)]
-    built = _record(monkeypatch)
+    passes = _record(monkeypatch)
     for cm, witness in maps.values():
-        built.clear()
+        passes.clear()
         want = reference_scan(ctx, cm.eval_packed)
         assert want[1] == witness
         assert scan(ctx, cm) == want
-        assert built == []
-    reads = []
-    real = LogTable.eval_range
-    monkeypatch.setattr(LogTable, "eval_range", lambda self, *span:
-                        reads.append(span) or real(self, *span))
+        assert passes == []
+    reads = _counted_eval_range(monkeypatch)
     identity = CosetMap(ctx, 1, [1] * (ctx.q + 1))
-    built.clear()
+    passes.clear()
     assert scan(ctx, identity) == (list(range(ctx.q2)), None)
-    assert built == [identity]
+    assert passes == [("scan", identity)]
     assert reads == []
 
 
@@ -475,34 +489,33 @@ def _oracle_cases(ctx):
 def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
     """With CosetMap.permutes forced to one answer, scan, the oracle and
     the table inverse still give the point loop's table and witness.  Forced
-    True, every scan builds one LogTable and a collision reruns the packed
-    order over it; forced False, no scan builds one.  The oracle builds
-    none either way."""
+    True, every scan and every oracle call makes one row pass, and a
+    collision reruns the packed order over the map itself; forced False,
+    none makes a row pass and every scan reads in packed order.  Neither
+    lays the rows out."""
     ctx = make_field(p, k)
     cases = _oracle_cases(ctx)
     assert [want[1] is None for _, want in cases].count(True) == 1
     monkeypatch.setattr(CosetMap, "permutes", lambda self: verdict)
-    built = _record(monkeypatch)
-    reads = []
-    real = LogTable.eval_range
-    monkeypatch.setattr(LogTable, "eval_range", lambda self, *span:
-                        reads.append(span) or real(self, *span))
+    passes = _record(monkeypatch)
+    reads = _counted_eval_range(monkeypatch)
     for cm, (table, witness) in cases:
-        built.clear()
+        passes.clear()
         reads.clear()
         assert scan(ctx, cm) == (table, witness)
-        assert built == ([cm] if verdict else [])
-        assert bool(reads) == (verdict and witness is not None)
-        built.clear()
+        assert passes == ([("scan", cm)] if verdict else [])
+        assert bool(reads) == (not verdict or witness is not None)
+        passes.clear()
+        oracle = [("is_permutation_bruteforce", cm)] if verdict else []
         if witness is None:
             assert is_permutation_bruteforce(ctx, cm) == (True, None)
-            assert built == []
+            assert passes == oracle
             assert inverse_table(ctx, cm).eval_range(0, ctx.q2) == table
         else:
             a, b, _ = witness
             assert is_permutation_bruteforce(ctx, cm) == (
                 False, (Felt(ctx, a), Felt(ctx, b)))
-            assert built == []
+            assert passes == oracle
             with pytest.raises(ValueError, match="not a bijection"):
                 inverse_table(ctx, cm)
 
@@ -527,6 +540,24 @@ def test_the_inverse_table_holds_the_exp_tables_ints():
         tracemalloc.stop()
     assert kept <= 10 * ctx.q2
     assert peak < 2 * ctx.q2
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (3, 5)])
+def test_the_table_inverse_holds_one_list_of_preimages(p, k):
+    """On F_{81^2} and F_{243^2}, the table inverse of a permuting CosetMap
+    holds one q^2-entry list, the preimages, and one coset row at a time:
+    its traced peak is under 10 bytes per point, where a second q^2-entry
+    list, such as a log-order layout of the map, would take it to 16."""
+    ctx = make_field(p, k)
+    _, cm = build_perm_poly(_permutation(ctx))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inverse_table(ctx, cm)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * ctx.q2
 
 
 # -- the oracle's one byte per value ------------------------------------------------
@@ -580,18 +611,20 @@ def test_a_forced_log_order_pass_over_a_zero_entry_keeps_the_witness(
 
 @pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
 def test_the_oracle_never_builds_a_log_table(p, k, monkeypatch):
-    """With CosetMap.log_table refusing, the oracle still certifies a
-    permutation from its rows, and with the AGW test forced True it still
-    gives the point loop's witness for the straddling maps and for zero
-    entries of T: a repeat in the rows reruns the packed order over the
-    map itself."""
+    """With packed_ranges, the one layout of the rows, refusing, the
+    oracle still certifies a permutation from its rows, and with the AGW
+    test forced True it still gives the point loop's witness for the
+    straddling maps and for zero entries of T: a repeat in the rows reruns
+    the packed order over the map itself.  Every row pass is the
+    oracle's own."""
     ctx = make_field(p, k)
     _, perm = build_perm_poly(_permutation(ctx))
 
-    def refused(self):
-        raise AssertionError("the oracle built a LogTable")
+    def refused(*args):
+        raise AssertionError("the oracle laid the rows out")
 
-    monkeypatch.setattr(CosetMap, "log_table", refused)
+    monkeypatch.setattr(construct, "packed_ranges", refused)
+    passes = _record(monkeypatch)
     assert is_permutation_bruteforce(ctx, perm) == (True, None)
     monkeypatch.setattr(CosetMap, "permutes", lambda self: True)
     maps = [cm for cm, _ in _straddling_maps(ctx).values()]
@@ -603,11 +636,13 @@ def test_the_oracle_never_builds_a_log_table(p, k, monkeypatch):
         _, (a, b, _) = reference_scan(ctx, cm.eval_packed)
         assert is_permutation_bruteforce(ctx, cm) == (
             False, (Felt(ctx, a), Felt(ctx, b)))
+    assert passes == [("is_permutation_bruteforce", cm)
+                      for cm in (perm, *maps)]
 
 
 def test_the_oracle_keeps_one_byte_per_value_and_one_row():
     """On F_{81^2} the oracle's traced peak is under 2 bytes per point: a
-    q^2-byte array and one coset row at a time, with no LogTable and no
+    q^2-byte array and one coset row at a time, with no layout and no
     list of preimages."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
