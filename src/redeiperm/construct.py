@@ -167,11 +167,9 @@ def coset_factor_table(spec: PermSpec) -> list[int]:
     Built by the closed form (x +- sqrt(alpha))^n and spot-checked against
     pair powering (redei.gh_table).
     """
-    ctx = spec.ctx
-    zl = ctx.q - 1  # discrete log of zeta
-    exp, N = ctx._exp, ctx.units
+    ctx = spec.ctx  # zeta^i = gamma^((q-1)i), i = 0..q, is exp[::q-1]
     return gh_table(ctx, spec.n, spec.alpha.val, spec.gh_index,
-                    [exp[(zl * i) % N] for i in range(ctx.q + 1)])
+                    ctx._exp[::ctx.q - 1])
 
 
 def perm_coset_map(spec: PermSpec) -> CosetMap:

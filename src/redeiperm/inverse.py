@@ -7,13 +7,14 @@ Route "cyclotomic": a coefficient polynomial with q+1 terms,
 reduced mod x^(q^2) - x, where r = n + m(q+1), the integers r1, t solve
 r*r1 + (q-1)*t = 1, and A_i is H_n(zeta^i, alpha) for variant H (G_n for
 variant G).  The leading scalar is the field identity, because q+1 reduces
-to 1 mod p, so no coefficient is scaled by it.  The coefficients are a
-length-(q+1) DFT over mu_{q+1} (Wang's inverses of cyclotomic mappings),
-computed by a mixed-radix Cooley-Tukey transform on discrete logs,
-O(q * sum of the prime factors of q+1) Zech steps.  A few
-coefficients are recomputed term by term with add_packed and mul_packed,
-and the polynomial must send P(x) back to x at a few points; a mismatch
-raises ArithmeticError.
+to 1 mod p, so no coefficient is scaled by it.  P's CosetMap.inverse(),
+the one O(q) inverse (Q. Wang's inverses of cyclotomic mappings), gives
+the exponents r1 + (q-1)j, and the coefficients are the length-(q+1) DFT
+of its table, a mixed-radix Cooley-Tukey transform on discrete logs,
+O(q * sum of the prime factors of q+1) Zech steps.  The double sum is the
+reference: a few coefficients are recomputed from it with add_packed and
+mul_packed, and the polynomial must send P(x) back to x at a few points;
+a mismatch raises ArithmeticError.
 
 Route "closed": the permutation restricted to cosets is inverted on
 mu_{q+1} by one of four closed forms (I1/I2 for variant H, I3/I4 for
@@ -27,10 +28,11 @@ root-in-mu case that amounts to the extra hypothesis gcd(n, q+1) = 1,
 and the route refuses (with the failing gcd) when it does not hold,
 even though the permutation itself is certified.  I is tabulated on
 mu_{q+1} once per spec from one closed-form G/H table (redei.gh_table)
-and log-domain powers.  The table must lie in mu_{q+1}, agree with the
-pair-powered mu_inverse_eval at a few points, and invert
-b -> b^n * F(b)^(q-1) at every b in mu_{q+1}; a failure raises
-ArithmeticError.  mu_inverse_eval stays the per-point reference.
+and log-domain powers.  The table must lie in mu_{q+1} and agree with the
+pair-powered mu_inverse_eval at a few points, and the lift must equal
+CosetMap.inverse() of P at the q+1 coset representatives, with its
+exponent congruent mod q-1; a failure raises ArithmeticError.
+mu_inverse_eval stays the per-point reference.
 
 Route "table": exhaustive inversion of the value table, the ground truth.
 
@@ -143,46 +145,37 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
 
     Requires the criterion to certify spec as a permutation.
 
-    Term (i, j) of the double sum is gamma^(B_i + j*W_i) with
-    B_i = (q-1)*t*i - r1*log A_i and W_i = -(q-1)*(r*i + log A_i), and
-    gamma^(W_i) = zeta^(-sigma(i)) for the forward map's CosetMap.sigma(),
-    so coefficient j is the DFT sum_k w_k*zeta^(-jk) of w[sigma(i)] =
-    gamma^(B_i) (_dft_logs).  The forward map must pass CosetMap.permutes
-    (Akbary-Ghioca-Wang), so r1 exists; if not, ArithmeticError.  Two
-    independent O(q) checks keep it honest, and either mismatch raises
+    The forward map's CosetMap.inverse() is x^r1 * g(x^(q-1)) with
+    g(zeta^k) = T'[k], its table, so coefficient j is the DFT
+    sum_k T'[k]*zeta^(-jk) (_dft_logs); no inverse raises ArithmeticError.
+    Two independent O(q) checks keep it honest, and either mismatch raises
     ArithmeticError: SPOT_CHECKS coefficients are recomputed from the
-    formula with add_packed and mul_packed (_cyclotomic_coefficient, which
-    shares no code with sum_powers), and the polynomial, summed term by
-    term (_eval_terms, not poly_eval), must send P(gamma^s) back to
-    gamma^s at SPOT_CHECKS coset representatives, a check that involves
-    every coefficient.
+    double sum with add_packed and mul_packed (_cyclotomic_coefficient),
+    and the polynomial, summed term by term (_eval_terms, not poly_eval),
+    must send P(gamma^s) back to gamma^s at SPOT_CHECKS coset
+    representatives, a check that involves every coefficient.
     """
     ctx = spec.ctx
     verdict = check_criterion(spec)
     if not verdict.is_perm:
         raise ValueError(verdict.failure)
-    q, N = ctx.q, ctx.units
     perm = perm_coset_map(spec)
-    if not perm.permutes():
+    inv = perm.inverse()
+    if inv is None:
         raise ArithmeticError("the gcd criterion certifies a map that does not "
                               "permute F_{q^2} (Akbary-Ghioca-Wang)")
+    exp, log, N, zl = ctx._exp, ctx._log, ctx.units, ctx.q - 1  # zl: log of zeta
+    sums = [0 if l == N else exp[l]
+            for l in _dft_logs(ctx, [log[v] for v in inv.table], -zl)]
     b = bezout(spec)
-    a_table = perm.table
-    exp, log = ctx._exp, ctx._log
-    a_logs = [log[v] for v in a_table]
-    zl, rp = q - 1, b.r_prime  # zl: log of zeta
-    w = [0] * (q + 1)
-    for i, (s, la) in enumerate(zip(perm.sigma(), a_logs)):
-        w[s] = (zl * b.t * i - rp * la) % N  # w[sigma(i)] = B_i
-    sums = [0 if l == N else exp[l] for l in _dft_logs(ctx, w, -zl)]
-    for j in spot_positions(q + 1):
-        if sums[j] != _cyclotomic_coefficient(spec, b, a_table, j):
+    for j in spot_positions(ctx.q + 1):
+        if sums[j] != _cyclotomic_coefficient(spec, b, perm.table, j):
             raise ArithmeticError(
-                f"cyclotomic coefficient of x^{rp + zl * j} disagrees with "
+                f"cyclotomic coefficient of x^{inv.e + zl * j} disagrees with "
                 "the term-by-term sum")
-    # the formula's 1/(q+1) is the field's 1: q+1 = 1 mod p
-    inverse = Poly(ctx, {rp + zl * j: Felt(ctx, v) for j, v in enumerate(sums) if v})
-    for s in spot_positions(q + 1):
+    inverse = Poly(ctx, {inv.e + zl * j: Felt(ctx, v)
+                         for j, v in enumerate(sums) if v})
+    for s in spot_positions(ctx.q + 1):
         if _eval_terms(inverse, perm.eval_packed(exp[s])) != exp[s]:
             raise ArithmeticError(
                 f"cyclotomic inverse does not send P(gamma^{s}) back to gamma^{s}")
@@ -325,14 +318,13 @@ def _mu_inverse_values(inv: MuInverse) -> list[int]:
             for j, fv in enumerate(fvs)]
 
 
-def _check_mu_table(inv: MuInverse, table: list[int], perm: CosetMap) -> None:
-    """Three independent checks of the mu-inverse table; ArithmeticError on
+def _check_mu_table(inv: MuInverse, table: list[int]) -> None:
+    """Two independent checks of the mu-inverse table; ArithmeticError on
     any failure.
 
-    Every entry must lie in mu_{q+1}; SPOT_CHECKS entries must equal
-    mu_inverse_eval (pair powering, power form against rational form);
-    and I(b^n * A_b^(q-1)) = b must hold for every b = zeta^i, A_b perm's
-    coset factor table: the table inverts perm.sigma(), as r = n mod q+1.
+    Every entry must lie in mu_{q+1} (lift_inverse reads the coset factor
+    table at log / (q-1)), and SPOT_CHECKS entries must equal
+    mu_inverse_eval (pair powering, power form against rational form).
     """
     ctx = inv.ctx
     q, exp, log = ctx.q, ctx._exp, ctx._log
@@ -343,12 +335,6 @@ def _check_mu_table(inv: MuInverse, table: list[int], perm: CosetMap) -> None:
         if table[j] != mu_inverse_eval(inv, Felt(ctx, exp[zl * j])).val:
             raise ArithmeticError(
                 f"mu-inverse table disagrees with mu_inverse_eval at zeta^{j}")
-    sigma = perm.sigma()
-    if sigma is None:
-        raise ArithmeticError("coset factor vanishes on mu_{q+1}")
-    if [table[k] for k in sigma] != exp[::zl]:
-        raise ArithmeticError(
-            "mu-inverse table does not invert b -> b^n * F(b)^(q-1) on mu_{q+1}")
 
 
 def lift_inverse(spec: PermSpec) -> CosetMap:
@@ -360,7 +346,10 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     (_mu_inverse_values: one gh_table call and log-domain powers, no pair
     powering per point) from mu_inverse(spec) and checked by
     _check_mu_table; F(I(y)) is then read off the coset factor table of
-    perm_coset_map(spec), since I(y) lies in mu_{q+1}.
+    perm_coset_map(spec), since I(y) lies in mu_{q+1}.  The lift must equal
+    that map's CosetMap.inverse() at gamma^0..gamma^q with an exponent
+    congruent mod q-1, which pins down every point; else ArithmeticError,
+    also when P has no inverse.
 
     Requires gcd(n + m(q+1), q^2-1) = 1.  When the root of alpha lies in
     mu_{q+1} this adds gcd(n, q+1) = 1 on top of the permutation criterion,
@@ -383,11 +372,16 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     e1 = (rp * (q * q - q + 1)) % N
     e2 = (rp * (q - 2)) % N
     ivs = _mu_inverse_values(inv)
+    _check_mu_table(inv, ivs)
     perm = perm_coset_map(spec)
-    _check_mu_table(inv, ivs, perm)
     zl = q - 1  # I(y) = zeta^k with k = log I(y) / (q-1), so F(I(y)) = A_k
-    return CosetMap(ctx, e1, [exp[(e2 * log[perm.table[log[iv] // zl]] + log[iv]) % N]
+    lift = CosetMap(ctx, e1, [exp[(e2 * log[perm.table[log[iv] // zl]] + log[iv]) % N]
                               for iv in ivs])
+    want = perm.inverse()
+    if want is None or (e1 - want.e) % zl or any(
+            lift.eval_packed(x) != want.eval_packed(x) for x in exp[:q + 1]):
+        raise ArithmeticError("closed-form lift disagrees with P's coset inverse")
+    return lift
 
 
 class InverseTable:

@@ -174,23 +174,28 @@ class CosetMap:
         return cls(ctx, e0, [mul(_eval_terms(f, exp[s]), exp[-s * e0 % N])
                              for s in range(ctx.q + 1)])
 
-    def sigma(self) -> list[int] | None:
-        """sigma[s] = (e*s + log T[s]) mod (q+1), or None when T has a 0.
-
-        b -> b^e * T(b)^(q-1) sends zeta^s to zeta^sigma[s] on mu_{q+1}.
+    def inverse(self) -> "CosetMap | None":
+        """The inverse map, or None when the map does not permute F_{q^2}:
+        O(q), no point evaluated.  gamma^(s + (q+1)k) goes to
+        gamma^(c_s + e(q+1)k), c_s = (e*s + log T[s]) mod (q^2-1), so the map
+        permutes iff gcd(e, q-1) = 1, T has no 0 and sigma: s -> c_s mod
+        (q+1), the map induced on mu_{q+1}, permutes 0..q (Akbary-Ghioca-Wang).
+        The inverse has e' = e^-1 mod (q-1) and T'[sigma(s)] = gamma^(s -
+        e'*c_s); a slot of T' still 0 after the q+1 stores means sigma repeats.
         """
-        if None in self._table_logs:
+        ctx, e, logs = self.ctx, self.e, self._table_logs
+        q1, N, exp = ctx.q + 1, ctx.units, ctx._exp
+        if math.gcd(e, ctx.q - 1) != 1 or None in logs:
             return None
-        e, q1 = self.e, self.ctx.q + 1
-        return [(e * s + lt) % q1 for s, lt in enumerate(self._table_logs)]
+        ei, table = pow(e, -1, ctx.q - 1), [0] * q1
+        for s, lt in enumerate(logs):
+            c = (e * s + lt) % N
+            table[c % q1] = exp[(s - ei * c) % N]
+        return None if 0 in table else CosetMap(ctx, ei, table)
 
     def permutes(self) -> bool:
-        """Does the map permute F_{q^2}?  Exactly when gcd(e, q-1) = 1 and
-        sigma permutes 0..q (Akbary-Ghioca-Wang): O(q), no point evaluated."""
-        if math.gcd(self.e, self.ctx.q - 1) != 1:
-            return False
-        sigma = self.sigma()
-        return sigma is not None and len(set(sigma)) == self.ctx.q + 1
+        """Does the map permute F_{q^2}?  Exactly when it has an inverse."""
+        return self.inverse() is not None
 
     def eval_packed(self, xv: int) -> int:
         if xv == 0:

@@ -6,9 +6,11 @@ sum _eval_terms, a Zech chain over the logs of its terms.  Both must agree
 with a loop of add_packed, mul_packed and pow_packed calls, one of each per
 term, at every point of every small field, x = 0 and constant terms
 included.  The shape detection must refuse exactly the polynomials outside
-the shape, sigma() must be the map a CosetMap induces on mu_{q+1},
-permutes() must agree with the gcd criterion and the oracle, and the
-digest of a cyclotomic inverse must not fall back to the term sum per point.
+the shape, inverse() must invert the map a CosetMap induces on mu_{q+1}
+(sigma, computed here by Felt arithmetic) and equal scan's table at every
+point, or be None exactly where scan finds a collision, permutes() must
+agree with the gcd criterion and the oracle, and the digest of a
+cyclotomic inverse must not fall back to the term sum per point.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from redeiperm import (CosetMap, Felt, PermSpec, Poly, build_perm_poly,
                        check_criterion, coset_factor_table, inverse_cyclotomic,
                        is_permutation_bruteforce, make_field, poly_eval,
                        polyring)
+from redeiperm.construct import scan
 from redeiperm.inverse import _value_digest
 
 # every odd prime power q with q^2 <= 2^12, as (p, k)
@@ -142,21 +145,46 @@ def test_cache_takes_no_part_in_equality(q9):
     assert f == g
 
 
+def sigma_of(cm: CosetMap) -> list[int] | None:
+    """sigma[s] with zeta^sigma[s] = b^e * T(b)^(q-1) at b = zeta^s, by Felt
+    arithmetic: the map cm induces on mu_{q+1}; None when T has a 0."""
+    ctx = cm.ctx
+    q = ctx.q
+    if 0 in cm.table:
+        return None
+    mu = ctx.mu(q + 1)  # zeta^s for s = 0..q
+    where = {b.val: s for s, b in enumerate(mu)}
+    return [where[(b ** cm.e * Felt(ctx, t) ** (q - 1)).val]
+            for b, t in zip(mu, cm.table)]
+
+
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_sigma_is_the_map_induced_on_mu(p, k):
-    """sigma()[s] is the exponent of b^e * T(b)^(q-1) at b = zeta^s, the
-    Felt-level map on mu_{q+1}; a 0 entry of T makes it None."""
+    """inverse() exists exactly when gcd(e, q-1) = 1 and sigma, the
+    Felt-level map on mu_{q+1}, permutes 0..q; then the inverse's own
+    sigma inverts it.  A 0 entry of T leaves no inverse.  Random tables
+    rarely permute, so each field also gets maps built from a permutation
+    sigma."""
     ctx = make_field(p, k)
-    q = ctx.q
-    mu = ctx.mu(q + 1)  # zeta^s for s = 0..q
+    q, N = ctx.q, ctx.units
     rng = random.Random(q)
     for _ in range(4):
-        e = rng.randrange(-ctx.units, 2 * ctx.units)
+        e = rng.randrange(-N, 2 * N)
         table = [rng.randrange(1, ctx.q2) for _ in range(q + 1)]
-        assert CosetMap(ctx, e, table).sigma() == [
-            mu.index(b ** e * Felt(ctx, t) ** (q - 1)) for b, t in zip(mu, table)]
+        sigma = sigma_of(CosetMap(ctx, e, table))
+        permutes = math.gcd(e, q - 1) == 1 and sorted(sigma) == list(range(q + 1))
+        assert (CosetMap(ctx, e, table).inverse() is not None) == permutes
         table[rng.randrange(q + 1)] = 0
-        assert CosetMap(ctx, e, table).sigma() is None
+        assert CosetMap(ctx, e, table).inverse() is None
+        while math.gcd(e, q - 1) != 1:
+            e = rng.randrange(-N, 2 * N)
+        sigma = rng.sample(range(q + 1), q + 1)
+        turns = [(q + 1) * rng.randrange(q - 1) for _ in sigma]
+        cm = CosetMap(ctx, e, [ctx._exp[(sg - e * s + turn) % N]
+                               for s, (sg, turn) in enumerate(zip(sigma, turns))])
+        assert sigma_of(cm) == sigma
+        back = sigma_of(cm.inverse())
+        assert [back[sg] for sg in sigma] == list(range(q + 1))
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
@@ -182,11 +210,11 @@ def test_permutes_is_the_criterion_and_the_oracle(p, k):
 
 
 @st.composite
-def agw_permutations(draw):
+def agw_permutations(draw, fields=SMALL_FIELDS):
     """(map, sigma): a CosetMap with gcd(e, q-1) = 1 and T built from a
     random permutation sigma of 0..q, each entry turned by a random
     gamma^((q+1)k)."""
-    ctx = make_field(*draw(st.sampled_from(SMALL_FIELDS)))
+    ctx = make_field(*draw(st.sampled_from(fields)))
     q, N = ctx.q, ctx.units
     e = draw(st.integers(-N, N).filter(lambda v: math.gcd(v, q - 1) == 1))
     sigma = draw(st.permutations(range(q + 1)))
@@ -201,12 +229,12 @@ def agw_permutations(draw):
 def test_permutes_refuses_a_zero_a_repeated_sigma_and_an_even_exponent(
         drawn, data):
     """A map built from a permutation sigma permutes; a zero entry of T, a
-    repeated sigma value or an even e (sigma kept) makes permutes() False,
-    and the oracle agrees on each."""
+    repeated sigma value or an even e (sigma kept) leaves it no inverse and
+    makes permutes() False, and the oracle agrees on each."""
     cm, sigma = drawn
     ctx = cm.ctx
     q1, N, exp, log = ctx.q + 1, ctx.units, ctx._exp, ctx._log
-    assert cm.sigma() == sigma and cm.permutes()
+    assert sigma_of(cm) == sigma and cm.permutes()
     s1, s2 = data.draw(st.lists(st.integers(0, q1 - 1), min_size=2,
                                 max_size=2, unique=True))
     zero = list(cm.table)
@@ -216,11 +244,38 @@ def test_permutes_refuses_a_zero_a_repeated_sigma_and_an_even_exponent(
     even = [exp[(log[t] - s) % N] for s, t in enumerate(cm.table)]
     broken = [CosetMap(ctx, cm.e, zero), CosetMap(ctx, cm.e, repeated),
               CosetMap(ctx, cm.e + 1, even)]
-    assert broken[1].sigma().count(sigma[s1]) == 2
-    assert broken[2].sigma() == sigma and broken[2].e % 2 == 0
+    assert sigma_of(broken[1]).count(sigma[s1]) == 2
+    assert sigma_of(broken[2]) == sigma and broken[2].e % 2 == 0
     for f in [cm] + broken:
         assert is_permutation_bruteforce(ctx, f)[0] == f.permutes()
+    assert all(f.inverse() is None for f in broken)
     assert not any(f.permutes() for f in broken)
+
+
+@st.composite
+def arbitrary_coset_maps(draw, fields):
+    """A CosetMap with any e and any packed table, zero entries included."""
+    ctx = make_field(*draw(st.sampled_from(fields)))
+    e = draw(st.integers(-ctx.units, 2 * ctx.units))
+    return CosetMap(ctx, e, draw(st.lists(st.integers(0, ctx.q2 - 1),
+                                          min_size=ctx.q + 1, max_size=ctx.q + 1)))
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_is_scans_table_or_none_at_a_collision(p, k, data):
+    """inverse() against scan at every point: None exactly when scan finds
+    a collision, else equal to scan's inverse table everywhere.  Each
+    example draws a map that permutes by construction and an arbitrary
+    map."""
+    permuting, _ = data.draw(agw_permutations([(p, k)]))
+    for cm in (permuting, data.draw(arbitrary_coset_maps([(p, k)]))):
+        table, collision = scan(cm.ctx, cm)
+        inv = cm.inverse()
+        assert (inv is None) == (collision is not None)
+        if inv is not None:
+            assert inv.eval_range(0, cm.ctx.q2) == table
 
 
 def test_a_table_of_the_wrong_length_is_refused(q9):

@@ -7,6 +7,7 @@ stdout.  Where the check's absence would change the kind of failure, not
 only its message, the test's docstring says so.
 """
 
+import math
 import re
 
 import pytest
@@ -48,9 +49,9 @@ def test_a_wrong_modular_inverse_fails_the_bezout_check(monkeypatch, capsys, q9,
     """One of bezout's four inverses made off by one (n = r = 3 at q = 9:
     the four moduli 8, 16, 20 and 80 differ, and all four inverses exist).
     Without the check, invert --route closed exits 0 for a wrong r_prime or
-    n2 (this spec's closed route reads neither), 1 for a wrong r_prime_full
-    (its wrong inverse is reported unverified) and 3 at the power/rational
-    form check for a wrong n1."""
+    n2 (this spec's closed route reads neither), 3 at the lift's check
+    against CosetMap.inverse for a wrong r_prime_full and 3 at the
+    power/rational form check for a wrong n1."""
     real, target = inverse._modinv_or_none, modulus(q9.q)
     monkeypatch.setattr(inverse, "_modinv_or_none", lambda a, mod: (
         real(a, mod) + 1 if mod == target else real(a, mod)))
@@ -74,9 +75,9 @@ def test_a_mu_inverse_entry_off_mu_fails_the_table_check(monkeypatch, capsys, q9
 
 def test_a_vanishing_coset_factor_fails_the_table_check(monkeypatch, capsys, q9):
     """A zero at F(zeta^0) in the closed route's coset factor table.
-    Without the check, sigma() is None there and the inversion check raises
-    TypeError ('NoneType' object is not iterable), which the CLI does not
-    catch, in place of exit 3."""
+    Without CosetMap.inverse's zero test, it adds the None log of that
+    entry to an int and raises TypeError, which the CLI does not catch, in
+    place of exit 3."""
     real = inverse.perm_coset_map
 
     def vanishing(spec):
@@ -84,7 +85,29 @@ def test_a_vanishing_coset_factor_fails_the_table_check(monkeypatch, capsys, q9)
         return CosetMap(spec.ctx, perm.e, [0, *perm.table[1:]])
 
     monkeypatch.setattr(inverse, "perm_coset_map", vanishing)
-    message = "coset factor vanishes on mu_{q+1}"
+    message = "closed-form lift disagrees with P's coset inverse"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        inverse.lift_inverse(_spec(q9))
+    _exits_3(capsys, ["invert", *Q9_H3, "--route", "closed"], message)
+
+
+def test_a_lift_from_another_unit_fails_the_inverse_check(monkeypatch, capsys,
+                                                          q9):
+    """bezout made to return another unit mod q^2-1 as r_prime_full, past
+    its own check: the lift's exponents e1 and e2 change, and the lift no
+    longer equals CosetMap.inverse of P at the coset representatives.
+    Without the check, invert --route closed prints the wrong map's
+    failed composition and exits 1, in place of exit 3."""
+    real = inverse.bezout
+
+    def other_unit(spec):
+        b = real(spec)
+        other = next(u for u in range(b.r_prime_full + 1, 2 * spec.ctx.units)
+                     if math.gcd(u, spec.ctx.units) == 1)
+        return b._replace(r_prime_full=other % spec.ctx.units)
+
+    monkeypatch.setattr(inverse, "bezout", other_unit)
+    message = "closed-form lift disagrees with P's coset inverse"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         inverse.lift_inverse(_spec(q9))
     _exits_3(capsys, ["invert", *Q9_H3, "--route", "closed"], message)

@@ -188,12 +188,15 @@ def test_a_certified_map_whose_sigma_does_not_permute_is_refused(monkeypatch):
 def test_the_cyclotomic_route_refuses_what_coset_map_permutes_refuses(
         monkeypatch):
     """The Akbary-Ghioca-Wang refusal comes from the forward map's
-    CosetMap.permutes, whatever the criterion says."""
+    CosetMap.inverse, whatever the criterion says; the closed route, checked
+    against that inverse, refuses too."""
     spec = _spec(5, 1, "H", 1, 0, 0)
     assert check_criterion(spec).is_perm
-    monkeypatch.setattr(CosetMap, "permutes", lambda self: False)
+    monkeypatch.setattr(CosetMap, "inverse", lambda self: None)
     with pytest.raises(ArithmeticError, match="Akbary-Ghioca-Wang"):
         inverse_cyclotomic(spec)
+    with pytest.raises(ArithmeticError, match="coset inverse"):
+        lift_inverse(spec)
 
 
 def test_only_the_cyclotomic_route_builds_the_zech_table(monkeypatch):
@@ -232,12 +235,19 @@ def _mu_specs(ctx, ns, ms, ls):
 def _assert_mu_table_matches_eval(spec):
     ctx = spec.ctx
     first = mu_inverse(spec)
+    # I inverts sigma, for either root: P(x)^(q-1) = y^n * F(y)^(q-1) for
+    # y = x^(q-1) in mu_{q+1}, as r = n mod q+1, so I(zeta^j) =
+    # P^-1(gamma^j)^(q-1)
+    back = construct.perm_coset_map(spec).inverse()
+    on_mu = [ctx.pow_packed(back.eval_packed(ctx._exp[j]), ctx.q - 1)
+             for j in range(ctx.q + 1)]
     for root in (first.sqrt_alpha, -first.sqrt_alpha):
         inv = first._replace(sqrt_alpha=root)
         table = inverse._mu_inverse_values(inv)
         assert table == [mu_inverse_eval(inv, y).val
                          for y in ctx.mu(ctx.q + 1)], (spec, root)
-        inverse._check_mu_table(inv, table, construct.perm_coset_map(spec))
+        inverse._check_mu_table(inv, table)
+        assert table == on_mu, (spec, root)
 
 
 @pytest.mark.parametrize("p,k", GRID_FIELDS)
