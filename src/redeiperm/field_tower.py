@@ -8,24 +8,35 @@ element, in the same ordering, whose multiplicative order is exactly q^2 - 1.
 
 All q^2 - 1 powers of gamma and their logs are tabulated once at
 construction, so that multiplication, inversion, powering and discrete
-logarithms are O(1) lookups.  x -> gamma*x is F_p-linear, so each power is
-the digitwise sum of precomputed images of the low and high k digits of the
-one before: a few lookups, not an O(k^2) product.  The image tables come
-from the same linearity, digit by digit from 2k dense products, and dense
-products at q + 2 entries cross-check the step.  Addition needs no Zech
-table: 1 + v differs from v only in the constant digit, so log(1 + gamma^d)
-is an exp and a log lookup (add_logs).  Only the O(q^2) chains of
-sum_powers, which keep a sum of powers of gamma as a log, read a stored
-Zech table, built on first use.  The size bound on q^2 keeps table
-construction cheap and guards every exhaustive operation downstream.
+logarithms are O(1) lookups.  exp is built one coset row at a time: row r is
+the coset gamma^r * F_q^*, held as gamma^r * g^j at exp[r + (q+1)j] for j
+from 0 to q-2, where g = gamma^(q+1) generates F_q^*.  x -> b*x is
+F_p-linear, so each step is the digitwise sum of precomputed images of the
+low and high k digits of the value before: a few lookups, not an O(k^2)
+product.  The q+1 row starts are stepped by gamma and each row by g, one
+pair of image tables each.  The image tables come from the same linearity,
+digit by digit from 2k dense products.  Dense products check every gamma
+step of the row starts and the first g step of SPOT_CHECKS rows, and each
+row must come back to its start after q - 1 steps.  The search for gamma
+powers one element per F_p^*-orbit of candidates, and each candidate then
+costs an int pow mod p.  Addition needs no Zech table: 1 + v differs from v
+only in the constant digit, so log(1 + gamma^d) is an exp and a log lookup
+(add_logs).  Only the O(q^2) chains of sum_powers, which keep a sum of
+powers of gamma as a log, read a stored Zech table, built on first use.  The
+size bound on q^2 keeps table construction cheap and guards every exhaustive
+operation downstream.
 
 Memory: exp is a list, one int object per power, which the tables derived
 from it (CosetMap.log_rows, the scan's inverse table) store rather than
-copy.  log and Zech are arrays of the narrowest signed item that holds
-q^2 - 1 (4 bytes from q^2 > 2^15 to far above the default bound), so they
-own no int object: exp and log take about 44 bytes per element
-(TABLE_BYTES_PER_ELEMENT), and Zech adds one item per element.  A read
-from an array makes a fresh int, a little slower than a list read.
+copy.  The whole-field passes read exp one coset row at a time, at stride
+q+1, so a row's q - 1 ints are made together, one after another: CPython
+allocates consecutive ints side by side, and a row then reads contiguous
+memory instead of one cache line per int.  Only speed depends on that
+placement; no result does.  log and Zech are arrays of the narrowest signed
+item that holds q^2 - 1 (4 bytes from q^2 > 2^15 to far above the default
+bound), so they own no int object: exp and log take about 44 bytes per
+element (TABLE_BYTES_PER_ELEMENT), and Zech adds one item per element.  A
+read from an array makes a fresh int, a little slower than a list read.
 
 On top of the tables the module provides the Frobenius x -> x^q, membership
 in the subgroups mu_ell of ell-th roots of unity, square roots with a
@@ -170,6 +181,39 @@ def _first_tuple(digits: list[range], accept, refusal: str) -> tuple[int, ...]:
     raise ValueError(refusal)
 
 
+def _primitive_element(p: int, modulus: Sequence[int]) -> tuple[int, ...]:
+    """The first coefficient tuple (low degree first) of an element of order
+    N = p^deg - 1 modulo the monic modulus of degree deg.
+
+    A candidate c is lam*u with lam its first nonzero coefficient, so
+    c^m = lam^m * u^m for each cofactor m = N/ell, ell a prime factor of N,
+    and c^m = 1 exactly when u^m is the constant lam^-m.  Each u^m is
+    computed at most once for the p - 1 candidates of u's F_p^*-orbit; a
+    candidate then costs an int pow mod p where u^m is a constant.
+    """
+    deg = len(modulus) - 1
+    N = p ** deg - 1
+    cofactors = [N // r for r in _prime_factors(N)]
+    mod = list(modulus)
+    powers: dict[tuple[tuple[int, ...], int], list[int]] = {}  # (u, m): u^m
+
+    def primitive(c: tuple[int, ...]) -> bool:
+        lam = next((ci for ci in c if ci), 0)
+        if not lam:
+            return False
+        inv = pow(lam, -1, p)
+        u = tuple(ci * inv % p for ci in c)
+        for m in cofactors:
+            um = powers.get((u, m))
+            if um is None:
+                um = powers[u, m] = _powmod(_trim(list(u)), m, mod, p)
+            if len(um) == 1 and um[0] * pow(lam, m, p) % p == 1:
+                return False
+        return True
+
+    return _first_tuple([range(p)] * deg, primitive, "no primitive element found")
+
+
 def _digits(v: int, p: int, n: int) -> list[int]:
     """The n base-p digits of v, low first."""
     out = []
@@ -229,6 +273,22 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
         return tab
 
     return by_digits(0), by_digits(k), unspread, shift
+
+
+def _chain(tables: tuple[list[int], list[int], list[int], int], q: int,
+           v: int, count: int) -> list[int]:
+    """[v, v*b, ..., v*b^count], packed, for the b of the _step_tables
+    tables: each step splits the value into its low and high k digits."""
+    lo_tab, hi_tab, unspread, shift = tables
+    mask = (1 << shift) - 1
+    lo, hi = v % q, v // q
+    out = [v] * (count + 1)
+    for j in range(1, count + 1):
+        s = lo_tab[lo] + hi_tab[hi]
+        lo = unspread[s & mask]
+        hi = unspread[s >> shift]
+        out[j] = lo + q * hi
+    return out
 
 
 def require_field(ctx: FieldCtx, *items) -> None:
@@ -382,41 +442,38 @@ class FieldCtx:
         self.units = self.q2 - 1
         self.modulus = modulus
 
-        # exp table: exp[i] is gamma^i packed, stepped through its low and
-        # high k digits (lo, hi) by the linear step of _step_tables.
-        N, q = self.units, self.q
-        gamma_dense = self._unpack_dense(gamma_packed)
+        # exp table, one coset row at a time: row r holds gamma^r * g^j at
+        # exp[r + (q+1)j], j = 0..q-2, with g = gamma^(q+1).  The row starts
+        # gamma^0..gamma^(q+1) are stepped by gamma and each row by g, both
+        # by the linear step of _step_tables.  Dense multiplication checks
+        # every gamma step, before any row is made, and the first g step of
+        # the rows at spot_positions(q+1).
+        N, q, q1 = self.units, self.q, self.q + 1
         mod = list(modulus)
-        lo_tab, hi_tab, unspread, shift = _step_tables(p, k, gamma_dense, mod)
-        mask = (1 << shift) - 1
-        exp = [0] * N
-        lo, hi = 1, 0
-        for i in range(N):
-            exp[i] = lo + q * hi
-            s = lo_tab[lo] + hi_tab[hi]
-            lo = unspread[s & mask]
-            hi = unspread[s >> shift]
-        del lo_tab, hi_tab, unspread
-        last = lo + q * hi  # gamma^N, one step past the table
-        # Independent cross-check of the step by dense multiplication.
-        for i in (*range(0, N, q - 1), N - 1):
-            step = exp[i + 1] if i + 1 < N else last
-            dense = _mulmod(self._unpack_dense(exp[i]), gamma_dense, mod, p)
-            if self._pack_dense(dense) != step:
-                raise ArithmeticError(f"exp table step at index {i} disagrees "
-                                      "with dense multiplication by gamma")
-        if last != 1:
-            raise ValueError("gamma does not have full order")
-        self._exp = exp
-
+        gamma_dense = self._unpack_dense(gamma_packed)
+        starts = _chain(_step_tables(p, k, gamma_dense, mod), q, 1, q1)
+        for i in range(q1):
+            self._check_step(starts[i], starts[i + 1], gamma_dense, i, "gamma")
+        g_dense = self._unpack_dense(starts[q1])
+        row_step = _step_tables(p, k, g_dense, mod)
         # the narrowest signed item that holds N, chosen by itemsize: the C
         # types behind the typecodes do not fix their sizes
         code = next(c for c in "bhiq" if N < 1 << 8 * array(c).itemsize - 1)
         log = array(code, [-1]) * self.q2
-        for i, v in enumerate(exp):
-            if log[v] != -1:
-                raise ValueError("gamma powers collide; order too small")
-            log[v] = i
+        exp = [0] * N
+        checked = spot_positions(q1)
+        for r in range(q1):
+            row = _chain(row_step, q, starts[r], q - 1)
+            if r in checked:
+                self._check_step(row[0], row[1], g_dense, r, "gamma^(q+1)")
+            if row.pop() != row[0]:  # gamma^(r+N) is gamma^r iff gamma^N = 1
+                raise ValueError("gamma does not have full order")
+            for i, v in zip(range(r, N, q1), row):
+                if log[v] != -1:
+                    raise ValueError("gamma powers collide; order too small")
+                log[v] = i
+            exp[r::q1] = row
+        self._exp = exp
         self._log = log
         self._zech_table: array | None = None
 
@@ -424,6 +481,14 @@ class FieldCtx:
         self.zeta = self.gamma ** (self.q - 1)
 
     # -- packing helpers ----------------------------------------------------
+
+    def _check_step(self, v: int, w: int, base: list[int], i: int,
+                    name: str) -> None:
+        """ArithmeticError unless w = v * base by dense multiplication."""
+        dense = _mulmod(self._unpack_dense(v), base, list(self.modulus), self.p)
+        if self._pack_dense(dense) != w:
+            raise ArithmeticError(f"exp table step at index {i} disagrees "
+                                  f"with dense multiplication by {name}")
 
     def _unpack_dense(self, v: int) -> list[int]:
         return _trim(_digits(v, self.p, 2 * self.k))
@@ -632,14 +697,7 @@ def make_field(p: int, k: int, size_bound: int | None = None) -> FieldCtx:
         [range(1, p)] + [range(p)] * (deg - 1),
         lambda tail: _is_irreducible([*tail, 1], p),
         "no irreducible modulus found") + (1,)
-    N = p ** deg - 1
-    cofactors = [N // r for r in _prime_factors(N)]
-    mod = list(modulus)
-    gamma = _first_tuple(
-        [range(p)] * deg, lambda tail: any(tail) and all(
-            _powmod(_trim(list(tail)), cf, mod, p) != [1] for cf in cofactors),
-        "no primitive element found")
-
+    gamma = _primitive_element(p, modulus)
     ctx = FieldCtx(p, k, modulus, sum(c * p ** i for i, c in enumerate(gamma)))
     _FIELD_CACHE[(p, k)] = ctx
     return ctx

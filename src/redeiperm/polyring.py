@@ -174,14 +174,15 @@ class CosetMap:
         return cls(ctx, e0, [mul(_eval_terms(f, exp[s]), exp[-s * e0 % N])
                              for s in range(ctx.q + 1)])
 
-    def inverse(self) -> "CosetMap | None":
-        """The inverse map, or None when the map does not permute F_{q^2}:
-        O(q), no point evaluated.  gamma^(s + (q+1)k) goes to
-        gamma^(c_s + e(q+1)k), c_s = (e*s + log T[s]) mod (q^2-1), so the map
-        permutes iff gcd(e, q-1) = 1, T has no 0 and sigma: s -> c_s mod
-        (q+1), the map induced on mu_{q+1}, permutes 0..q (Akbary-Ghioca-Wang).
-        The inverse has e' = e^-1 mod (q-1) and T'[sigma(s)] = gamma^(s -
-        e'*c_s); a slot of T' still 0 after the q+1 stores means sigma repeats.
+    def _inverse_table(self) -> tuple[int, list[int]] | None:
+        """(e', T') of the inverse map, or None when the map does not
+        permute F_{q^2}: O(q), no point evaluated.  gamma^(s + (q+1)k) goes
+        to gamma^(c_s + e(q+1)k), c_s = (e*s + log T[s]) mod (q^2-1), so the
+        map permutes iff gcd(e, q-1) = 1, T has no 0 and sigma: s -> c_s
+        mod (q+1), the map induced on mu_{q+1}, permutes 0..q
+        (Akbary-Ghioca-Wang).  The inverse has e' = e^-1 mod (q-1) and
+        T'[sigma(s)] = gamma^(s - e'*c_s); the loop stops at the first
+        sigma value whose slot of T' is already filled.
         """
         ctx, e, logs = self.ctx, self.e, self._table_logs
         q1, N, exp = ctx.q + 1, ctx.units, ctx._exp
@@ -190,12 +191,22 @@ class CosetMap:
         ei, table = pow(e, -1, ctx.q - 1), [0] * q1
         for s, lt in enumerate(logs):
             c = (e * s + lt) % N
-            table[c % q1] = exp[(s - ei * c) % N]
-        return None if 0 in table else CosetMap(ctx, ei, table)
+            j = c % q1
+            if table[j]:
+                return None
+            table[j] = exp[(s - ei * c) % N]
+        return ei, table
+
+    def inverse(self) -> "CosetMap | None":
+        """The inverse map, or None when the map does not permute F_{q^2}
+        (_inverse_table)."""
+        found = self._inverse_table()
+        return None if found is None else CosetMap(self.ctx, *found)
 
     def permutes(self) -> bool:
-        """Does the map permute F_{q^2}?  Exactly when it has an inverse."""
-        return self.inverse() is not None
+        """Does the map permute F_{q^2}?  Exactly when it has an inverse;
+        no inverse map is built."""
+        return self._inverse_table() is not None
 
     def eval_packed(self, xv: int) -> int:
         if xv == 0:
@@ -225,7 +236,9 @@ class CosetMap:
         with stride q+1 from c_s, wrapped round, and permuted by
         k -> e*k mod (q-1), one permutation for every row.  A zero entry
         of T gives a zero row.  O(1) Python steps and about 3*q element
-        copies in C per row.
+        copies in C per row.  The slice is one of exp's coset rows, whose
+        q - 1 ints FieldCtx made together, so the copies read contiguous
+        memory, not one cache line per int.
         """
         ctx = self.ctx
         e, q1, qm, N, exp = self.e, ctx.q + 1, ctx.q - 1, ctx.units, ctx._exp

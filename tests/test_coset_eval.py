@@ -278,6 +278,58 @@ def test_inverse_is_scans_table_or_none_at_a_collision(p, k, data):
             assert inv.eval_range(0, cm.ctx.q2) == table
 
 
+@st.composite
+def maps_with_a_zero_or_a_repeated_sigma(draw, fields):
+    """A map built from a permutation sigma, then given a 0 entry or a
+    repeated sigma value (sigma[s2] := sigma[s1], same turn), or neither."""
+    cm, sigma = draw(agw_permutations(fields))
+    ctx = cm.ctx
+    q1, N, exp, log = ctx.q + 1, ctx.units, ctx._exp, ctx._log
+    s1, s2 = draw(st.lists(st.integers(0, q1 - 1), min_size=2, max_size=2,
+                           unique=True))
+    table = list(cm.table)
+    how = draw(st.sampled_from(["kept", "zero", "repeated"]))
+    if how == "zero":
+        table[s1] = 0
+    elif how == "repeated":
+        table[s2] = exp[(log[table[s2]] + sigma[s1] - sigma[s2]) % N]
+    return CosetMap(ctx, cm.e, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(maps_with_a_zero_or_a_repeated_sigma(SMALL_FIELDS),
+                 arbitrary_coset_maps(SMALL_FIELDS)))
+def test_permutes_is_whether_inverse_exists(cm):
+    """permutes() answers exactly whether inverse() finds a map, over
+    every field with q^2 <= 2^12: on maps built from a permutation sigma,
+    the same with a 0 entry or a repeated sigma value, and arbitrary
+    tables (0 entries included)."""
+    assert cm.permutes() == (cm.inverse() is not None)
+
+
+def test_permutes_builds_no_coset_map(monkeypatch):
+    """permutes() answers from the inverse's table alone: it constructs no
+    CosetMap, whether the map permutes or stops at a repeated sigma,
+    while inverse() constructs exactly one for a permutation."""
+    ctx = make_field(3, 3)
+    q, N = ctx.q, ctx.units
+    sigma = list(range(1, q + 1)) + [0]
+    perm = CosetMap(ctx, 1, [ctx._exp[(sg - s) % N] for s, sg in enumerate(sigma)])
+    repeated = CosetMap(ctx, 1, [ctx._exp[-s % N] for s in range(q + 1)][:-1] + [1])
+    made = []
+    real = CosetMap.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(CosetMap, "__init__", counted)
+    assert perm.permutes() and not repeated.permutes()
+    assert made == []
+    assert perm.inverse() is not None and repeated.inverse() is None
+    assert len(made) == 1
+
+
 def test_a_table_of_the_wrong_length_is_refused(q9):
     for size in (0, q9.q, q9.q + 2, q9.q + 5):
         with pytest.raises(ValueError, match=f"q\\+1 = 10 entries, not {size}"):

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -525,6 +526,67 @@ def test_corrupt_step_exits_3_from_the_cli(monkeypatch, capsys):
     assert captured.err.startswith("error: exp table step at index 0 ")
 
 
+def _corrupt_one_step_table(monkeypatch, call, which, index):
+    """As _corrupt_step_tables, for one _step_tables call of a build alone:
+    call 1 makes the step by gamma, call 2 the row step by gamma^(q+1)."""
+    real = field_tower._step_tables
+    calls = []
+
+    def corrupted(*args):
+        tables = real(*args)
+        calls.append(args)
+        if len(calls) == call:
+            tab = tables[which]
+            tab[index] = tab[(index + 1) % len(tab)]
+        return tables
+
+    monkeypatch.setattr(field_tower, "_step_tables", corrupted)
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+
+
+@pytest.mark.parametrize("call,name", [(1, "gamma"), (2, "gamma^(q+1)")])
+def test_a_corrupt_step_is_named_by_the_check_that_caught_it(monkeypatch, call,
+                                                             name):
+    # the row starts and row 0 both start at exp[0] = 1, whose low half 1
+    # makes exp[1] (a gamma step) and exp[q+1] (a row step)
+    _corrupt_one_step_table(monkeypatch, call, 0, 1)
+    with pytest.raises(ArithmeticError) as exc:
+        make_field(3, 2)
+    assert str(exc.value) == ("exp table step at index 0 disagrees with dense "
+                              f"multiplication by {name}")
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (7, 1)])
+def test_every_corrupt_row_step_entry_is_refused(monkeypatch, p, k):
+    for which, index in itertools.product((0, 1), range(p ** k)):
+        _corrupt_one_step_table(monkeypatch, 2, which, index)
+        with pytest.raises((ArithmeticError, ValueError)):
+            make_field(p, k)
+        monkeypatch.undo()
+
+
+def test_a_corrupt_row_step_exits_3_from_the_cli(monkeypatch, capsys):
+    _corrupt_one_step_table(monkeypatch, 2, 0, 1)
+    rc = cli.main(["construct", "--p", "3", "--k", "2", "--variant", "H",
+                   "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == ("error: exp table step at index 0 disagrees with "
+                            "dense multiplication by gamma^(q+1)\n")
+
+
+@pytest.mark.parametrize("gamma,message", [
+    (0, "gamma does not have full order"),
+    (1, "gamma powers collide; order too small"),
+    (2, "gamma powers collide; order too small")])
+def test_a_gamma_without_full_order_is_refused(gamma, message):
+    """0 never comes back to 1, so no row closes; 1 and 2 = -1 in F_9 have
+    orders 1 and 2, so their rows repeat a value."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        field_tower.FieldCtx(3, 1, make_field(3, 1).modulus, gamma)
+
+
 def _reference_step_tables(ctx):
     """The step tables entry by entry: a dense product per lo_tab and hi_tab
     entry, and unspread from every k-tuple of slot sums."""
@@ -558,6 +620,76 @@ def test_step_tables_built_by_linearity_match_the_entrywise_build(q):
     tables = field_tower._step_tables(ctx.p, ctx.k, ctx._unpack_dense(ctx.gamma.val),
                                       list(ctx.modulus))
     assert tables == _reference_step_tables(ctx)
+
+
+# every odd p^k with q^2 <= 2^16: the 53 odd primes up to 251 with k = 1,
+# and (3, 2..5), (5, 2..3), (7, 2), (11, 2), (13, 2)
+FIELDS_TO_2_16 = [(p, k) for p in range(3, 256, 2)
+                  if all(p % d for d in range(3, p, 2))
+                  for k in range(1, 9) if p ** (2 * k) <= 1 << 16]
+
+
+def _plain_gamma(p, modulus):
+    """The first coefficient tuple whose powers to every (p^deg - 1)/ell,
+    ell a prime factor, differ from 1, each tuple powered on its own."""
+    deg = len(modulus) - 1
+    N = p ** deg - 1
+    cofactors = [N // r for r in field_tower._prime_factors(N)]
+    return next(tail for tail in itertools.product(range(p), repeat=deg)
+                if any(tail) and all(
+                    field_tower._powmod(list(tail), cf, list(modulus), p) != [1]
+                    for cf in cofactors))
+
+
+def _plain_field(p, k):
+    """(modulus, gamma, exp, log) by the plain lexicographic searches, each
+    tuple tested on its own as make_field once did, and one dense product
+    per power of gamma; log[0] is -1."""
+    deg = 2 * k
+    modulus = next(tail + (1,) for tail in itertools.product(range(p), repeat=deg)
+                   if tail[0] and field_tower._is_irreducible([*tail, 1], p))
+    gamma = _plain_gamma(p, modulus)
+    N = p ** deg - 1
+    exp, cur = [], [1]
+    for _ in range(N):
+        v = 0
+        for c in reversed(cur):
+            v = v * p + c
+        exp.append(v)
+        cur = field_tower._mulmod(cur, gamma, modulus, p)
+    log = [-1] * (N + 1)
+    for i, v in enumerate(exp):
+        log[v] = i
+    return modulus, gamma, exp, log
+
+
+@pytest.mark.parametrize("p,k", FIELDS_TO_2_16)
+def test_the_orbit_search_builds_the_plain_searchs_field(monkeypatch, p, k):
+    """make_field, which powers one element per F_p^*-orbit and builds exp
+    by coset rows, gives the plain search's modulus and gamma and the exp
+    and log tables of one dense product per power."""
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})  # freed afterwards
+    ctx = make_field(p, k)
+    modulus, gamma, exp, log = _plain_field(p, k)
+    assert ctx.modulus == modulus
+    assert ctx.gamma.coeffs == gamma
+    assert ctx._exp == exp
+    assert list(ctx._log) == log
+
+
+@pytest.mark.parametrize("p,deg", [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2),
+                                   (31, 2), (3, 4), (5, 4)])
+def test_the_orbit_search_matches_the_plain_search_under_every_modulus(p, deg):
+    """Not only make_field's modulus: under every monic irreducible of the
+    degree, the orbit search finds the plain search's element.  Under 132
+    of these 800 moduli (p = 7, 11, 13, 31) the first nonzero coefficient
+    lam of that element is not 1, so c^m = lam^m * u^m must be read with
+    lam; at p = 31 some moduli also tell lam^-m from lam^m."""
+    moduli = [tail + (1,) for tail in itertools.product(range(p), repeat=deg)
+              if tail[0] and field_tower._is_irreducible([*tail, 1], p)]
+    assert len(moduli) == (p ** deg - p ** (deg // 2)) // deg
+    assert ([field_tower._primitive_element(p, m) for m in moduli]
+            == [_plain_gamma(p, m) for m in moduli])
 
 
 def _ref_gcd(a: list[int], b: list[int], p: int) -> list[int]:
