@@ -15,9 +15,10 @@ spec = PermSpec("H", 7, 0, ctx.alpha_from_l(2))
 poly, evaluator = build_perm_poly(spec)
 print("P =", render_poly(poly))
 
+# Every route reads P's coset map, so it is built once and passed on.
 # Route 1: interpolation over the cyclotomic cosets gives the inverse as
 # a polynomial with at most q + 1 terms.
-inv_poly = inverse_cyclotomic(spec)
+inv_poly = inverse_cyclotomic(spec, evaluator)
 print("P^(-1) =", render_poly(inv_poly))
 
 # Route 2: the closed form.  The inverse restricted to the norm-one
@@ -26,7 +27,7 @@ print("P^(-1) =", render_poly(inv_poly))
 mu_inv = mu_inverse(spec)
 print("closed form on mu_{q+1}: case", mu_inv.case,
       "with exponent", mu_inv.n_inv)
-closed = lift_inverse(spec)
+closed = lift_inverse(spec, evaluator)
 
 # Route 3: invert the value table outright.  Quadratic work, but it is
 # the route that cannot be wrong, so it anchors the other two.

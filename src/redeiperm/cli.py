@@ -148,25 +148,26 @@ def cmd_invert(args: argparse.Namespace) -> int:
         "verdict: " + ("permutation" if verdict.is_perm else "not a permutation"),
     ]
     try:
+        # the table route scans P even so, for its collision witness
+        if not verdict.is_perm and route != "table":
+            raise ValueError(verdict.failure)
         if route != "all":
-            inverse = route_inverse(spec, route)
+            perm = perm_coset_map(spec)
+            inverse = route_inverse(spec, route, perm)
+            inv_doc = doc["inverse"] = {"route": route}
+            if route != "table":
+                inv_doc["bezout"] = bezout(spec).to_record()
             if route == "cyclotomic":
-                doc["inverse"] = {"poly": [[e, c] for e, c in inverse.to_pairs()],
-                                  "bezout": bezout(spec).to_record()}
+                inv_doc["poly"] = [[e, c] for e, c in inverse.to_pairs()]
                 lines.append(f"inverse ({route}): {render_poly(inverse)}")
             elif route == "closed":
                 minv = mu_inverse(spec)
-                doc["inverse"] = {"case": minv.case, "n_inv": minv.n_inv,
-                                  "bezout": bezout(spec).to_record()}
+                inv_doc.update(case=minv.case, n_inv=minv.n_inv)
                 lines.append(f"inverse ({route}): case {minv.case}, "
                              f"inverse exponent {minv.n_inv}")
             else:
-                doc["inverse"] = {}
                 lines.append("inverse (table): built exhaustively")
-            doc["inverse"]["route"] = route
-            verified = _compose_identity_holds(ctx, perm_coset_map(spec), inverse)
-        elif not verdict.is_perm:
-            raise ValueError(verdict.failure)
+            verified = _compose_identity_holds(ctx, perm, inverse)
         else:
             report = agreement_report(spec)
             doc["report"] = report

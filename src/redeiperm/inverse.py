@@ -36,6 +36,13 @@ mu_inverse_eval stays the per-point reference.
 
 Route "table": exhaustive inversion of the value table, the ground truth.
 
+route_inverse(spec, route, perm) builds each route from perm, P's
+CosetMap, which agreement_report and the CLI's invert build once per spec.
+The cyclotomic and closed routes take it as an optional argument and
+build it when it is None; both are certified by _certified, the one home
+of the criterion's refusal (ValueError, before any map is built) and of
+the Akbary-Ghioca-Wang check that perm.inverse() exists (ArithmeticError).
+
 Route agreement digests each route's values at all q^2 points, read a
 range at a time by construct.packed_ranges: the InverseTable as slices,
 the closed route's CosetMap from its coset rows, the cyclotomic Poly by
@@ -140,14 +147,35 @@ def _dft_logs(ctx: FieldCtx, logs: list[int], step: int) -> list[int]:
     return [log[v] if v else N for v in sums]
 
 
-def inverse_cyclotomic(spec: PermSpec) -> Poly:
+def _certified(spec: PermSpec,
+               perm: CosetMap | None) -> tuple[CosetMap, CosetMap]:
+    """(P's coset map, its inverse) for a spec the criterion certifies.
+
+    A spec the criterion refuses raises ValueError(verdict.failure) before
+    any map is built; perm, P's map, is built only when the caller passes
+    None; and a map with no CosetMap.inverse() raises ArithmeticError, as
+    the criterion and the O(q) certificate (Akbary-Ghioca-Wang) disagree.
+    """
+    verdict = check_criterion(spec)
+    if not verdict.is_perm:
+        raise ValueError(verdict.failure)
+    perm = perm_coset_map(spec) if perm is None else perm
+    inv = perm.inverse()
+    if inv is None:
+        raise ArithmeticError("the gcd criterion certifies a map that does not "
+                              "permute F_{q^2} (Akbary-Ghioca-Wang)")
+    return perm, inv
+
+
+def inverse_cyclotomic(spec: PermSpec, perm: CosetMap | None = None) -> Poly:
     """The coefficient-form inverse, a (q+1)-term polynomial, reduced.
 
-    Requires the criterion to certify spec as a permutation.
+    Requires the criterion to certify spec as a permutation; perm is P's
+    CosetMap, built here when None (_certified).
 
     The forward map's CosetMap.inverse() is x^r1 * g(x^(q-1)) with
     g(zeta^k) = T'[k], its table, so coefficient j is the DFT
-    sum_k T'[k]*zeta^(-jk) (_dft_logs); no inverse raises ArithmeticError.
+    sum_k T'[k]*zeta^(-jk) (_dft_logs).
     Two independent O(q) checks keep it honest, and either mismatch raises
     ArithmeticError: SPOT_CHECKS coefficients are recomputed from the
     double sum with add_packed and mul_packed (_cyclotomic_coefficient),
@@ -156,14 +184,7 @@ def inverse_cyclotomic(spec: PermSpec) -> Poly:
     representatives, a check that involves every coefficient.
     """
     ctx = spec.ctx
-    verdict = check_criterion(spec)
-    if not verdict.is_perm:
-        raise ValueError(verdict.failure)
-    perm = perm_coset_map(spec)
-    inv = perm.inverse()
-    if inv is None:
-        raise ArithmeticError("the gcd criterion certifies a map that does not "
-                              "permute F_{q^2} (Akbary-Ghioca-Wang)")
+    perm, inv = _certified(spec, perm)
     exp, log, N, zl = ctx._exp, ctx._log, ctx.units, ctx.q - 1  # zl: log of zeta
     sums = [0 if l == N else exp[l]
             for l in _dft_logs(ctx, [log[v] for v in inv.table], -zl)]
@@ -337,7 +358,7 @@ def _check_mu_table(inv: MuInverse, table: list[int]) -> None:
                 f"mu-inverse table disagrees with mu_inverse_eval at zeta^{j}")
 
 
-def lift_inverse(spec: PermSpec) -> CosetMap:
+def lift_inverse(spec: PermSpec, perm: CosetMap | None = None) -> CosetMap:
     """Lift the coset inverse to a total inverse evaluator on F_{q^2}.
 
     P^{-1}(x) = x^(r'(q^2-q+1)) * F(I(y))^(r'(q-2)) * I(y) with y = x^(q-1)
@@ -346,10 +367,10 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     (_mu_inverse_values: one gh_table call and log-domain powers, no pair
     powering per point) from mu_inverse(spec) and checked by
     _check_mu_table; F(I(y)) is then read off the coset factor table of
-    perm_coset_map(spec), since I(y) lies in mu_{q+1}.  The lift must equal
-    that map's CosetMap.inverse() at gamma^0..gamma^q with an exponent
-    congruent mod q-1, which pins down every point; else ArithmeticError,
-    also when P has no inverse.
+    perm, P's CosetMap (built when None, _certified), since I(y) lies in
+    mu_{q+1}.  The lift must equal perm's CosetMap.inverse() at
+    gamma^0..gamma^q with an exponent congruent mod q-1, which pins down
+    every point; else ArithmeticError.
 
     Requires gcd(n + m(q+1), q^2-1) = 1.  When the root of alpha lies in
     mu_{q+1} this adds gcd(n, q+1) = 1 on top of the permutation criterion,
@@ -357,9 +378,7 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
     available for such specs.
     """
     ctx = spec.ctx
-    verdict = check_criterion(spec)
-    if not verdict.is_perm:
-        raise ValueError(verdict.failure)
+    perm, want = _certified(spec, perm)
     b = bezout(spec)
     if b.r_prime_full is None:
         raise ValueError(
@@ -368,17 +387,14 @@ def lift_inverse(spec: PermSpec) -> CosetMap:
             "the closed-form lift does not apply")
     inv = mu_inverse(spec)
     q, N, exp, log = ctx.q, ctx.units, ctx._exp, ctx._log
-    rp = b.r_prime_full
-    e1 = (rp * (q * q - q + 1)) % N
-    e2 = (rp * (q - 2)) % N
+    e1 = (b.r_prime_full * (q * q - q + 1)) % N
+    e2 = (b.r_prime_full * (q - 2)) % N
     ivs = _mu_inverse_values(inv)
     _check_mu_table(inv, ivs)
-    perm = perm_coset_map(spec)
     zl = q - 1  # I(y) = zeta^k with k = log I(y) / (q-1), so F(I(y)) = A_k
     lift = CosetMap(ctx, e1, [exp[(e2 * log[perm.table[log[iv] // zl]] + log[iv]) % N]
                               for iv in ivs])
-    want = perm.inverse()
-    if want is None or (e1 - want.e) % zl or any(
+    if (e1 - want.e) % zl or any(
             lift.eval_packed(x) != want.eval_packed(x) for x in exp[:q + 1]):
         raise ArithmeticError("closed-form lift disagrees with P's coset inverse")
     return lift
@@ -451,16 +467,17 @@ def _value_digest(ctx: FieldCtx, f) -> str:
 ROUTES = ("cyclotomic", "closed", "table")
 
 
-def route_inverse(spec: PermSpec, route: str):
-    """spec's inverse by the named route: the one place that maps a name in
-    ROUTES to its constructor, looked up at call time.  Each route raises
-    its own ValueError when its hypotheses fail, as does an unknown name."""
+def route_inverse(spec: PermSpec, route: str, perm: CosetMap):
+    """spec's inverse by the named route from perm, P's CosetMap: the one
+    place that maps a name in ROUTES to its constructor, looked up at call
+    time.  Each route raises its own ValueError when its hypotheses fail,
+    as does an unknown name."""
     if route == "cyclotomic":
-        return inverse_cyclotomic(spec)
+        return inverse_cyclotomic(spec, perm)
     if route == "closed":
-        return lift_inverse(spec)
+        return lift_inverse(spec, perm)
     if route == "table":
-        return inverse_table(spec.ctx, perm_coset_map(spec))
+        return inverse_table(spec.ctx, perm)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -472,16 +489,18 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     "skipped" with the refusal reason.  A failed internal check
     (ArithmeticError) is not a refusal and propagates.  "agree" is true
     when all computed digests coincide and at least one route was computed.
-    An unknown route name is refused with ValueError before any work.
+    An unknown route name is refused with ValueError before any work; then
+    P's CosetMap is built once and every route reads it.
     """
     for route in routes:
         if route not in ROUTES:
             raise ValueError(f"unknown route {route!r}")
+    perm = perm_coset_map(spec)
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
     for route in routes:
         try:
-            inverse = route_inverse(spec, route)
+            inverse = route_inverse(spec, route, perm)
         except ValueError as exc:
             skipped[route] = str(exc)
             continue

@@ -224,6 +224,21 @@ def test_refused_invert_builds_no_evaluator(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("route", [*ROUTES, "all"])
+def test_invert_builds_p_coset_table_once(capsys, monkeypatch, route):
+    """Every route of invert, and the composition check of a single route,
+    read one coset table of P (construct.coset_factor_table)."""
+    calls = []
+    real = construct.coset_factor_table
+    monkeypatch.setattr(construct, "coset_factor_table",
+                        lambda spec: calls.append(spec) or real(spec))
+    argv = ["invert", "--p", "3", "--k", "2", "--variant", "H", "--n", "3",
+            "--m", "0", "--l", "2", "--route", route]
+    assert cli.main(argv) == 0
+    assert "composition with P is the identity: verified" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name,extra", [("invert_q9_all", []),
                                         ("construct_q11_h3", ["--skip-oracle"])])
 def test_p_coset_map_is_built_only_where_it_is_read(capsys, monkeypatch, name,

@@ -73,22 +73,39 @@ def test_a_mu_inverse_entry_off_mu_fails_the_table_check(monkeypatch, capsys, q9
     _exits_3(capsys, ["invert", *Q9_H3, "--route", "closed"], message)
 
 
+def _vanishing(perm):
+    """perm with a zero at F(zeta^0) in its coset factor table."""
+    return CosetMap(perm.ctx, perm.e, [0, *perm.table[1:]])
+
+
+AGW = ("the gcd criterion certifies a map that does not permute F_{q^2} "
+       "(Akbary-Ghioca-Wang)")
+
+
 def test_a_vanishing_coset_factor_fails_the_table_check(monkeypatch, capsys, q9):
-    """A zero at F(zeta^0) in the closed route's coset factor table.
-    Without CosetMap.inverse's zero test, it adds the None log of that
-    entry to an int and raises TypeError, which the CLI does not catch, in
-    place of exit 3."""
+    """A zero at F(zeta^0) in P's coset factor table, where the library
+    (inverse) and invert (cli) build P's map: the route's certification
+    finds no CosetMap.inverse.  Without CosetMap.inverse's zero test, it
+    adds the None log of that entry to an int and raises TypeError, which
+    the CLI does not catch, in place of exit 3."""
     real = inverse.perm_coset_map
-
-    def vanishing(spec):
-        perm = real(spec)
-        return CosetMap(spec.ctx, perm.e, [0, *perm.table[1:]])
-
-    monkeypatch.setattr(inverse, "perm_coset_map", vanishing)
-    message = "closed-form lift disagrees with P's coset inverse"
-    with pytest.raises(ArithmeticError, match=re.escape(message)):
+    for module in (inverse, cli):
+        monkeypatch.setattr(module, "perm_coset_map",
+                            lambda spec: _vanishing(real(spec)))
+    with pytest.raises(ArithmeticError, match=re.escape(AGW)):
         inverse.lift_inverse(_spec(q9))
-    _exits_3(capsys, ["invert", *Q9_H3, "--route", "closed"], message)
+    for route in ("closed", "cyclotomic"):
+        _exits_3(capsys, ["invert", *Q9_H3, "--route", route], AGW)
+
+
+@pytest.mark.parametrize("route", ["lift_inverse", "inverse_cyclotomic"])
+def test_a_vanishing_coset_factor_passed_as_perm_fails_the_route(q9, route):
+    """A corrupted map passed as perm is the map the route certifies: it is
+    refused, not rebuilt from spec."""
+    spec = _spec(q9)
+    perm = _vanishing(inverse.perm_coset_map(spec))
+    with pytest.raises(ArithmeticError, match=re.escape(AGW)):
+        getattr(inverse, route)(spec, perm)
 
 
 def test_a_lift_from_another_unit_fails_the_inverse_check(monkeypatch, capsys,

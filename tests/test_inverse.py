@@ -322,12 +322,12 @@ def test_agreement_report_refuses_an_unknown_route_before_any_work(
 
 
 @pytest.mark.parametrize("routes,built", [(("closed",), 1), (("cyclotomic",), 1),
-                                          (("table",), 1), (inverse.ROUTES, 3)])
+                                          (("table",), 1), (inverse.ROUTES, 1)])
 def test_agreement_report_builds_the_forward_map_only_for_the_table_route(
         q9, monkeypatch, routes, built):
-    """The report builds P's coset map for the table route alone; the other
-    builds are inverse_cyclotomic's and lift_inverse's own, whose coset
-    tables they read."""
+    """The report builds P's coset map once, whatever the routes, and every
+    route reads that map: the table route scans it, and inverse_cyclotomic
+    and lift_inverse certify it and read its coset table."""
     calls = []
     real = inverse.perm_coset_map
     monkeypatch.setattr(inverse, "perm_coset_map",
@@ -335,6 +335,23 @@ def test_agreement_report_builds_the_forward_map_only_for_the_table_route(
     spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
     assert agreement_report(spec, routes=routes)["agree"]
     assert calls == [spec] * built
+
+
+def test_agreement_report_calls_each_route_constructor_by_its_module_name(
+        q9, monkeypatch):
+    """The benchmark's tracer replaces the three route constructors as
+    attributes of inverse and reads the spec (the field for the table) as
+    their first argument: the report calls each one once through that
+    attribute, with that first argument."""
+    calls = []
+    for name in ("inverse_cyclotomic", "lift_inverse", "inverse_table"):
+        real = getattr(inverse, name)
+        monkeypatch.setattr(inverse, name, lambda *args, real=real, name=name: (
+            calls.append((name, args[0])) or real(*args)))
+    spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
+    assert agreement_report(spec)["agree"]
+    assert calls == [("inverse_cyclotomic", spec), ("lift_inverse", spec),
+                     ("inverse_table", q9)]
 
 
 def test_agreement_report_computes_every_route_above_the_default_bound(
