@@ -48,7 +48,7 @@ from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
-from .inverse import (ROUTES, agreement_report, bezout, inverse_table,
+from .inverse import (ROUTES, _agreement, agreement_report, bezout,
                       mu_inverse, route_inverse)
 from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
@@ -405,15 +405,13 @@ def _check_inverse_routes(qs, n_max: int, m_values) -> None:
     for ctx, l, spec in _spec_grid(qs, range(1, n_max + 1, 2), m_values):
         if not check_criterion(spec).is_perm:
             continue
-        report = agreement_report(spec)
+        report, perm, inverses = _agreement(spec, ROUTES)
         _ensure("cyclotomic" in report["routes"] and "table" in report["routes"],
                 "baseline inverse routes missing")
         _ensure(report["agree"],
                 f"inverse routes disagree at q={ctx.q} variant={spec.variant} "
                 f"n={spec.n} m={spec.m} l={l}")
-        ev = perm_coset_map(spec)
-        inv = inverse_table(ctx, ev)
-        _ensure(_compose_identity_holds(ctx, ev, inv),
+        _ensure(_compose_identity_holds(ctx, perm, inverses["table"]),
                 "table inverse does not invert")
 
 

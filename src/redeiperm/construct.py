@@ -19,8 +19,8 @@ only spot-checks them (redei.gh_table).
 Every exhaustive loop reads f in packed order, a range of consecutive
 points at a time (f.eval_range), with one exception: a CosetMap is read
 one checked coset row at a time (CosetMap.log_rows) by packed_ranges,
-which lays the rows out into a log-order list and gathers each range from
-it, and by the oracle and the scan when the map passes CosetMap.permutes
+which stores each value at its point as the scan stores preimages, and
+by the oracle and the scan when the map passes CosetMap.permutes
 (_in_log_order).  After a repeated value in the rows, and for every other
 map, they run the packed-order loop, which stops at the first collision.
 The oracle keeps one byte per value; only the scan, behind the table
@@ -36,7 +36,6 @@ admissible n.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .field_tower import Felt, FieldCtx, require_field
@@ -229,25 +228,19 @@ def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
     f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
     gives the packed values at the packed points start, ..., stop-1.  A
     CosetMap's checked rows are instead laid out at its first range into a
-    list of its values in discrete-log order, and each range is gathered
-    from that list through the log table in C; only this loop holds it.
+    packed-order list, each value at its point (scan's loop, slot 0 left
+    at 0), and each range is sliced from it; only this loop holds it.
     """
     require_field(ctx, f)
-    if not isinstance(f, CosetMap):
-        for start, stop in _ranges(ctx.q2):
-            yield start, f.eval_range(start, stop)
-        return
-    values, q1, log = [0] * ctx.units, ctx.q + 1, ctx._log
-    for s, row in f.log_rows():
-        values[s::q1] = row
+    read = f.eval_range
+    if isinstance(f, CosetMap):
+        values, exp, q1 = [0] * ctx.q2, ctx._exp, ctx.q + 1
+        for s, row in f.log_rows():
+            for x, v in zip(exp[s::q1], row):
+                values[x] = v
+        read = lambda start, stop: values[start:stop]
     for start, stop in _ranges(ctx.q2):
-        logs = log[max(start, 1):stop]
-        # itemgetter of one index returns the item, not a tuple
-        out = (list(itemgetter(*logs)(values)) if len(logs) > 1
-               else [values[t] for t in logs])
-        if start == 0 < stop:  # log 0 is undefined; 0 -> 0
-            out.insert(0, 0)
-        yield start, out
+        yield start, read(start, stop)
 
 
 def _packed_scan(q2: int, f) -> tuple:

@@ -43,10 +43,9 @@ build it when it is None; both are certified by _certified, the one home
 of the criterion's refusal (ValueError, before any map is built) and of
 the Akbary-Ghioca-Wang check that perm.inverse() exists (ArithmeticError).
 
-Route agreement digests each route's values at all q^2 points, read a
-range at a time by construct.packed_ranges: the InverseTable as slices,
-the closed route's CosetMap from its coset rows, the cyclotomic Poly by
-poly_eval per point.
+Route agreement digests each route's values at all q^2 points, a range
+at a time (construct.packed_ranges): slices for the InverseTable and the
+closed route's CosetMap, poly_eval per point for the cyclotomic Poly.
 All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
 tabulated on mu_{q+1} once, by the term sum at the q+1 coset
@@ -492,23 +491,30 @@ def agreement_report(spec: PermSpec, routes: tuple[str, ...] = ROUTES) -> dict:
     An unknown route name is refused with ValueError before any work; then
     P's CosetMap is built once and every route reads it.
     """
+    return _agreement(spec, routes)[0]
+
+
+def _agreement(spec: PermSpec,
+               routes: tuple[str, ...]) -> tuple[dict, CosetMap, dict]:
+    """agreement_report's report, P's CosetMap and {route: inverse}."""
     for route in routes:
         if route not in ROUTES:
             raise ValueError(f"unknown route {route!r}")
     perm = perm_coset_map(spec)
+    inverses = {}
     digests: dict[str, str] = {}
     skipped: dict[str, str] = {}
     for route in routes:
         try:
-            inverse = route_inverse(spec, route, perm)
+            inverses[route] = route_inverse(spec, route, perm)
         except ValueError as exc:
             skipped[route] = str(exc)
             continue
-        digests[route] = _value_digest(spec.ctx, inverse)
+        digests[route] = _value_digest(spec.ctx, inverses[route])
     agree = len(set(digests.values())) == 1 if digests else False
     return {
         "spec": spec.to_record(),
         "routes": digests,
         "skipped": skipped,
         "agree": agree,
-    }
+    }, perm, inverses

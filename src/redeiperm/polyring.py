@@ -138,7 +138,7 @@ class CosetMap:
     point.
     """
 
-    __slots__ = ("ctx", "e", "table", "_table_logs")
+    __slots__ = ("ctx", "e", "table", "_table_logs", "_inverse")
 
     def __init__(self, ctx: FieldCtx, e: int, table: list[int]):
         if len(table) != ctx.q + 1:
@@ -152,6 +152,7 @@ class CosetMap:
         self.e = e
         self.table = table
         self._table_logs = [ctx._log[v] if v else None for v in table]
+        self._inverse = None
 
     @classmethod
     def from_poly(cls, f: Poly) -> "CosetMap | None":
@@ -198,15 +199,16 @@ class CosetMap:
         return ei, table
 
     def inverse(self) -> "CosetMap | None":
-        """The inverse map, or None when the map does not permute F_{q^2}
-        (_inverse_table)."""
-        found = self._inverse_table()
-        return None if found is None else CosetMap(self.ctx, *found)
+        """The inverse map, or None when the map does not permute F_{q^2}."""
+        return CosetMap(self.ctx, *self._inverse) if self.permutes() else None
 
     def permutes(self) -> bool:
-        """Does the map permute F_{q^2}?  Exactly when it has an inverse;
-        no inverse map is built."""
-        return self._inverse_table() is not None
+        """Does the map permute F_{q^2}?  Exactly when _inverse_table finds
+        an inverse; its result is kept in _inverse (False for None), so sigma
+        is computed once per map and no inverse map is built."""
+        if self._inverse is None:
+            self._inverse = self._inverse_table() or False
+        return self._inverse is not False
 
     def eval_packed(self, xv: int) -> int:
         if xv == 0:

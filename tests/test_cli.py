@@ -337,6 +337,26 @@ def test_selftest_quick(capsys):
     assert "12 checks: 12 passed, 0 failed [quick]" in out
 
 
+def test_selftest_route_check_builds_p_and_the_table_inverse_once_per_spec(
+        monkeypatch):
+    """The selftest's route check composes P with the coset map and the
+    table inverse its agreement report was made from: at the quick level's
+    arguments, 54 certified specs make 54 coset tables of P and 54 table
+    inverses, not two of each."""
+    from redeiperm import inverse
+
+    tables, inverses = [], []
+    real_table = construct.coset_factor_table
+    real_inverse = inverse.inverse_table
+    monkeypatch.setattr(construct, "coset_factor_table",
+                        lambda spec: tables.append(spec) or real_table(spec))
+    monkeypatch.setattr(inverse, "inverse_table", lambda ctx, f: (
+        inverses.append(f) or real_inverse(ctx, f)))
+    cli._check_inverse_routes((3, 5), 5, (0,))
+    assert len(tables) == len(inverses) == 54
+    assert len(set(map(id, inverses))) == 54
+
+
 def test_selftest_full(capsys):
     rc = cli.main(["selftest", "--level", "full"])
     out = capsys.readouterr().out

@@ -7,8 +7,9 @@ the forward map is still checked directly."""
 
 import pytest
 
-from redeiperm import (InverseTable, PermSpec, Poly, agreement_report,
-                       bezout, build_perm_poly, check_criterion, field_tower,
+from redeiperm import (CosetMap, InverseTable, PermSpec, Poly,
+                       agreement_report, bezout, build_perm_poly,
+                       check_criterion, cli, field_tower,
                        gh_eval, inverse, inverse_cyclotomic, inverse_table,
                        is_permutation_bruteforce, lift_inverse, make_field,
                        mu_inverse, mu_inverse_eval, poly_eval)
@@ -352,6 +353,24 @@ def test_agreement_report_calls_each_route_constructor_by_its_module_name(
     assert agreement_report(spec)["agree"]
     assert calls == [("inverse_cyclotomic", spec), ("lift_inverse", spec),
                      ("inverse_table", q9)]
+
+
+def test_the_sigma_pass_runs_once_per_spec(q9, capsys, monkeypatch):
+    """agreement_report and invert --route all make one sigma pass
+    (CosetMap._inverse_table) for P's map: the table route's read-order
+    choice and both certified routes share its result."""
+    calls = []
+    real = CosetMap._inverse_table
+    monkeypatch.setattr(CosetMap, "_inverse_table",
+                        lambda self: calls.append(self) or real(self))
+    assert agreement_report(PermSpec("H", 3, 0, q9.alpha_from_l(2)))["agree"]
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H",
+                     "--n", "3", "--m", "0", "--l", "2", "--route", "all"]) == 0
+    assert "composition with P is the identity: verified" in (
+        capsys.readouterr().out)
+    assert len(calls) == 1
 
 
 def test_agreement_report_computes_every_route_above_the_default_bound(

@@ -1,8 +1,8 @@
 """The range adapter behind every exhaustive loop, against per-point loops.
 
 construct.packed_ranges hands out f's packed values over consecutive ranges
-of the points 0, ..., q^2-1.  CosetMap.eval_range and packed_ranges' gather
-from a CosetMap's log-order layout must agree with eval_packed, scan with a
+of the points 0, ..., q^2-1.  CosetMap.eval_range and packed_ranges'
+slices of a CosetMap's packed layout must agree with eval_packed, scan with a
 first-collision loop over single points (same table, same witness), and
 the value digest with a per-point sha256, on every q^2 <= 2^12 and on
 F_{3^5}.  The work-count guards keep the loops from falling back to one
@@ -125,7 +125,7 @@ def coset_maps(draw):
 def test_eval_range_matches_eval_packed(cm, data):
     """On any window, empty and one-point ones and those around a range
     boundary included, both the per-point comprehension and packed_ranges'
-    gather from the log-order layout (given that one window) equal
+    slice of the packed layout (given that one window) equal
     eval_packed."""
     ctx = cm.ctx
     q2, edge = ctx.q2, data.draw(st.sampled_from(_range_starts(ctx)))
@@ -226,12 +226,13 @@ def test_little_endian_matches_to_bytes(width):
     assert _little_endian([], width) == b""
 
 
-# -- the coset rows (CosetMap.log_rows) and their log-order layout --------------
+# -- the coset rows (CosetMap.log_rows) and their packed layout ------------------
 
 def _record(monkeypatch, name="log_rows"):
     """Make CosetMap.<name> append (the function that called it, its map)
     to the returned list.  A row pass called from packed_ranges is the one
-    kind that lays the rows out into a log-order list."""
+    kind that lays the rows out, each value at its point, into a
+    packed-order list."""
     passes = []
     real = getattr(CosetMap, name)
     monkeypatch.setattr(CosetMap, name, lambda self: passes.append(
@@ -251,8 +252,9 @@ def _counted_eval_range(monkeypatch):
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
-    """packed_ranges lays a CosetMap out from one row pass, made at its
-    first range.  scan and the oracle each make exactly one row pass for a
+    """packed_ranges lays a CosetMap out in packed order from one row
+    pass, made at its first range, and slices every range from that
+    layout.  scan and the oracle each make exactly one row pass for a
     CosetMap that permutes by the AGW test and none for any other, and lay
     nothing out.  The values equal eval_packed at every point, the scan the
     point loop, and the AGW verdict the scan's and the oracle's."""
@@ -347,10 +349,10 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
 
 def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
     """The oracle and the table inverse make one row pass each and lay out
-    nothing; the digest and the composition check lay the rows out once
-    each, in packed_ranges.  Nothing holds a layout or a row afterwards,
-    not the map, not a finished loop: the four leave under one byte per
-    point traced (a layout is 8)."""
+    nothing; the digest and the composition check lay the rows out in
+    packed order once each, in packed_ranges.  Nothing holds a layout or a
+    row afterwards, not the map, not a finished loop: the four leave under
+    one byte per point traced (a layout is 8)."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
     _value_digest(ctx, cm)  # hashlib is imported on the first digest
@@ -547,7 +549,7 @@ def test_the_table_inverse_holds_one_list_of_preimages(p, k):
     """On F_{81^2} and F_{243^2}, the table inverse of a permuting CosetMap
     holds one q^2-entry list, the preimages, and one coset row at a time:
     its traced peak is under 10 bytes per point, where a second q^2-entry
-    list, such as a log-order layout of the map, would take it to 16."""
+    list, such as packed_ranges' layout of the map, would take it to 16."""
     ctx = make_field(p, k)
     _, cm = build_perm_poly(_permutation(ctx))
     tracemalloc.start()
@@ -558,6 +560,24 @@ def test_the_table_inverse_holds_one_list_of_preimages(p, k):
     finally:
         tracemalloc.stop()
     assert peak < 10 * ctx.q2
+
+
+def test_the_digest_of_a_coset_map_holds_one_list_of_values():
+    """On F_{243^2}, the value digest of a permuting CosetMap holds one
+    q^2-entry list in packed order, of the exp table's own ints, and one
+    coset row and one range at a time: its traced peak is under 16 bytes
+    per point."""
+    ctx = make_field(3, 5)
+    _, cm = build_perm_poly(_permutation(ctx))
+    _value_digest(ctx, cm)  # hashlib is imported on the first digest
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _value_digest(ctx, cm)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * ctx.q2
 
 
 # -- the oracle's one byte per value ------------------------------------------------
