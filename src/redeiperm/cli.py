@@ -45,7 +45,7 @@ from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
                         family_poly, family_spec, family_special_condition,
                         is_permutation_bruteforce, packed_ranges,
                         perm_coset_map, perm_factor, perm_poly, perm_terms,
-                        sqrt_case)
+                        scan, sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
 from .inverse import (ROUTES, _agreement, agreement_report, bezout,
@@ -134,9 +134,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
-    back = [v for _, values in packed_ranges(ctx, backward) for v in values]
-    return all(back[v] == xv for start, values in packed_ranges(ctx, forward)
-               for xv, v in enumerate(values, start))
+    """backward(forward(x)) = x for every x: forward is a bijection and
+    backward's values are its table inverse, the scan, range by range."""
+    table, collision = scan(ctx, forward)
+    return collision is None and all(
+        table[start:start + len(values)] == values
+        for start, values in packed_ranges(ctx, backward))
 
 
 def cmd_invert(args: argparse.Namespace) -> int:

@@ -11,20 +11,21 @@ construction, so that multiplication, inversion, powering and discrete
 logarithms are O(1) lookups.  exp is built one coset row at a time: row r is
 the coset gamma^r * F_q^*, held as gamma^r * g^j at exp[r + (q+1)j] for j
 from 0 to q-2, where g = gamma^(q+1) generates F_q^*.  x -> b*x is
-F_p-linear, so each step is the digitwise sum of precomputed images of the
-low and high k digits of the value before: a few lookups, not an O(k^2)
-product.  The q+1 row starts are stepped by gamma and each row by g, one
-pair of image tables each.  The image tables come from the same linearity,
-digit by digit from 2k dense products.  Dense products check every gamma
-step of the row starts and the first g step of SPOT_CHECKS rows, and each
-row must come back to its start after q - 1 steps.  The search for gamma
-powers one element per F_p^*-orbit of candidates, and each candidate then
-costs an int pow mod p.  Addition needs no Zech table: 1 + v differs from v
-only in the constant digit, so log(1 + gamma^d) is an exp and a log lookup
-(add_logs).  Only the O(q^2) chains of sum_powers, which keep a sum of
-powers of gamma as a log, read a stored Zech table, built on first use.  The
-size bound on q^2 keeps table construction cheap and guards every exhaustive
-operation downstream.
+F_p-linear, so each step by g is the digitwise sum of precomputed images
+of the low and high k digits of the value before: a few lookups, not an
+O(k^2) product.  The q+1 row starts gamma^0..gamma^q and g itself are
+dense products, one per power, and each row is stepped by g through one
+pair of image tables, which come from the same linearity, digit by digit
+from 2k dense products.  Dense products check the first g step of
+SPOT_CHECKS rows, each row must come back to its start after q - 1 steps,
+and the q^2 - 1 powers must fill exactly the nonzero slots of log.  The
+search for gamma powers one element per F_p^*-orbit of candidates, and each
+candidate then costs an int pow mod p.  Addition needs no Zech table: 1 + v
+differs from v only in the constant digit, so log(1 + gamma^d) is an exp
+and a log lookup (add_logs).  Only the O(q^2) chains of sum_powers, which
+keep a sum of powers of gamma as a log, read a stored Zech table, built on
+first use.  The size bound on q^2 keeps table construction cheap and guards
+every exhaustive operation downstream.
 
 Memory: exp is a list, one int object per power, which the tables derived
 from it (CosetMap.log_rows, the scan's inverse table) store rather than
@@ -228,12 +229,13 @@ def _copies(table: list[int], offsets: Iterable[int]) -> list[int]:
     return [t + a for a in offsets for t in table]
 
 
-def _step_tables(p: int, k: int, gamma: Sequence[int],
+def _step_tables(p: int, k: int, g: Sequence[int],
                  mod: Sequence[int]) -> tuple[list[int], list[int], list[int], int]:
-    """Tables for one multiplication by gamma on packed values of F_{q^2}.
+    """Tables for one multiplication by g on packed values of F_{q^2}; the
+    field build passes the row step g = gamma^(q+1).
 
-    Returns (lo_tab, hi_tab, unspread, shift).  lo_tab[lo] is gamma*lo and
-    hi_tab[hi] is gamma*hi*x^k, for k-digit values lo and hi, in a spread
+    Returns (lo_tab, hi_tab, unspread, shift).  lo_tab[lo] is g*lo and
+    hi_tab[hi] is g*hi*x^k, for k-digit values lo and hi, in a spread
     encoding that gives each base-p digit its own slot of w bits, w the bit
     length of 2p - 2, so that lo_tab[lo] + hi_tab[hi] adds digitwise with no
     carries.  shift = k*w bits hold the low k slots; unspread maps each
@@ -244,7 +246,7 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
     reachable slot sums grow one slot at a time: those of s+1 slots are
     those of s slots once per top digit c, at index + c*2^(s*w) with value
     + (c mod p)*p^s.  lo_tab grows one base-p digit at a time from the k
-    dense images gamma*x^i (gamma*x^(k+i) for hi_tab): for v < p^i,
+    dense images g*x^i (g*x^(k+i) for hi_tab): for v < p^i,
     lo_tab[v + d*p^i] is lo_tab[v + (d-1)*p^i] plus the image of x^i, a
     carry-free spread sum reduced mod p through unspread.
     """
@@ -263,7 +265,7 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
     def by_digits(first: int) -> list[int]:
         tab = [0]
         for i in range(k):
-            image = _mulmod(gamma, [0] * (first + i) + [1], mod, p)
+            image = _mulmod(g, [0] * (first + i) + [1], mod, p)
             step = sum(c << j * w for j, c in enumerate(image))
             block = tab
             for _ in range(1, p):
@@ -273,22 +275,6 @@ def _step_tables(p: int, k: int, gamma: Sequence[int],
         return tab
 
     return by_digits(0), by_digits(k), unspread, shift
-
-
-def _chain(tables: tuple[list[int], list[int], list[int], int], q: int,
-           v: int, count: int) -> list[int]:
-    """[v, v*b, ..., v*b^count], packed, for the b of the _step_tables
-    tables: each step splits the value into its low and high k digits."""
-    lo_tab, hi_tab, unspread, shift = tables
-    mask = (1 << shift) - 1
-    lo, hi = v % q, v // q
-    out = [v] * (count + 1)
-    for j in range(1, count + 1):
-        s = lo_tab[lo] + hi_tab[hi]
-        lo = unspread[s & mask]
-        hi = unspread[s >> shift]
-        out[j] = lo + q * hi
-    return out
 
 
 def require_field(ctx: FieldCtx, *items) -> None:
@@ -444,18 +430,21 @@ class FieldCtx:
 
         # exp table, one coset row at a time: row r holds gamma^r * g^j at
         # exp[r + (q+1)j], j = 0..q-2, with g = gamma^(q+1).  The row starts
-        # gamma^0..gamma^(q+1) are stepped by gamma and each row by g, both
-        # by the linear step of _step_tables.  Dense multiplication checks
-        # every gamma step, before any row is made, and the first g step of
-        # the rows at spot_positions(q+1).
+        # gamma^0..gamma^q and g are dense products; each row is stepped by g
+        # through the linear step of _step_tables and writes its logs as it
+        # goes.  Dense multiplication checks the first g step of the rows
+        # at spot_positions(q+1); the q^2 - 1 powers must then fill exactly
+        # the nonzero slots of log.
         N, q, q1 = self.units, self.q, self.q + 1
         mod = list(modulus)
         gamma_dense = self._unpack_dense(gamma_packed)
-        starts = _chain(_step_tables(p, k, gamma_dense, mod), q, 1, q1)
-        for i in range(q1):
-            self._check_step(starts[i], starts[i + 1], gamma_dense, i, "gamma")
+        starts = [1]
+        for _ in range(q1):
+            starts.append(self._pack_dense(
+                _mulmod(self._unpack_dense(starts[-1]), gamma_dense, mod, p)))
         g_dense = self._unpack_dense(starts[q1])
-        row_step = _step_tables(p, k, g_dense, mod)
+        lo_tab, hi_tab, unspread, shift = _step_tables(p, k, g_dense, mod)
+        mask = (1 << shift) - 1
         # the narrowest signed item that holds N, chosen by itemsize: the C
         # types behind the typecodes do not fix their sizes
         code = next(c for c in "bhiq" if N < 1 << 8 * array(c).itemsize - 1)
@@ -463,16 +452,20 @@ class FieldCtx:
         exp = [0] * N
         checked = spot_positions(q1)
         for r in range(q1):
-            row = _chain(row_step, q, starts[r], q - 1)
-            if r in checked:
-                self._check_step(row[0], row[1], g_dense, r, "gamma^(q+1)")
-            if row.pop() != row[0]:  # gamma^(r+N) is gamma^r iff gamma^N = 1
-                raise ValueError("gamma does not have full order")
-            for i, v in zip(range(r, N, q1), row):
-                if log[v] != -1:
-                    raise ValueError("gamma powers collide; order too small")
+            row = []
+            lo, hi = starts[r] % q, starts[r] // q
+            for i in range(r, N, q1):
+                row.append(v := lo + q * hi)
                 log[v] = i
+                s = lo_tab[lo] + hi_tab[hi]
+                lo, hi = unspread[s & mask], unspread[s >> shift]
+            if r in checked:
+                self._check_step(row[0], row[1], g_dense, r)
+            if lo + q * hi != row[0]:  # gamma^(r+N) is gamma^r iff gamma^N = 1
+                raise ValueError("gamma does not have full order")
             exp[r::q1] = row
+        if log[0] != -1 or log.count(-1) != 1:
+            raise ValueError("gamma powers collide; order too small")
         self._exp = exp
         self._log = log
         self._zech_table: array | None = None
@@ -482,13 +475,12 @@ class FieldCtx:
 
     # -- packing helpers ----------------------------------------------------
 
-    def _check_step(self, v: int, w: int, base: list[int], i: int,
-                    name: str) -> None:
+    def _check_step(self, v: int, w: int, base: list[int], i: int) -> None:
         """ArithmeticError unless w = v * base by dense multiplication."""
         dense = _mulmod(self._unpack_dense(v), base, list(self.modulus), self.p)
         if self._pack_dense(dense) != w:
             raise ArithmeticError(f"exp table step at index {i} disagrees "
-                                  f"with dense multiplication by {name}")
+                                  "with dense multiplication by gamma^(q+1)")
 
     def _unpack_dense(self, v: int) -> list[int]:
         return _trim(_digits(v, self.p, 2 * self.k))

@@ -501,7 +501,7 @@ def _corrupt_step_tables(monkeypatch, which, index):
 
 
 def test_corrupt_step_is_caught_by_the_dense_cross_check(monkeypatch):
-    # exp[0] = 1 has low half 1, so lo_tab[1] makes exp[1]
+    # row 0 starts at exp[0] = 1, whose low half 1 makes exp[q+1]
     _corrupt_step_tables(monkeypatch, 0, 1)
     with pytest.raises(ArithmeticError, match=r"step at index 0 disagrees"):
         make_field(3, 2)
@@ -526,47 +526,38 @@ def test_corrupt_step_exits_3_from_the_cli(monkeypatch, capsys):
     assert captured.err.startswith("error: exp table step at index 0 ")
 
 
-def _corrupt_one_step_table(monkeypatch, call, which, index):
-    """As _corrupt_step_tables, for one _step_tables call of a build alone:
-    call 1 makes the step by gamma, call 2 the row step by gamma^(q+1)."""
-    real = field_tower._step_tables
+@pytest.mark.parametrize("p,k", [(3, 2), (7, 1), (3, 4)])
+def test_one_build_makes_one_step_table(monkeypatch, p, k):
+    """The row starts are dense products, so a build steps by g alone."""
     calls = []
-
-    def corrupted(*args):
-        tables = real(*args)
-        calls.append(args)
-        if len(calls) == call:
-            tab = tables[which]
-            tab[index] = tab[(index + 1) % len(tab)]
-        return tables
-
-    monkeypatch.setattr(field_tower, "_step_tables", corrupted)
+    real = field_tower._step_tables
+    monkeypatch.setattr(field_tower, "_step_tables",
+                        lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    make_field(p, k)
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("call,name", [(1, "gamma"), (2, "gamma^(q+1)")])
-def test_a_corrupt_step_is_named_by_the_check_that_caught_it(monkeypatch, call,
-                                                             name):
-    # the row starts and row 0 both start at exp[0] = 1, whose low half 1
-    # makes exp[1] (a gamma step) and exp[q+1] (a row step)
-    _corrupt_one_step_table(monkeypatch, call, 0, 1)
+def test_a_corrupt_step_is_named_by_the_check_that_caught_it(monkeypatch):
+    # row 0 starts at exp[0] = 1, whose low half 1 makes exp[q+1]
+    _corrupt_step_tables(monkeypatch, 0, 1)
     with pytest.raises(ArithmeticError) as exc:
         make_field(3, 2)
     assert str(exc.value) == ("exp table step at index 0 disagrees with dense "
-                              f"multiplication by {name}")
+                              "multiplication by gamma^(q+1)")
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (7, 1)])
 def test_every_corrupt_row_step_entry_is_refused(monkeypatch, p, k):
     for which, index in itertools.product((0, 1), range(p ** k)):
-        _corrupt_one_step_table(monkeypatch, 2, which, index)
+        _corrupt_step_tables(monkeypatch, which, index)
         with pytest.raises((ArithmeticError, ValueError)):
             make_field(p, k)
         monkeypatch.undo()
 
 
 def test_a_corrupt_row_step_exits_3_from_the_cli(monkeypatch, capsys):
-    _corrupt_one_step_table(monkeypatch, 2, 0, 1)
+    _corrupt_step_tables(monkeypatch, 0, 1)
     rc = cli.main(["construct", "--p", "3", "--k", "2", "--variant", "H",
                    "--n", "3"])
     captured = capsys.readouterr()

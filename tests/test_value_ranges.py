@@ -349,10 +349,11 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
 
 def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
     """The oracle and the table inverse make one row pass each and lay out
-    nothing; the digest and the composition check lay the rows out in
-    packed order once each, in packed_ranges.  Nothing holds a layout or a
-    row afterwards, not the map, not a finished loop: the four leave under
-    one byte per point traced (a layout is 8)."""
+    nothing; the digest lays the rows out in packed order once, in
+    packed_ranges, and the composition check scans its forward map, one
+    more row pass.  Nothing holds a layout, a table or a row afterwards,
+    not the map, not a finished loop: the four leave under one byte per
+    point traced (a layout is 8)."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
     _value_digest(ctx, cm)  # hashlib is imported on the first digest
@@ -371,8 +372,7 @@ def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
     finally:
         tracemalloc.stop()
     assert [caller for caller, _ in passes] == [
-        "scan", "is_permutation_bruteforce", "scan", "packed_ranges",
-        "packed_ranges"]
+        "scan", "is_permutation_bruteforce", "scan", "packed_ranges", "scan"]
     assert all(m is cm for _, m in passes)
     assert kept < ctx.q2
 
