@@ -38,6 +38,7 @@ import json
 import random
 import sys
 import time
+from array import array
 from typing import Iterator
 
 from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
@@ -135,10 +136,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
     """backward(forward(x)) = x for every x: forward is a bijection and
-    backward's values are its table inverse, the scan, range by range."""
+    backward's values are its table inverse, the scan, range by range.
+    The contents are compared, as arrays of the scan's item type, whether
+    backward's ranges come as arrays or as lists."""
     table, collision = scan(ctx, forward)
     return collision is None and all(
-        table[start:start + len(values)] == values
+        table[start:start + len(values)] == array(table.typecode, values)
         for start, values in packed_ranges(ctx, backward))
 
 

@@ -24,7 +24,9 @@ by the oracle and the scan when the map passes CosetMap.permutes
 (_in_log_order).  After a repeated value in the rows, and for every other
 map, they run the packed-order loop, which stops at the first collision.
 The oracle keeps one byte per value; only the scan, behind the table
-inverse, keeps preimages.  make_field bounds these loops.
+inverse, keeps preimages.  The scan's preimages and packed_ranges' layout
+are q^2-entry unsigned arrays (_packed_table), so the value digest hashes
+their bytes as they are.  make_field bounds these loops.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -36,6 +38,7 @@ admissible n.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterator, NamedTuple
 
 from .field_tower import Felt, FieldCtx, require_field
@@ -222,19 +225,31 @@ def _ranges(q2: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
+def _packed_table(q2: int, fill: int) -> array:
+    """q^2 entries of fill, in the narrowest unsigned array item that holds
+    q^2 (chosen by itemsize: 'I' below 2^32): the one container of a
+    packed-order value table.  Its bytes are hashed as they are
+    (inverse._little_endian).  On F_{729^2} scattering the coset rows into
+    it is no slower than into a list, and faster than into a signed item,
+    whose store takes a slower conversion; on a field small enough to stay
+    in the cache a list store is the cheaper one."""
+    code = next(c for c in "IQ" if q2 < 1 << 8 * array(c).itemsize)
+    return array(code, [fill]) * q2
+
+
+def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int] | array]]:
     """f's packed values at 0, 1, ..., q^2-1 as (start, values) per range.
 
     f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
     gives the packed values at the packed points start, ..., stop-1.  A
     CosetMap's checked rows are instead laid out at its first range into a
-    packed-order list, each value at its point (scan's loop, slot 0 left
-    at 0), and each range is sliced from it; only this loop holds it.
+    _packed_table, each value at its point (scan's loop, slot 0 left at 0),
+    and each range is sliced from it; only this loop holds it.
     """
     require_field(ctx, f)
     read = f.eval_range
     if isinstance(f, CosetMap):
-        values, exp, q1 = [0] * ctx.q2, ctx._exp, ctx.q + 1
+        values, exp, q1 = _packed_table(ctx.q2, 0), ctx._exp, ctx.q + 1
         for s, row in f.log_rows():
             for x, v in zip(exp[s::q1], row):
                 values[x] = v
@@ -245,10 +260,10 @@ def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int]]]:
 
 def _packed_scan(q2: int, f) -> tuple:
     """scan's result from f's values in packed order."""
-    first = [-1] * q2
+    first = _packed_table(q2, q2)
     for start, stop in _ranges(q2):
         for xv, v in enumerate(f.eval_range(start, stop), start):
-            if first[v] >= 0:
+            if first[v] != q2:
                 return first, (first[v], xv, v)
             first[v] = xv
     return first, None
@@ -261,31 +276,34 @@ def _in_log_order(f) -> bool:
     return isinstance(f, CosetMap) and f.permutes()
 
 
-def scan(ctx: FieldCtx, f) -> tuple[list[int], tuple[int, int, int] | None]:
+def scan(ctx: FieldCtx, f) -> tuple[array, tuple[int, int, int] | None]:
     """Evaluate f at the packed points 0, 1, ..., q^2-1 in order; this is
     the table inverse, the one loop that needs the preimages.
 
     Returns (inverse table, None) for a bijection.  At the first collision
     it stops and returns (partial table, (a, b, v)): packed inputs a < b
-    both map to v, and no point after b enters the table.  Values come a
-    range at a time, so f may have been evaluated past b, to the end of
-    b's range.  A map that _in_log_order picks is read one checked coset
-    row at a time (CosetMap.log_rows), as the oracle reads it: each value's
-    preimage is stored as the exp table's own int, with no per-point test,
-    and a slot left at -1 then means a repeated value, so the packed-order
-    loop runs over the map itself.  Every other map runs that loop alone.
+    both map to v, and no point after b enters the table.  The table is a
+    _packed_table, and a value with no preimage yet holds q^2, which is no
+    packed value.  Values come a range at a time, so f may have been
+    evaluated past b, to the end of b's range.  A map that _in_log_order
+    picks is read one checked coset row at a time (CosetMap.log_rows), as
+    the oracle reads it: each value's preimage is stored with no per-point
+    test, and a slot left at q^2 then means a repeated value, so the
+    packed-order loop runs over the map itself.  Every other map runs that
+    loop alone.
     """
     require_field(ctx, f)
+    q2 = ctx.q2
     if not _in_log_order(f):
-        return _packed_scan(ctx.q2, f)
+        return _packed_scan(q2, f)
     exp, q1 = ctx._exp, ctx.q + 1
-    first = [-1] * ctx.q2
+    first = _packed_table(q2, q2)
     first[0] = 0
     for s, row in f.log_rows():
         for x, v in zip(exp[s::q1], row):
             first[v] = x
-    if -1 in first:
-        return _packed_scan(ctx.q2, f)
+    if q2 in first:
+        return _packed_scan(q2, f)
     return first, None
 
 

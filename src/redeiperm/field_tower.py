@@ -27,10 +27,11 @@ keep a sum of powers of gamma as a log, read a stored Zech table, built on
 first use.  The size bound on q^2 keeps table construction cheap and guards
 every exhaustive operation downstream.
 
-Memory: exp is a list, one int object per power, which the tables derived
-from it (CosetMap.log_rows, the scan's inverse table) store rather than
-copy.  The whole-field passes read exp one coset row at a time, at stride
-q+1, so a row's q - 1 ints are made together, one after another: CPython
+Memory: exp is a list, one int object per power, which CosetMap.log_rows'
+rows store rather than copy; the packed-order tables made from them (the
+scan's inverse table, packed_ranges' layout) are unsigned arrays.  The
+whole-field passes read exp one coset row at a time, at stride q+1, so a
+row's q - 1 ints are made together, one after another: CPython
 allocates consecutive ints side by side, and a row then reads contiguous
 memory instead of one cache line per int.  Only speed depends on that
 placement; no result does.  log and Zech are arrays of the narrowest signed

@@ -44,8 +44,10 @@ of the criterion's refusal (ValueError, before any map is built) and of
 the Akbary-Ghioca-Wang check that perm.inverse() exists (ArithmeticError).
 
 Route agreement digests each route's values at all q^2 points, a range
-at a time (construct.packed_ranges): slices for the InverseTable and the
-closed route's CosetMap, poly_eval per point for the cyclotomic Poly.
+at a time (construct.packed_ranges): slices of an unsigned array for the
+InverseTable and the closed route's CosetMap, whose bytes are hashed as
+they are (_little_endian), and poly_eval per point for the cyclotomic
+Poly, whose list is packed into an array first.
 All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
 tabulated on mu_{q+1} once, by the term sum at the q+1 coset
@@ -404,14 +406,14 @@ class InverseTable:
 
     __slots__ = ("ctx", "_table")
 
-    def __init__(self, ctx: FieldCtx, table: list[int]):
+    def __init__(self, ctx: FieldCtx, table: list[int] | array):
         if len(table) != ctx.q2:
             raise ValueError(f"an inverse table has q^2 = {ctx.q2} entries, "
                              f"not {len(table)}")
         self.ctx = ctx
         self._table = table
 
-    def eval_range(self, start: int, stop: int) -> list[int]:
+    def eval_range(self, start: int, stop: int) -> list[int] | array:
         return self._table[start:stop]
 
     def __call__(self, x: Felt) -> Felt:
@@ -437,12 +439,19 @@ def inverse_table(ctx: FieldCtx, f) -> InverseTable:
 # Route agreement.
 # ---------------------------------------------------------------------------
 
-def _little_endian(values: list[int], width: int) -> bytearray:
+def _little_endian(values: list[int] | array, width: int) -> bytearray:
     """b"".join(v.to_bytes(width, "little") for v in values), built in C:
-    pack into the narrowest array item of at least width bytes, then drop
-    the high byte of every item until width bytes are left."""
-    packed = array(next(c for c in "BHIQ" if array(c).itemsize >= width), values)
+    an array with items of at least width bytes, such as a range of a
+    packed table (construct._packed_table), is read as it is, and anything
+    else is packed into the narrowest array item of at least width bytes;
+    then the high byte of every item is dropped until width bytes are
+    left.  values itself is never changed."""
+    packed = values
+    if not (isinstance(values, array) and values.itemsize >= width):
+        packed = array(next(c for c in "BHIQ" if array(c).itemsize >= width),
+                       values)
     if sys.byteorder == "big":
+        packed = packed[:]  # byteswap works in place
         packed.byteswap()
     out = bytearray(packed)
     for size in range(packed.itemsize, width, -1):

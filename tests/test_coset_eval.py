@@ -275,7 +275,7 @@ def test_inverse_is_scans_table_or_none_at_a_collision(p, k, data):
         inv = cm.inverse()
         assert (inv is None) == (collision is not None)
         if inv is not None:
-            assert inv.eval_range(0, cm.ctx.q2) == table
+            assert inv.eval_range(0, cm.ctx.q2) == table.tolist()
 
 
 @st.composite

@@ -304,6 +304,17 @@ def test_agreement_report_full(q9):
     assert report["spec"]["n"] == 3
 
 
+def test_agreement_report_pins_the_digest_bytes():
+    """Every route is hashed through one inverse._little_endian, so a slip
+    in the byte layout would still agree with itself: on F_{243^2}, byte
+    width 2, the three digests equal one pinned value."""
+    ctx = make_field(3, 5)
+    report = agreement_report(PermSpec("H", 15, 1, ctx.alpha_from_l(1)))
+    assert report["routes"] == dict.fromkeys(inverse.ROUTES, (
+        "2355e2ea3ccdb0e23e9d411918e86f700a63989b97cce65886fe38669613ece8"))
+    assert report["agree"]
+
+
 def test_agreement_report_subset_of_routes(q9):
     spec = PermSpec("H", 3, 0, q9.alpha_from_l(2))
     report = agreement_report(spec, routes=("cyclotomic", "table"))

@@ -10,7 +10,8 @@ call per point; the lifetime tests make a row pass (CosetMap.log_rows)
 only in the oracle, the scan and packed_ranges, lay the rows out only in
 packed_ranges, and the scan and the oracle pass over the rows only of a
 CosetMap that permutes by the AGW test, leaving nothing on the map; the
-tracemalloc guards keep the scan to one list of the exp table's own ints.
+tracemalloc guards keep the scan and the digest to one unsigned array of
+q^2 entries, 4 bytes per point.
 The AGW test only orders the work: forced either way, it leaves every
 scan's table and witness unchanged, and it agrees with the gcd criterion
 and with the oracle.  The oracle certifies a map that passes it from one
@@ -24,6 +25,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,11 +49,13 @@ FIELDS = SMALL_FIELDS + [(3, 5)]
 
 
 def reference_scan(ctx, fn):
-    """The first-collision loop over single points, fn on packed values."""
-    first = [-1] * ctx.q2
-    for xv in range(ctx.q2):
+    """The first-collision loop over single points, fn on packed values,
+    into an unsigned array whose slots with no preimage hold q^2."""
+    q2 = ctx.q2
+    first = array("I", [q2]) * q2
+    for xv in range(q2):
         v = fn(xv)
-        if first[v] >= 0:
+        if first[v] != q2:
             return first, (first[v], xv, v)
         first[v] = xv
     return first, None
@@ -137,7 +141,8 @@ def test_eval_range_matches_eval_packed(cm, data):
     assert cm.eval_range(start, stop) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "_ranges", lambda q2: iter([(start, stop)]))
-        assert list(packed_ranges(ctx, cm)) == [(start, want)]
+        assert [(s, vs.tolist()) for s, vs in packed_ranges(ctx, cm)] == [
+            (start, want)]
 
 
 @settings(max_examples=40)
@@ -157,6 +162,7 @@ def test_scan_and_digest_of_every_map_kind_match_the_point_loops(p, k):
             (square, lambda xv: square(Felt(ctx, xv)).val)]
     for f, fn in maps:
         assert scan(ctx, f) == reference_scan(ctx, fn)
+        assert scan(ctx, f)[0].typecode == "I"
         assert _value_digest(ctx, f) == reference_digest(ctx, fn)
 
 
@@ -219,11 +225,19 @@ def test_composition_check_reads_both_value_lists(q9):
 
 @pytest.mark.parametrize("width", range(1, 9))
 def test_little_endian_matches_to_bytes(width):
+    """From a list, and from an 'I' or 'Q' array of any itemsize down to
+    width, read as it is and left unchanged."""
     top = (1 << (8 * width)) - 1
     values = [v & top for v in (0, 1, top, top >> 1, 0x0102030405060708, 256)]
-    assert _little_endian(values, width) == b"".join(
-        v.to_bytes(width, "little") for v in values)
+    want = b"".join(v.to_bytes(width, "little") for v in values)
+    assert _little_endian(values, width) == want
     assert _little_endian([], width) == b""
+    for code in "IQ":
+        if array(code).itemsize >= width:
+            packed = array(code, values)
+            assert _little_endian(packed, width) == want
+            assert packed.tolist() == values
+            assert _little_endian(array(code), width) == b""
 
 
 # -- the coset rows (CosetMap.log_rows) and their packed layout ------------------
@@ -267,7 +281,7 @@ def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
                CosetMap(ctx, ctx.units + 2, zero_row[::-1])):
         passes.clear()
         ranges = packed_ranges(ctx, cm)
-        values = next(ranges)[1]
+        values = next(ranges)[1].tolist()
         assert passes == [("packed_ranges", cm)]
         values += [v for _, vs in ranges for v in vs]
         assert passes == [("packed_ranges", cm)]
@@ -353,7 +367,7 @@ def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
     packed_ranges, and the composition check scans its forward map, one
     more row pass.  Nothing holds a layout, a table or a row afterwards,
     not the map, not a finished loop: the four leave under one byte per
-    point traced (a layout is 8)."""
+    point traced (a layout is 4)."""
     ctx = make_field(3, 4)
     _, cm = build_perm_poly(_permutation(ctx))
     _value_digest(ctx, cm)  # hashlib is imported on the first digest
@@ -452,7 +466,8 @@ def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
     reads = _counted_eval_range(monkeypatch)
     identity = CosetMap(ctx, 1, [1] * (ctx.q + 1))
     passes.clear()
-    assert scan(ctx, identity) == (list(range(ctx.q2)), None)
+    table, witness = scan(ctx, identity)
+    assert (table.tolist(), witness) == (list(range(ctx.q2)), None)
     assert passes == [("scan", identity)]
     assert reads == []
 
@@ -522,10 +537,10 @@ def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
                 inverse_table(ctx, cm)
 
 
-def test_the_inverse_table_holds_the_exp_tables_ints():
-    """On F_{243^2}, the table inverse of a CosetMap permutation keeps no
-    int of its own, about 8 bytes per point, and the oracle peaks at under
-    2 bytes per point (tracemalloc)."""
+def test_the_inverse_table_holds_four_bytes_per_point():
+    """On F_{243^2}, the table inverse of a CosetMap permutation keeps one
+    'I' array and no int object, about 4 bytes per point, and the oracle
+    peaks at under 2 bytes per point (tracemalloc)."""
     ctx = make_field(3, 5)
     _, cm = build_perm_poly(_permutation(ctx))
     tracemalloc.start()
@@ -540,16 +555,17 @@ def test_the_inverse_table_holds_the_exp_tables_ints():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert kept <= 10 * ctx.q2
+    assert kept <= 5 * ctx.q2
     assert peak < 2 * ctx.q2
 
 
 @pytest.mark.parametrize("p,k", [(3, 4), (3, 5)])
-def test_the_table_inverse_holds_one_list_of_preimages(p, k):
+def test_the_table_inverse_holds_one_array_of_preimages(p, k):
     """On F_{81^2} and F_{243^2}, the table inverse of a permuting CosetMap
-    holds one q^2-entry list, the preimages, and one coset row at a time:
-    its traced peak is under 10 bytes per point, where a second q^2-entry
-    list, such as packed_ranges' layout of the map, would take it to 16."""
+    holds one q^2-entry 'I' array, the preimages, and one coset row at a
+    time: its traced peak is under 6 bytes per point, where a second
+    q^2-entry array, such as packed_ranges' layout of the map, would take
+    it to 8."""
     ctx = make_field(p, k)
     _, cm = build_perm_poly(_permutation(ctx))
     tracemalloc.start()
@@ -559,14 +575,14 @@ def test_the_table_inverse_holds_one_list_of_preimages(p, k):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 10 * ctx.q2
+    assert peak < 6 * ctx.q2
 
 
-def test_the_digest_of_a_coset_map_holds_one_list_of_values():
+def test_the_digest_of_a_coset_map_holds_one_array_of_values():
     """On F_{243^2}, the value digest of a permuting CosetMap holds one
-    q^2-entry list in packed order, of the exp table's own ints, and one
-    coset row and one range at a time: its traced peak is under 16 bytes
-    per point."""
+    q^2-entry 'I' array in packed order, and one coset row and one range
+    and its bytes at a time: its traced peak is under 8 bytes per point,
+    where a list of the map's values would take 8 alone."""
     ctx = make_field(3, 5)
     _, cm = build_perm_poly(_permutation(ctx))
     _value_digest(ctx, cm)  # hashlib is imported on the first digest
@@ -577,7 +593,7 @@ def test_the_digest_of_a_coset_map_holds_one_list_of_values():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 16 * ctx.q2
+    assert peak < 8 * ctx.q2
 
 
 # -- the oracle's one byte per value ------------------------------------------------
