@@ -23,8 +23,10 @@ every exhaustive check reads; selftest's fields are fixed and small.
 
 invert's --route is a name in inverse.ROUTES, built by inverse.route_inverse
 (the only function that names a route's constructor) and verified by
-composition with P, or "all", verified exactly when the table route (the
-ground truth) was computed and every computed digest agreed.
+composition with P: the inverse's packed table (inverse.packed_table) is
+read at P's coset rows, so no scan of P enters the check.  Or it is "all",
+verified exactly when the table route (the ground truth) was computed and
+every computed digest agreed.
 
 Each subcommand is declared by one add(...) call in _build_parser, which
 adds the shared field, output and spec options and stores the handler;
@@ -38,19 +40,19 @@ import json
 import random
 import sys
 import time
-from array import array
+from operator import itemgetter
 from typing import Iterator
 
-from .construct import (CASE_IN, PermSpec, build_perm_poly, check_criterion,
-                        count_valid_n, cyclotomic_criterion, family_condition,
-                        family_poly, family_spec, family_special_condition,
-                        is_permutation_bruteforce, packed_ranges,
+from .construct import (CASE_IN, CosetMap, PermSpec, build_perm_poly,
+                        check_criterion, count_valid_n, cyclotomic_criterion,
+                        family_condition, family_poly, family_spec,
+                        family_special_condition, is_permutation_bruteforce,
                         perm_coset_map, perm_factor, perm_poly, perm_terms,
-                        scan, sqrt_case)
+                        sqrt_case)
 from .field_tower import (DEFAULT_SIZE_BOUND, FieldCtx, check_field_params,
                           check_odd_prime, field_for_q, make_field)
 from .inverse import (ROUTES, _agreement, agreement_report, bezout,
-                      mu_inverse, route_inverse)
+                      mu_inverse, packed_table, route_inverse)
 from .polyring import Poly, poly_eval, poly_gcd, render_poly, render_terms
 from .redei import dickson_eval, gh_coeffs, gh_eval
 
@@ -134,15 +136,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # invert.
 # ---------------------------------------------------------------------------
 
-def _compose_identity_holds(ctx: FieldCtx, forward, backward) -> bool:
-    """backward(forward(x)) = x for every x: forward is a bijection and
-    backward's values are its table inverse, the scan, range by range.
-    The contents are compared, as arrays of the scan's item type, whether
-    backward's ranges come as arrays or as lists."""
-    table, collision = scan(ctx, forward)
-    return collision is None and all(
-        table[start:start + len(values)] == array(table.typecode, values)
-        for start, values in packed_ranges(ctx, backward))
+def _compose_identity_holds(ctx: FieldCtx, perm: CosetMap, backward) -> bool:
+    """backward(P(x)) = x for every x, P = perm: backward's packed_table
+    sends 0 to 0, and each checked coset row of P (CosetMap.log_rows),
+    gathered through it in C, gives back the row's points exp[s::q+1].
+    It reads P only through its rows, never through a scan of P."""
+    table, exp, q1 = packed_table(ctx, backward), ctx._exp, ctx.q + 1
+    return table[0] == 0 and all(itemgetter(*row)(table) == tuple(exp[s::q1])
+                                 for s, row in perm.log_rows())
 
 
 def cmd_invert(args: argparse.Namespace) -> int:

@@ -18,15 +18,15 @@ only spot-checks them (redei.gh_table).
 
 Every exhaustive loop reads f in packed order, a range of consecutive
 points at a time (f.eval_range), with one exception: a CosetMap is read
-one checked coset row at a time (CosetMap.log_rows) by packed_ranges,
-which stores each value at its point as the scan stores preimages, and
-by the oracle and the scan when the map passes CosetMap.permutes
-(_in_log_order).  After a repeated value in the rows, and for every other
-map, they run the packed-order loop, which stops at the first collision.
-The oracle keeps one byte per value; only the scan, behind the table
-inverse, keeps preimages.  The scan's preimages and packed_ranges' layout
-are q^2-entry unsigned arrays (_packed_table), so the value digest hashes
-their bytes as they are.  make_field bounds these loops.
+one checked coset row at a time (CosetMap.log_rows) by the oracle and the
+scan when the map passes CosetMap.permutes (_in_log_order).  After a
+repeated value in the rows, and for every other map, they run the
+packed-order loop, which stops at the first collision.  The oracle keeps
+one byte per value; only the scan, behind the table inverse, keeps
+preimages, in a q^2-entry unsigned array (_packed_table).  That array is
+the one layout of a whole map: inverse.packed_table lays any map out in
+it for the value digest and the composition check.  make_field bounds
+these loops.
 
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
@@ -228,34 +228,13 @@ def _ranges(q2: int) -> Iterator[tuple[int, int]]:
 def _packed_table(q2: int, fill: int) -> array:
     """q^2 entries of fill, in the narrowest unsigned array item that holds
     q^2 (chosen by itemsize: 'I' below 2^32): the one container of a
-    packed-order value table.  Its bytes are hashed as they are
-    (inverse._little_endian).  On F_{729^2} scattering the coset rows into
-    it is no slower than into a list, and faster than into a signed item,
-    whose store takes a slower conversion; on a field small enough to stay
-    in the cache a list store is the cheaper one."""
+    packed-order value table (inverse.packed_table), whose bytes are
+    hashed as they are.  On F_{729^2} scattering the coset rows into it is
+    no slower than into a list, and faster than into a signed item, whose
+    store takes a slower conversion; on a field small enough to stay in
+    the cache a list store is the cheaper one."""
     code = next(c for c in "IQ" if q2 < 1 << 8 * array(c).itemsize)
     return array(code, [fill]) * q2
-
-
-def packed_ranges(ctx: FieldCtx, f) -> Iterator[tuple[int, list[int] | array]]:
-    """f's packed values at 0, 1, ..., q^2-1 as (start, values) per range.
-
-    f is a CosetMap, an InverseTable or a Poly: its eval_range(start, stop)
-    gives the packed values at the packed points start, ..., stop-1.  A
-    CosetMap's checked rows are instead laid out at its first range into a
-    _packed_table, each value at its point (scan's loop, slot 0 left at 0),
-    and each range is sliced from it; only this loop holds it.
-    """
-    require_field(ctx, f)
-    read = f.eval_range
-    if isinstance(f, CosetMap):
-        values, exp, q1 = _packed_table(ctx.q2, 0), ctx._exp, ctx.q + 1
-        for s, row in f.log_rows():
-            for x, v in zip(exp[s::q1], row):
-                values[x] = v
-        read = lambda start, stop: values[start:stop]
-    for start, stop in _ranges(ctx.q2):
-        yield start, read(start, stop)
 
 
 def _packed_scan(q2: int, f) -> tuple:
@@ -311,7 +290,7 @@ def is_permutation_bruteforce(
         ctx: FieldCtx, f) -> tuple[bool, tuple[Felt, Felt] | None]:
     """Evaluate f on all of F_{q^2}; (True, None) or (False, colliding pair).
 
-    f may be a CosetMap, an InverseTable or a Poly (see packed_ranges).
+    f may be a CosetMap, an InverseTable or a Poly: any map with eval_range.
     The verdict needs no preimages: a map that _in_log_order picks is read
     one checked coset row at a time (CosetMap.log_rows), each value marked
     in one byte of a q^2-byte array with slot 0 set (0 -> 0) as its row is

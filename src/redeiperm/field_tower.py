@@ -29,7 +29,7 @@ every exhaustive operation downstream.
 
 Memory: exp is a list, one int object per power, which CosetMap.log_rows'
 rows store rather than copy; the packed-order tables made from them (the
-scan's inverse table, packed_ranges' layout) are unsigned arrays.  The
+scan's inverse table, inverse.packed_table) are unsigned arrays.  The
 whole-field passes read exp one coset row at a time, at stride q+1, so a
 row's q - 1 ints are made together, one after another: CPython
 allocates consecutive ints side by side, and a row then reads contiguous

@@ -43,11 +43,10 @@ build it when it is None; both are certified by _certified, the one home
 of the criterion's refusal (ValueError, before any map is built) and of
 the Akbary-Ghioca-Wang check that perm.inverse() exists (ArithmeticError).
 
-Route agreement digests each route's values at all q^2 points, a range
-at a time (construct.packed_ranges): slices of an unsigned array for the
-InverseTable and the closed route's CosetMap, whose bytes are hashed as
-they are (_little_endian), and poly_eval per point for the cyclotomic
-Poly, whose list is packed into an array first.
+Route agreement digests each route's values at all q^2 points from one
+unsigned array per map (packed_table), hashed from its bytes a range at a
+time: the InverseTable's own array, a CosetMap's rows laid out at their
+points, or the cyclotomic Poly filled by poly_eval per point.
 All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
 tabulated on mu_{q+1} once, by the term sum at the q+1 coset
@@ -69,8 +68,8 @@ import sys
 from array import array
 from typing import NamedTuple
 
-from .construct import (CASE_IN, CosetMap, PermSpec, check_criterion,
-                        packed_ranges, perm_coset_map, scan, sqrt_case)
+from .construct import (CASE_IN, CosetMap, PermSpec, _packed_table, _ranges,
+                        check_criterion, perm_coset_map, scan, sqrt_case)
 from .field_tower import (Felt, FieldCtx, _prime_factors, require_field,
                           spot_positions)
 from .polyring import Poly, _eval_terms
@@ -439,17 +438,37 @@ def inverse_table(ctx: FieldCtx, f) -> InverseTable:
 # Route agreement.
 # ---------------------------------------------------------------------------
 
-def _little_endian(values: list[int] | array, width: int) -> bytearray:
-    """b"".join(v.to_bytes(width, "little") for v in values), built in C:
-    an array with items of at least width bytes, such as a range of a
-    packed table (construct._packed_table), is read as it is, and anything
-    else is packed into the narrowest array item of at least width bytes;
-    then the high byte of every item is dropped until width bytes are
-    left.  values itself is never changed."""
+def packed_table(ctx: FieldCtx, f) -> array:
+    """f's packed values at 0, 1, ..., q^2-1 in one construct._packed_table
+    array, the one layout of a whole map.
+
+    An InverseTable that holds an array is that array, returned as it is,
+    with no copy.  A CosetMap's checked rows (CosetMap.log_rows) are
+    scattered to their points, as the scan stores preimages, with slot 0
+    left at 0.  Any other map, a Poly or a list-backed InverseTable, is
+    filled a range at a time from its eval_range.
+    """
+    require_field(ctx, f)
+    if isinstance(f, InverseTable) and isinstance(f._table, array):
+        return f._table
+    table = _packed_table(ctx.q2, 0)
+    if isinstance(f, CosetMap):
+        exp, q1 = ctx._exp, ctx.q + 1
+        for s, row in f.log_rows():
+            for x, v in zip(exp[s::q1], row):
+                table[x] = v
+    else:
+        for start, stop in _ranges(ctx.q2):
+            table[start:stop] = array(table.typecode, f.eval_range(start, stop))
+    return table
+
+
+def _little_endian(values: array, width: int) -> bytearray:
+    """b"".join(v.to_bytes(width, "little") for v in values), built in C
+    from an array with items of at least width bytes, such as a range of
+    packed_table: the high byte of every item is dropped until width bytes
+    are left.  values itself is never changed."""
     packed = values
-    if not (isinstance(values, array) and values.itemsize >= width):
-        packed = array(next(c for c in "BHIQ" if array(c).itemsize >= width),
-                       values)
     if sys.byteorder == "big":
         packed = packed[:]  # byteswap works in place
         packed.byteswap()
@@ -460,15 +479,16 @@ def _little_endian(values: list[int] | array, width: int) -> bytearray:
 
 
 def _value_digest(ctx: FieldCtx, f) -> str:
-    """sha256 of f's packed values at 0, ..., q^2-1, each little-endian in
-    the byte width of q^2; fed to the hash one range at a time.  hashlib
-    (and with it OpenSSL) is imported here, on the first digest, not with
-    the package."""
+    """sha256 of f's packed values at 0, ..., q^2-1 (packed_table), each
+    little-endian in the byte width of q^2; fed to the hash one range of
+    the table at a time, so no q^2-byte copy is made.  hashlib (and with it
+    OpenSSL) is imported here, on the first digest, not with the package."""
     import hashlib
     h = hashlib.sha256()
     width = (ctx.q2.bit_length() + 7) // 8
-    for _, values in packed_ranges(ctx, f):
-        h.update(_little_endian(values, width))
+    table = packed_table(ctx, f)
+    for start, stop in _ranges(ctx.q2):
+        h.update(_little_endian(table[start:stop], width))
     return h.hexdigest()
 
 

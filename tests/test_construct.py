@@ -12,7 +12,8 @@ from redeiperm import (CASE_IN, CASE_OUT, CosetMap, InverseTable, PermSpec,
                        family_special_condition, gh_coeffs, inverse_table,
                        is_permutation_bruteforce, make_field, poly_eval,
                        sqrt_case)
-from redeiperm.construct import packed_ranges, scan
+from redeiperm.construct import scan
+from redeiperm.inverse import packed_table
 
 
 def test_spec_validation(q9):
@@ -128,14 +129,14 @@ def test_scan_returns_inverse_table_or_first_collision(q3, q5):
 
 
 def test_the_oracle_refuses_a_map_of_another_field(q9, q25):
-    """scan, packed_ranges and everything on them refuse a map whose field
+    """scan, packed_table and everything on them refuse a map whose field
     is not the one they are asked to run over, whichever is the larger."""
     for ctx, other in ((q9, q25), (q25, q9)):
         poly, cm = build_perm_poly(PermSpec("H", 1, 0, other.alpha_from_l(1)))
         table = InverseTable(other, list(range(other.q2)))
-        for f in (cm, poly, table):
+        for f in (cm, poly, table, inverse_table(other, cm)):
             for run in (lambda: scan(ctx, f),
-                        lambda: next(packed_ranges(ctx, f)),
+                        lambda: packed_table(ctx, f),
                         lambda: is_permutation_bruteforce(ctx, f),
                         lambda: inverse_table(ctx, f)):
                 with pytest.raises(ValueError,

@@ -1,17 +1,21 @@
-"""The range adapter behind every exhaustive loop, against per-point loops.
+"""The ranges and the one packed table behind every exhaustive loop,
+against per-point loops.
 
-construct.packed_ranges hands out f's packed values over consecutive ranges
-of the points 0, ..., q^2-1.  CosetMap.eval_range and packed_ranges'
-slices of a CosetMap's packed layout must agree with eval_packed, scan with a
-first-collision loop over single points (same table, same witness), and
-the value digest with a per-point sha256, on every q^2 <= 2^12 and on
+construct._ranges splits the points 0, ..., q^2-1 into consecutive ranges,
+and inverse.packed_table lays a whole map out in one unsigned array.
+CosetMap.eval_range and packed_table must agree with eval_packed, scan
+with a first-collision loop over single points (same table, same witness),
+and the value digest with a per-point sha256, on every q^2 <= 2^12 and on
 F_{3^5}.  The work-count guards keep the loops from falling back to one
 call per point; the lifetime tests make a row pass (CosetMap.log_rows)
-only in the oracle, the scan and packed_ranges, lay the rows out only in
-packed_ranges, and the scan and the oracle pass over the rows only of a
-CosetMap that permutes by the AGW test, leaving nothing on the map; the
-tracemalloc guards keep the scan and the digest to one unsigned array of
-q^2 entries, 4 bytes per point.
+only in the oracle, the scan, packed_table and the composition check, lay
+the rows out only in packed_table, and the scan and the oracle pass over
+the rows only of a CosetMap that permutes by the AGW test, leaving nothing
+on the map; the tracemalloc guards keep the scan and the digest to one
+unsigned array of q^2 entries, 4 bytes per point.
+The composition check reads the backward map's packed table at P's rows,
+with no scan of P: it refuses a corrupted inverse of every kind, and a
+scan that returns the identity for every bijection.
 The AGW test only orders the work: forced either way, it leaves every
 scan's table and witness unchanged, and it agrees with the gcd criterion
 and with the oracle.  The oracle certifies a map that passes it from one
@@ -32,9 +36,11 @@ from hypothesis import given, settings, strategies as st
 
 from redeiperm import (CosetMap, Felt, InverseTable, PermSpec, Poly,
                        build_perm_poly, check_criterion, cli, construct,
-                       inverse_table, is_permutation_bruteforce, make_field)
-from redeiperm.construct import RANGE_START, packed_ranges, scan
-from redeiperm.inverse import _little_endian, _value_digest
+                       inverse, inverse_table, is_permutation_bruteforce,
+                       make_field)
+from redeiperm.construct import RANGE_START, _ranges, perm_coset_map, scan
+from redeiperm.inverse import (ROUTES, _little_endian, _value_digest,
+                               packed_table, route_inverse)
 
 
 def _odd_prime_powers(top):
@@ -96,8 +102,7 @@ def _colliding_at(ctx, b, calls=None):
 
 
 def _range_starts(ctx):
-    identity = InverseTable(ctx, list(range(ctx.q2)))
-    return [start for start, _ in packed_ranges(ctx, identity)]
+    return [start for start, _ in _ranges(ctx.q2)]
 
 
 def _late_start(ctx):
@@ -128,8 +133,9 @@ def coset_maps(draw):
 @given(coset_maps(), st.data())
 def test_eval_range_matches_eval_packed(cm, data):
     """On any window, empty and one-point ones and those around a range
-    boundary included, both the per-point comprehension and packed_ranges'
-    slice of the packed layout (given that one window) equal
+    boundary included, the per-point comprehension, packed_table's layout
+    of the rows, and its range-by-range fill of a list-backed InverseTable
+    of the map's values (given that one window, zeros elsewhere) equal
     eval_packed."""
     ctx = cm.ctx
     q2, edge = ctx.q2, data.draw(st.sampled_from(_range_starts(ctx)))
@@ -139,10 +145,12 @@ def test_eval_range_matches_eval_packed(cm, data):
                                        st.integers(0, q2 - start)))
     want = [cm.eval_packed(xv) for xv in range(start, stop)]
     assert cm.eval_range(start, stop) == want
+    assert packed_table(ctx, cm)[start:stop].tolist() == want
+    listed = InverseTable(ctx, cm.eval_range(0, q2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_ranges", lambda q2: iter([(start, stop)]))
-        assert [(s, vs.tolist()) for s, vs in packed_ranges(ctx, cm)] == [
-            (start, want)]
+        mp.setattr(inverse, "_ranges", lambda q2: iter([(start, stop)]))
+        filled = packed_table(ctx, listed)
+    assert filled.tolist() == [0] * start + want + [0] * (q2 - stop)
 
 
 @settings(max_examples=40)
@@ -163,6 +171,7 @@ def test_scan_and_digest_of_every_map_kind_match_the_point_loops(p, k):
     for f, fn in maps:
         assert scan(ctx, f) == reference_scan(ctx, fn)
         assert scan(ctx, f)[0].typecode == "I"
+        assert packed_table(ctx, f).tolist() == [fn(xv) for xv in range(ctx.q2)]
         assert _value_digest(ctx, f) == reference_digest(ctx, fn)
 
 
@@ -216,22 +225,80 @@ def test_composition_check_reads_both_value_lists(q9):
     _, cm = build_perm_poly(spec)
     table = inverse_table(q9, cm)
     assert cli._compose_identity_holds(q9, cm, table)
-    assert cli._compose_identity_holds(q9, table, cm)
     assert not cli._compose_identity_holds(q9, cm, cm)
     swapped = list(table.eval_range(0, q9.q2))
     swapped[1], swapped[2] = swapped[2], swapped[1]
     assert not cli._compose_identity_holds(q9, cm, InverseTable(q9, swapped))
 
 
+def _corrupted(ctx, backward):
+    """backward with one value changed: two entries of an InverseTable
+    swapped, one entry of a CosetMap's T or one coefficient of a Poly
+    multiplied by gamma."""
+    g = ctx.gamma
+    if isinstance(backward, InverseTable):
+        table = backward.eval_range(0, ctx.q2)
+        table[1], table[2] = table[2], table[1]
+        return InverseTable(ctx, table)
+    if isinstance(backward, CosetMap):
+        return CosetMap(ctx, backward.e, [ctx.mul_packed(backward.table[0], g.val),
+                                          *backward.table[1:]])
+    e = min(backward.terms)
+    return Poly(ctx, {**backward.terms, e: backward.terms[e] * g})
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (11, 1), (3, 4)])
+def test_the_composition_check_refuses_a_corrupted_backward_of_every_kind(p, k):
+    """Every route's inverse of P, P.inverse() and a list-backed copy of
+    the table inverse compose with P to the identity; each of them with
+    one value changed, and P itself, do not.  The packed table of an
+    array-backed InverseTable is its own array."""
+    ctx = make_field(p, k)
+    perm = perm_coset_map(_permutation(ctx))
+    routes = {route: route_inverse(_permutation(ctx), route, perm)
+              for route in ROUTES}
+    table = routes["table"]
+    assert packed_table(ctx, table) is table._table
+    listed = InverseTable(ctx, table.eval_range(0, ctx.q2).tolist())
+    for backward in (*routes.values(), perm.inverse(), listed):
+        assert cli._compose_identity_holds(ctx, perm, backward)
+        assert not cli._compose_identity_holds(ctx, perm,
+                                               _corrupted(ctx, backward))
+    assert not cli._compose_identity_holds(ctx, perm, perm)
+
+
+def test_a_scan_that_returns_the_identity_fails_the_table_route(
+        monkeypatch, capsys):
+    """Every binding of scan made to return the table first[v] = v for a
+    bijection: invert --route table exits 1 with FAILED, and the
+    selftest's route check raises."""
+    real = construct.scan
+
+    def identity_scan(ctx, f):
+        table, collision = real(ctx, f)
+        if collision is None:
+            table = array(table.typecode, range(ctx.q2))
+        return table, collision
+
+    bound = [m for m in (construct, inverse, cli) if vars(m).get("scan") is real]
+    assert inverse in bound
+    for module in bound:
+        monkeypatch.setattr(module, "scan", identity_scan)
+    rc = cli.main(["invert", "--p", "3", "--k", "2", "--variant", "H", "--n",
+                   "3", "--l", "2", "--route", "table"])
+    assert rc == 1
+    assert "composition with P is the identity: FAILED" in capsys.readouterr().out
+    with pytest.raises(AssertionError):
+        cli._check_inverse_routes((3,), 5, (0,))
+
+
 @pytest.mark.parametrize("width", range(1, 9))
 def test_little_endian_matches_to_bytes(width):
-    """From a list, and from an 'I' or 'Q' array of any itemsize down to
-    width, read as it is and left unchanged."""
+    """From an 'I' or 'Q' array of any itemsize down to width, read as it
+    is and left unchanged."""
     top = (1 << (8 * width)) - 1
     values = [v & top for v in (0, 1, top, top >> 1, 0x0102030405060708, 256)]
     want = b"".join(v.to_bytes(width, "little") for v in values)
-    assert _little_endian(values, width) == want
-    assert _little_endian([], width) == b""
     for code in "IQ":
         if array(code).itemsize >= width:
             packed = array(code, values)
@@ -244,9 +311,9 @@ def test_little_endian_matches_to_bytes(width):
 
 def _record(monkeypatch, name="log_rows"):
     """Make CosetMap.<name> append (the function that called it, its map)
-    to the returned list.  A row pass called from packed_ranges is the one
+    to the returned list.  A row pass called from packed_table is the one
     kind that lays the rows out, each value at its point, into a
-    packed-order list."""
+    packed-order array."""
     passes = []
     real = getattr(CosetMap, name)
     monkeypatch.setattr(CosetMap, name, lambda self: passes.append(
@@ -266,9 +333,8 @@ def _counted_eval_range(monkeypatch):
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
-    """packed_ranges lays a CosetMap out in packed order from one row
-    pass, made at its first range, and slices every range from that
-    layout.  scan and the oracle each make exactly one row pass for a
+    """packed_table lays a CosetMap out in packed order from one row
+    pass.  scan and the oracle each make exactly one row pass for a
     CosetMap that permutes by the AGW test and none for any other, and lay
     nothing out.  The values equal eval_packed at every point, the scan the
     point loop, and the AGW verdict the scan's and the oracle's."""
@@ -280,11 +346,8 @@ def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
                CosetMap(ctx, -7, list(range(1, ctx.q + 2))),
                CosetMap(ctx, ctx.units + 2, zero_row[::-1])):
         passes.clear()
-        ranges = packed_ranges(ctx, cm)
-        values = next(ranges)[1].tolist()
-        assert passes == [("packed_ranges", cm)]
-        values += [v for _, vs in ranges for v in vs]
-        assert passes == [("packed_ranges", cm)]
+        values = packed_table(ctx, cm).tolist()
+        assert passes == [("packed_table", cm)]
         assert values == [cm.eval_packed(xv) for xv in range(ctx.q2)]
         passes.clear()
         table, witness = scan(ctx, cm)
@@ -364,8 +427,8 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
 def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
     """The oracle and the table inverse make one row pass each and lay out
     nothing; the digest lays the rows out in packed order once, in
-    packed_ranges, and the composition check scans its forward map, one
-    more row pass.  Nothing holds a layout, a table or a row afterwards,
+    packed_table, and the composition check reads P's rows, one more row
+    pass, and no scan.  Nothing holds a layout, a table or a row afterwards,
     not the map, not a finished loop: the four leave under one byte per
     point traced (a layout is 4)."""
     ctx = make_field(3, 4)
@@ -386,7 +449,8 @@ def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
     finally:
         tracemalloc.stop()
     assert [caller for caller, _ in passes] == [
-        "scan", "is_permutation_bruteforce", "scan", "packed_ranges", "scan"]
+        "scan", "is_permutation_bruteforce", "scan", "packed_table",
+        "_compose_identity_holds"]
     assert all(m is cm for _, m in passes)
     assert kept < ctx.q2
 
@@ -564,7 +628,7 @@ def test_the_table_inverse_holds_one_array_of_preimages(p, k):
     """On F_{81^2} and F_{243^2}, the table inverse of a permuting CosetMap
     holds one q^2-entry 'I' array, the preimages, and one coset row at a
     time: its traced peak is under 6 bytes per point, where a second
-    q^2-entry array, such as packed_ranges' layout of the map, would take
+    q^2-entry array, such as packed_table's layout of the map, would take
     it to 8."""
     ctx = make_field(p, k)
     _, cm = build_perm_poly(_permutation(ctx))
@@ -647,7 +711,7 @@ def test_a_forced_log_order_pass_over_a_zero_entry_keeps_the_witness(
 
 @pytest.mark.parametrize("p,k", STRADDLE_FIELDS)
 def test_the_oracle_never_builds_a_log_table(p, k, monkeypatch):
-    """With packed_ranges, the one layout of the rows, refusing, the
+    """With packed_table, the one layout of the rows, refusing, the
     oracle still certifies a permutation from its rows, and with the AGW
     test forced True it still gives the point loop's witness for the
     straddling maps and for zero entries of T: a repeat in the rows reruns
@@ -659,7 +723,7 @@ def test_the_oracle_never_builds_a_log_table(p, k, monkeypatch):
     def refused(*args):
         raise AssertionError("the oracle laid the rows out")
 
-    monkeypatch.setattr(construct, "packed_ranges", refused)
+    monkeypatch.setattr(inverse, "packed_table", refused)
     passes = _record(monkeypatch)
     assert is_permutation_bruteforce(ctx, perm) == (True, None)
     monkeypatch.setattr(CosetMap, "permutes", lambda self: True)
