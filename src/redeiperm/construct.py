@@ -18,9 +18,13 @@ only spot-checks them (redei.gh_table).
 
 Every exhaustive loop reads f in packed order, a range of consecutive
 points at a time (f.eval_range), with one exception: a CosetMap is read
-one checked coset row at a time (CosetMap.log_rows) by the oracle and the
-scan when the map passes CosetMap.permutes (_in_log_order).  After a
-repeated value in the rows, and for every other map, they run the
+one checked coset row at a time by the oracle and the scan when the map
+passes CosetMap.permutes (_in_log_order).  The scan stores each value's
+point, so it reads the rows in point order (CosetMap.log_rows).  The
+oracle only marks which values occur, which no order inside a row can
+change, so it reads them in exponent order (CosetMap.exp_rows), with no
+rearrangement, once the row order k -> e*k mod (q-1) is a bijection.
+After a repeated value in the rows, and for every other map, they run the
 packed-order loop, which stops at the first collision.  The oracle keeps
 one byte per value; only the scan, behind the table inverse, keeps
 preimages, in a q^2-entry unsigned array (_packed_table).  That array is
@@ -41,7 +45,7 @@ import math
 from array import array
 from typing import Iterator, NamedTuple
 
-from .field_tower import Felt, FieldCtx, require_field
+from .field_tower import Felt, FieldCtx, find_item, require_field
 from .polyring import CosetMap, Poly, poly_eval, reduce_functional
 from .redei import gh_coeffs, gh_table
 
@@ -229,10 +233,7 @@ def _packed_table(q2: int, fill: int) -> array:
     """q^2 entries of fill, in the narrowest unsigned array item that holds
     q^2 (chosen by itemsize: 'I' below 2^32): the one container of a
     packed-order value table (inverse.packed_table), whose bytes are
-    hashed as they are.  On F_{729^2} scattering the coset rows into it is
-    no slower than into a list, and faster than into a signed item, whose
-    store takes a slower conversion; on a field small enough to stay in
-    the cache a list store is the cheaper one."""
+    hashed as they are."""
     code = next(c for c in "IQ" if q2 < 1 << 8 * array(c).itemsize)
     return array(code, [fill]) * q2
 
@@ -265,11 +266,11 @@ def scan(ctx: FieldCtx, f) -> tuple[array, tuple[int, int, int] | None]:
     _packed_table, and a value with no preimage yet holds q^2, which is no
     packed value.  Values come a range at a time, so f may have been
     evaluated past b, to the end of b's range.  A map that _in_log_order
-    picks is read one checked coset row at a time (CosetMap.log_rows), as
-    the oracle reads it: each value's preimage is stored with no per-point
-    test, and a slot left at q^2 then means a repeated value, so the
-    packed-order loop runs over the map itself.  Every other map runs that
-    loop alone.
+    picks is read one checked coset row at a time in point order
+    (CosetMap.log_rows): each value's preimage is stored with no per-point
+    test, and a slot left at q^2 (find_item, from the array's bytes) then
+    means a repeated value, so the packed-order loop runs over the map
+    itself.  Every other map runs that loop alone.
     """
     require_field(ctx, f)
     q2 = ctx.q2
@@ -281,7 +282,7 @@ def scan(ctx: FieldCtx, f) -> tuple[array, tuple[int, int, int] | None]:
     for s, row in f.log_rows():
         for x, v in zip(exp[s::q1], row):
             first[v] = x
-    if q2 in first:
+    if find_item(first, q2) >= 0:
         return _packed_scan(q2, f)
     return first, None
 
@@ -292,19 +293,24 @@ def is_permutation_bruteforce(
 
     f may be a CosetMap, an InverseTable or a Poly: any map with eval_range.
     The verdict needs no preimages: a map that _in_log_order picks is read
-    one checked coset row at a time (CosetMap.log_rows), each value marked
-    in one byte of a q^2-byte array with slot 0 set (0 -> 0) as its row is
-    made, and a slot left unmarked means a repeat.  No list of the map's
-    q^2-1 values is built.  That map permutes by the AGW test, so the pass
-    makes no per-point test and has no early exit.  A repeat there, or any
-    other map, runs scan's packed-order loop over f for the first
+    one checked coset row at a time in exponent order (CosetMap.exp_rows),
+    each value marked in one byte of a q^2-byte array with slot 0 set
+    (0 -> 0) as its row is made, and a slot left unmarked means a repeat.
+    No list of the map's q^2-1 values is built, and no row is put in point
+    order: the verdict depends only on which values occur, and log_rows'
+    row s is exp_rows' row s read through k -> e*k mod (q-1)
+    (CosetMap.spread), so when that is a bijection, checked first from
+    spread itself and not from the AGW test, the two hold the same values.
+    That map permutes by the AGW test, so the pass makes no per-point test
+    and has no early exit.  A spread that is no bijection, a repeat, or
+    any other map runs scan's packed-order loop over f for the first
     collision a < b.
     """
     require_field(ctx, f)
-    if _in_log_order(f):
+    if _in_log_order(f) and len(set(spread := f.spread())) == len(spread):
         seen = bytearray(ctx.q2)
         seen[0] = 1
-        for _, row in f.log_rows():
+        for _, row in f.exp_rows():
             for v in row:
                 seen[v] = 1
         if 0 not in seen:

@@ -27,7 +27,7 @@ keep a sum of powers of gamma as a log, read a stored Zech table, built on
 first use.  The size bound on q^2 keeps table construction cheap and guards
 every exhaustive operation downstream.
 
-Memory: exp is a list, one int object per power, which CosetMap.log_rows'
+Memory: exp is a list, one int object per power, which CosetMap's coset
 rows store rather than copy; the packed-order tables made from them (the
 scan's inverse table, inverse.packed_table) are unsigned arrays.  The
 whole-field passes read exp one coset row at a time, at stride q+1, so a
@@ -293,6 +293,30 @@ def spot_positions(size: int) -> list[int]:
     return sorted({j * size // SPOT_CHECKS for j in range(SPOT_CHECKS)})
 
 
+# items of an array that find_item copies out at a time
+FIND_RANGE = 1 << 10
+
+
+def find_item(items: array, mark: int, start: int = 0) -> int:
+    """The least index i >= start with items[i] == mark, or -1.
+
+    Searched in the array's bytes for mark's item bytes, FIND_RANGE items
+    at a time, keeping only a match at an item boundary: no int is made
+    per entry, as `in` and count make one, and no copy of the whole
+    array.  A range starts at an item boundary, so no item straddles two.
+    """
+    size, needle = items.itemsize, array(items.typecode, [mark]).tobytes()
+    with memoryview(items) as view, view.cast("B") as raw:
+        for lo in range(start * size, len(raw), FIND_RANGE * size):
+            chunk = raw[lo:lo + FIND_RANGE * size].tobytes()
+            at = chunk.find(needle)
+            while at >= 0:
+                if at % size == 0:
+                    return (lo + at) // size
+                at = chunk.find(needle, at + 1)
+    return -1
+
+
 class Felt:
     """One element of F_{q^2}, stored as an integer packing its coefficients.
 
@@ -465,7 +489,7 @@ class FieldCtx:
             if lo + q * hi != row[0]:  # gamma^(r+N) is gamma^r iff gamma^N = 1
                 raise ValueError("gamma does not have full order")
             exp[r::q1] = row
-        if log[0] != -1 or log.count(-1) != 1:
+        if log[0] != -1 or find_item(log, -1, 1) >= 0:
             raise ValueError("gamma powers collide; order too small")
         self._exp = exp
         self._log = log

@@ -27,9 +27,14 @@ per point.  The exhaustive loops read a map a range of consecutive points
 at a time through eval_range: Poly.eval_range calls poly_eval once per
 point, CosetMap.eval_range runs eval_packed's arithmetic in one
 comprehension.  A loop that reads every point of a CosetMap takes it in
-coset rows instead (CosetMap.log_rows): row s is the map at
-gamma^(s + (q+1)k), k = 0..q-2, a strided slice of the exp table, each
-row checked as it is made, O(q) Python steps for all q+1.
+coset rows instead, O(q) Python steps for all q+1: CosetMap.exp_rows
+makes row s, the map's values on the coset gamma^s * F_q^*, as a strided
+slice of the exp table in exponent order and checks it as it is made;
+CosetMap.log_rows puts each checked row in point order, row[k] the value
+at gamma^(s + (q+1)k), by one itemgetter over CosetMap.spread.  A loop
+that stores each value at its point reads log_rows.  The oracle only marks
+which values occur, and the order inside a row cannot change that, so it
+reads exp_rows once spread is a bijection.
 """
 
 from __future__ import annotations
@@ -133,9 +138,9 @@ class CosetMap:
     its q+1 packed values T are tabulated once; each evaluation is then a
     discrete log, a table pick and one multiplication.  A zero entry of T
     sends its whole coset to 0.  eval_range does the same for a range in
-    one comprehension, with the logs of T taken once per map; log_rows
-    tabulates the map one coset row at a time for a loop that reads every
-    point.
+    one comprehension, with the logs of T taken once per map; exp_rows and
+    log_rows tabulate the map one coset row at a time, in exponent and in
+    point order, for a loop that reads every point.
     """
 
     __slots__ = ("ctx", "e", "table", "_table_logs", "_inverse")
@@ -230,32 +235,38 @@ class CosetMap:
             out.insert(0, 0)
         return out
 
-    def _raw_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """log_rows unchecked.
+    def spread(self) -> list[int]:
+        """e*k mod (q-1) for k = 0..q-2: the value at gamma^(s + (q+1)k)
+        is row[spread[k]] of exp_rows' row s.  One list for every row."""
+        qm = self.ctx.q - 1
+        return [self.e * k % qm for k in range(qm)]
+
+    def _raw_rows(self) -> Iterator[tuple[int, list[int]]]:
+        """exp_rows unchecked.
 
         gamma^(s + (q+1)k) goes to gamma^(c_s + (q+1)(e*k mod (q-1))) with
-        c_s = (e*s + log T[s]) mod (q^2-1), so row s is the slice of exp
-        with stride q+1 from c_s, wrapped round, and permuted by
-        k -> e*k mod (q-1), one permutation for every row.  A zero entry
-        of T gives a zero row.  O(1) Python steps and about 3*q element
-        copies in C per row.  The slice is one of exp's coset rows, whose
-        q - 1 ints FieldCtx made together, so the copies read contiguous
-        memory, not one cache line per int.
+        c_s = (e*s + log T[s]) mod (q^2-1), so row s in exponent order is
+        the slice of exp with stride q+1 from c_s, wrapped round.  A zero
+        entry of T gives a zero row.  O(1) Python steps and about 2*q
+        element copies in C per row.  The slice is one of exp's coset rows,
+        whose q - 1 ints FieldCtx made together, so the copies read
+        contiguous memory, not one cache line per int.
         """
         ctx = self.ctx
-        e, q1, qm, N, exp = self.e, ctx.q + 1, ctx.q - 1, ctx.units, ctx._exp
-        spread = itemgetter(*[e * k % qm for k in range(qm)])
-        zero = (0,) * qm
+        e, q1, N, exp = self.e, ctx.q + 1, ctx.units, ctx._exp
+        zero = [0] * (ctx.q - 1)
         for s, lt in enumerate(self._table_logs):
             if lt is None:
                 yield s, zero
             else:
                 c = (e * s + lt) % N
-                yield s, spread(exp[c::q1] + exp[c % q1:c:q1])
+                yield s, exp[c::q1] + exp[c % q1:c:q1]
 
-    def log_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """The map on F_{q^2}^*, one coset row at a time: (s, row) for
-        s = 0..q, with row[k] the value at gamma^(s + (q+1)k), k = 0..q-2.
+    def exp_rows(self) -> Iterator[tuple[int, list[int]]]:
+        """The map on F_{q^2}^*, one coset row at a time in exponent order:
+        (s, row) for s = 0..q, with the value at gamma^(s + (q+1)k),
+        k = 0..q-2, at row[e*k mod (q-1)] (spread).  Row s holds the values
+        of the coset gamma^s * F_q^*, not in its points' order.
 
         Each row is checked as it is made, in O(1) steps: at its coset
         representative gamma^s and at the spot_positions(q^2-1) logs that
@@ -263,16 +274,26 @@ class CosetMap:
         mul_packed; a mismatch raises ArithmeticError.
         """
         ctx = self.ctx
-        q1, N, exp, mul = ctx.q + 1, ctx.units, ctx._exp, ctx.mul_packed
+        e, q1, qm, N = self.e, ctx.q + 1, ctx.q - 1, ctx.units
+        exp, mul = ctx._exp, ctx.mul_packed
         spots: dict[int, list[int]] = {}
         for t in spot_positions(N):
             spots.setdefault(t % q1, []).append(t)
         for s, row in self._raw_rows():
             for t in (s, *spots.get(s, ())):
-                if row[(t - s) // q1] != mul(exp[self.e * t % N], self.table[s]):
+                if row[e * ((t - s) // q1) % qm] != mul(exp[e * t % N],
+                                                        self.table[s]):
                     raise ArithmeticError(
                         f"log-order value table disagrees with the map at gamma^{t}")
             yield s, row
+
+    def log_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """exp_rows in point order: (s, row) for s = 0..q, with row[k] the
+        value at gamma^(s + (q+1)k), k = 0..q-2, each checked row of
+        exp_rows rearranged by one itemgetter over spread, in C."""
+        spread = itemgetter(*self.spread())
+        for s, row in self.exp_rows():
+            yield s, spread(row)
 
     def __call__(self, x: Felt) -> Felt:
         require_field(self.ctx, x)

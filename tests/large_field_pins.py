@@ -1,6 +1,6 @@
 """Checks on F_{1021^2} and F_{729^2}, the two fields too large for the
 tier-1 suite, with the oracle and both inverses of one permutation of
-F_{1021^2} timed.
+F_{1021^2} timed, and the oracle's refusal of a non-permutation of each.
 
     PYTHONPATH=src python tests/large_field_pins.py
 
@@ -9,10 +9,12 @@ certify P, and CosetMap.inverse() must equal inverse_table by values (their
 packed tables) and by value digest.  The three timings are printed, not
 gated.  On both fields (P on F_{729^2} is H, n = 3, m = 1, l = 1): log must
 invert exp, 256 sampled powers must step to the next by gamma, P composed
-with its inverse must be the identity and P with itself must not, and the
+with its inverse must be the identity and P with itself must not, the
 value digest of P's inverse must equal its pinned value, so a slip in the
-digest's byte layout shows here.  The first failed check exits 1 with its
-message.  Stdlib only; a few seconds and about 100 MB of memory.
+digest's byte layout shows here, and the oracle must refuse the
+non-permutation H, n = 2, m = 0, l = 1 with a pair of points that
+eval_packed sends to one value, found by the packed-order loop's early
+exit.  The first failed check exits 1 with its message.  Stdlib only; a few seconds and about 100 MB of memory.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from redeiperm.construct import perm_coset_map
 from redeiperm.field_tower import _mulmod
 from redeiperm.inverse import _value_digest, packed_table
 
+# even n never permutes: gcd(n(n+2m), q-1) and gcd(n+2m, q-1) are even
+NON_PERMUTATION = ("H", 2, 0, 1)
 PINS = [((1021, 1), ("H", 7, 0, 2),
          "d3ad0b234c8c5b5fd2877ee46f0e6b6f40ea8f171b31078020d77f026f2eef66"),
         ((3, 6), ("H", 3, 1, 1),
@@ -51,6 +55,17 @@ def check_inverses(ctx, cm) -> None:
     if _value_digest(ctx, inv) != _value_digest(ctx, table):
         raise SystemExit("the digest of CosetMap.inverse() differs from that "
                          "of inverse_table")
+
+
+def check_refusal(ctx, cm) -> None:
+    """The oracle refuses cm, a non-permutation, with a colliding pair."""
+    verdict, pair = is_permutation_bruteforce(ctx, cm)
+    if verdict or pair is None:
+        raise SystemExit(f"{ctx}: the oracle certifies a non-permutation")
+    a, b = (x.val for x in pair)
+    if a == b or cm.eval_packed(a) != cm.eval_packed(b):
+        raise SystemExit(f"{ctx}: the oracle's witness {a}, {b} does not "
+                         "collide")
 
 
 def check_field(f, c, pin: str) -> None:
@@ -79,6 +94,9 @@ def main() -> None:
         if i == 0:  # the timed field, F_{1021^2}
             check_inverses(ctx, cm)
         check_field(ctx, cm, pin)
+        variant, n, m, l = NON_PERMUTATION
+        check_refusal(ctx, perm_coset_map(PermSpec(variant, n, m,
+                                                   ctx.alpha_from_l(l))))
     print("large fields: every check passed")
 
 

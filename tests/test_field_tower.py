@@ -578,6 +578,82 @@ def test_a_gamma_without_full_order_is_refused(gamma, message):
         field_tower.FieldCtx(3, 1, make_field(3, 1).modulus, gamma)
 
 
+# log's signed items and the packed tables' unsigned ones
+FIND_TYPECODES = "bhiqIQ"
+
+
+def _reference_find(items, mark, start=0):
+    return next((i for i in range(start, len(items)) if items[i] == mark), -1)
+
+
+@pytest.mark.parametrize("typecode", FIND_TYPECODES)
+@pytest.mark.parametrize("find_range", [2, 3, 1 << 10])
+def test_find_item_finds_the_first_and_the_last_index(typecode, find_range,
+                                                      monkeypatch):
+    """The mark alone at index 0, at the last index, and at each edge of a
+    range that find_item copies out, of arrays shorter and longer than one
+    range."""
+    monkeypatch.setattr(field_tower, "FIND_RANGE", find_range)
+    bits = 8 * array.array(typecode).itemsize
+    mark = -1 if typecode.islower() else (1 << bits) - 1
+    for size in (1, 2, 5, 2 * find_range + 1):
+        for at in {0, size - 1, find_range - 1, find_range, find_range + 1}:
+            if at < size:
+                items = array.array(typecode, [7]) * size
+                items[at] = mark
+                assert field_tower.find_item(items, mark) == at
+                assert field_tower.find_item(items, mark, at) == at
+                assert field_tower.find_item(items, mark, at + 1) == -1
+                assert field_tower.find_item(items, 7) == (
+                    _reference_find(items, 7))
+    assert field_tower.find_item(array.array(typecode), mark) == -1
+
+
+@pytest.mark.parametrize("typecode", [c for c in FIND_TYPECODES
+                                      if array.array(c).itemsize > 1])
+def test_find_item_ignores_the_mark_bytes_across_two_items(typecode):
+    """The mark's item bytes laid across two neighbouring items, at every
+    offset inside an item, are no match; the mark placed after them is."""
+    size = array.array(typecode).itemsize
+    mark = int.from_bytes(bytes(range(1, size + 1)), sys.byteorder,
+                          signed=typecode.islower())
+    needle = array.array(typecode, [mark]).tobytes()
+    for offset in range(1, size):
+        items = array.array(typecode)
+        items.frombytes(bytes(offset) + needle + bytes(size - offset))
+        assert mark not in items
+        assert field_tower.find_item(items, mark) == -1
+        items.append(mark)
+        assert field_tower.find_item(items, mark) == 2
+
+
+@pytest.mark.parametrize("typecode", FIND_TYPECODES)
+def test_find_item_agrees_with_in_and_count(typecode, monkeypatch):
+    """On random arrays of every typecode, over a few marks and starts,
+    find_item gives the first index at or past start, so it agrees with
+    `in`, and counting by repeated finds agrees with count; with ranges of
+    three items, so that matches fall at and across range edges."""
+    monkeypatch.setattr(field_tower, "FIND_RANGE", 3)
+    bits = 8 * array.array(typecode).itemsize
+    lo, hi = ((-1 << bits - 1, (1 << bits - 1) - 1) if typecode.islower()
+              else (0, (1 << bits) - 1))
+    rng = random.Random(typecode)
+    for _ in range(40):
+        pool = [rng.randint(lo, hi) for _ in range(3)] + [lo, hi, 0, max(lo, -1)]
+        items = array.array(typecode, (rng.choice(pool)
+                                       for _ in range(rng.randrange(30))))
+        mark = rng.choice(pool)
+        start = rng.randrange(len(items) + 1)
+        assert field_tower.find_item(items, mark, start) == (
+            _reference_find(items, mark, start))
+        assert (field_tower.find_item(items, mark) >= 0) == (mark in items)
+        found, at = 0, field_tower.find_item(items, mark)
+        while at >= 0:
+            found += 1
+            at = field_tower.find_item(items, mark, at + 1)
+        assert found == items.count(mark)
+
+
 def _reference_step_tables(ctx):
     """The step tables entry by entry: a dense product per lo_tab and hi_tab
     entry, and unspread from every k-tuple of slot sums."""

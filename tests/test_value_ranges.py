@@ -7,12 +7,13 @@ CosetMap.eval_range and packed_table must agree with eval_packed, scan
 with a first-collision loop over single points (same table, same witness),
 and the value digest with a per-point sha256, on every q^2 <= 2^12 and on
 F_{3^5}.  The work-count guards keep the loops from falling back to one
-call per point; the lifetime tests make a row pass (CosetMap.log_rows)
-only in the oracle, the scan, packed_table and the composition check, lay
-the rows out only in packed_table, and the scan and the oracle pass over
-the rows only of a CosetMap that permutes by the AGW test, leaving nothing
-on the map; the tracemalloc guards keep the scan and the digest to one
-unsigned array of q^2 entries, 4 bytes per point.
+call per point; the lifetime tests make a row pass only in the oracle (in
+exponent order, CosetMap.exp_rows), the scan, packed_table and the
+composition check (in point order, CosetMap.log_rows), lay the rows out
+only in packed_table, and the scan and the oracle pass over the rows only
+of a CosetMap that permutes by the AGW test, leaving nothing on the map;
+the tracemalloc guards keep the scan and the digest to one unsigned array
+of q^2 entries, 4 bytes per point.
 The composition check reads the backward map's packed table at P's rows,
 with no scan of P: it refuses a corrupted inverse of every kind, and a
 scan that returns the identity for every bijection.
@@ -20,7 +21,10 @@ The AGW test only orders the work: forced either way, it leaves every
 scan's table and witness unchanged, and it agrees with the gcd criterion
 and with the oracle.  The oracle certifies a map that passes it from one
 byte per value, marked one checked coset row at a time, with one AGW test
-per call, no layout and no list of preimages.
+per call, no layout and no list of preimages.  Forced past the AGW test,
+it still refuses every non-bijection, and the values of the rows it marks
+are the map's values at the nonzero points; log_rows is the map in point
+order for every kind of map.
 """
 
 import gc
@@ -309,15 +313,22 @@ def test_little_endian_matches_to_bytes(width):
 
 # -- the coset rows (CosetMap.log_rows) and their packed layout ------------------
 
-def _record(monkeypatch, name="log_rows"):
-    """Make CosetMap.<name> append (the function that called it, its map)
-    to the returned list.  A row pass called from packed_table is the one
-    kind that lays the rows out, each value at its point, into a
-    packed-order array."""
+def _record(monkeypatch, *names):
+    """Make CosetMap.<name>, for each name given (log_rows and exp_rows
+    when none is), append (the function that called it, name, its map) to
+    the returned list.  A row pass is one call of either: exp_rows called
+    from log_rows belongs to that log_rows pass and is not recorded again.
+    A log_rows pass hands out the rows in point order, an exp_rows pass in
+    exponent order; one called from packed_table is the one kind that lays
+    the rows out, each value at its point, into a packed-order array."""
     passes = []
-    real = getattr(CosetMap, name)
-    monkeypatch.setattr(CosetMap, name, lambda self: passes.append(
-        (sys._getframe(1).f_code.co_name, self)) or real(self))
+    for name in names or ("log_rows", "exp_rows"):
+        def recorded(self, real=getattr(CosetMap, name), name=name):
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "log_rows":
+                passes.append((caller, name, self))
+            return real(self)
+        monkeypatch.setattr(CosetMap, name, recorded)
     return passes
 
 
@@ -333,11 +344,12 @@ def _counted_eval_range(monkeypatch):
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
-    """packed_table lays a CosetMap out in packed order from one row
-    pass.  scan and the oracle each make exactly one row pass for a
-    CosetMap that permutes by the AGW test and none for any other, and lay
-    nothing out.  The values equal eval_packed at every point, the scan the
-    point loop, and the AGW verdict the scan's and the oracle's."""
+    """packed_table lays a CosetMap out in packed order from one log_rows
+    pass.  scan makes exactly one log_rows pass, and the oracle exactly one
+    exp_rows pass and no log_rows pass, for a CosetMap that permutes by the
+    AGW test, and neither makes one for any other map; neither lays
+    anything out.  The values equal eval_packed at every point, the scan
+    the point loop, and the AGW verdict the scan's and the oracle's."""
     ctx = make_field(p, k)
     passes = _record(monkeypatch)
     zero_row = [0] + [ctx.gamma.val] * ctx.q
@@ -347,23 +359,24 @@ def test_a_traversal_switches_to_the_log_table_once(p, k, monkeypatch):
                CosetMap(ctx, ctx.units + 2, zero_row[::-1])):
         passes.clear()
         values = packed_table(ctx, cm).tolist()
-        assert passes == [("packed_table", cm)]
+        assert passes == [("packed_table", "log_rows", cm)]
         assert values == [cm.eval_packed(xv) for xv in range(ctx.q2)]
         passes.clear()
         table, witness = scan(ctx, cm)
         assert (table, witness) == reference_scan(ctx, cm.eval_packed)
         assert cm.permutes() == (witness is None)
-        assert passes == ([("scan", cm)] if witness is None else [])
+        assert passes == ([("scan", "log_rows", cm)] if witness is None
+                          else [])
         passes.clear()
         assert is_permutation_bruteforce(ctx, cm)[0] == (witness is None)
-        assert passes == ([("is_permutation_bruteforce", cm)]
+        assert passes == ([("is_permutation_bruteforce", "exp_rows", cm)]
                           if witness is None else [])
     assert perm.permutes() and not CosetMap(ctx, 5, zero_row).permutes()
 
 
 def _corrupt_row(monkeypatch, row):
-    """Make CosetMap._raw_rows rotate the given row by one, before
-    CosetMap.log_rows checks it."""
+    """Make CosetMap._raw_rows rotate the given row, in exponent order, by
+    one, before CosetMap.exp_rows checks it."""
     real = CosetMap._raw_rows
 
     def corrupted(self):
@@ -375,16 +388,18 @@ def _corrupt_row(monkeypatch, row):
 
 @pytest.mark.parametrize("row", [0, 5, 11])
 def test_a_corrupted_row_of_the_log_table_is_refused(q11, row, monkeypatch):
-    """One rotated row is refused by the row producer and by every loop
-    that reads the rows: the oracle, the scan and the digest."""
+    """One rotated row is refused by both row producers, in exponent and
+    in point order, and by every loop that reads the rows: the oracle, the
+    scan and the digest."""
     _, cm = build_perm_poly(_permutation(q11))
-    good = dict(cm.log_rows())
+    good = dict(cm.exp_rows())
     _corrupt_row(monkeypatch, row)
     raw = dict(cm._raw_rows())
     assert [s for s in raw if raw[s] != good[s]] == [row]
     message = f"log-order value table disagrees with the map at gamma\\^{row}$"
-    with pytest.raises(ArithmeticError, match=message):
-        dict(cm.log_rows())
+    for rows in (cm.exp_rows, cm.log_rows):
+        with pytest.raises(ArithmeticError, match=message):
+            dict(rows())
     with pytest.raises(ArithmeticError, match=message):
         is_permutation_bruteforce(q11, cm)
     with pytest.raises(ArithmeticError, match=message):
@@ -425,10 +440,11 @@ def test_an_early_collision_never_builds_the_log_table(monkeypatch):
 
 
 def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
-    """The oracle and the table inverse make one row pass each and lay out
-    nothing; the digest lays the rows out in packed order once, in
-    packed_table, and the composition check reads P's rows, one more row
-    pass, and no scan.  Nothing holds a layout, a table or a row afterwards,
+    """The oracle makes one row pass in exponent order and the table
+    inverse one in point order, and neither lays anything out; the digest
+    lays the rows out in packed order once, in packed_table, and the
+    composition check reads P's rows in point order, one more row pass,
+    and no scan.  Nothing holds a layout, a table or a row afterwards,
     not the map, not a finished loop: the four leave under one byte per
     point traced (a layout is 4)."""
     ctx = make_field(3, 4)
@@ -448,10 +464,11 @@ def test_a_full_traversal_leaves_no_log_table_behind(monkeypatch):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert [caller for caller, _ in passes] == [
-        "scan", "is_permutation_bruteforce", "scan", "packed_table",
-        "_compose_identity_holds"]
-    assert all(m is cm for _, m in passes)
+    assert [(caller, name) for caller, name, _ in passes] == [
+        ("scan", "log_rows"), ("is_permutation_bruteforce", "exp_rows"),
+        ("scan", "log_rows"), ("packed_table", "log_rows"),
+        ("_compose_identity_holds", "log_rows")]
+    assert all(m is cm for _, _, m in passes)
     assert kept < ctx.q2
 
 
@@ -532,7 +549,7 @@ def test_a_witness_past_the_switch_is_the_one_of_the_point_loop(
     passes.clear()
     table, witness = scan(ctx, identity)
     assert (table.tolist(), witness) == (list(range(ctx.q2)), None)
-    assert passes == [("scan", identity)]
+    assert passes == [("scan", "log_rows", identity)]
     assert reads == []
 
 
@@ -570,10 +587,11 @@ def _oracle_cases(ctx):
 def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
     """With CosetMap.permutes forced to one answer, scan, the oracle and
     the table inverse still give the point loop's table and witness.  Forced
-    True, every scan and every oracle call makes one row pass, and a
-    collision reruns the packed order over the map itself; forced False,
-    none makes a row pass and every scan reads in packed order.  Neither
-    lays the rows out."""
+    True, every scan makes one row pass in point order, every oracle call
+    on a map with gcd(e, q-1) = 1 one in exponent order and any other none
+    (its spread is no bijection), and a collision reruns the packed order
+    over the map itself; forced False, none makes a row pass and every
+    scan reads in packed order.  Neither lays the rows out."""
     ctx = make_field(p, k)
     cases = _oracle_cases(ctx)
     assert [want[1] is None for _, want in cases].count(True) == 1
@@ -584,10 +602,11 @@ def test_the_agw_test_only_orders_the_work(p, k, verdict, monkeypatch):
         passes.clear()
         reads.clear()
         assert scan(ctx, cm) == (table, witness)
-        assert passes == ([("scan", cm)] if verdict else [])
+        assert passes == ([("scan", "log_rows", cm)] if verdict else [])
         assert bool(reads) == (not verdict or witness is not None)
         passes.clear()
-        oracle = [("is_permutation_bruteforce", cm)] if verdict else []
+        oracle = ([("is_permutation_bruteforce", "exp_rows", cm)]
+                  if verdict and math.gcd(cm.e, ctx.q - 1) == 1 else [])
         if witness is None:
             assert is_permutation_bruteforce(ctx, cm) == (True, None)
             assert passes == oracle
@@ -736,7 +755,7 @@ def test_the_oracle_never_builds_a_log_table(p, k, monkeypatch):
         _, (a, b, _) = reference_scan(ctx, cm.eval_packed)
         assert is_permutation_bruteforce(ctx, cm) == (
             False, (Felt(ctx, a), Felt(ctx, b)))
-    assert passes == [("is_permutation_bruteforce", cm)
+    assert passes == [("is_permutation_bruteforce", "exp_rows", cm)
                       for cm in (perm, *maps)]
 
 
@@ -754,3 +773,106 @@ def test_the_oracle_keeps_one_byte_per_value_and_one_row():
     finally:
         tracemalloc.stop()
     assert peak < 2 * ctx.q2
+
+
+def _map_kinds(ctx):
+    """{kind: CosetMap}: a certified permutation and the ways a map of
+    coset shape fails to permute, with exponents past q^2-1 and below 0."""
+    q, N, exp = ctx.q, ctx.units, ctx._exp
+    sigma = list(range(q + 1))
+    sigma[1] = sigma[0]
+
+    def through(e, sigma):  # c_s = sigma(s), so the map on mu_{q+1} is sigma
+        return [exp[(sg - e * s) % N] for s, sg in enumerate(sigma)]
+
+    zero_entry = [ctx.gamma.val] * (q + 1)
+    zero_entry[2] = 0
+    unit = next(e for e in range(3, N) if math.gcd(e, N) == 1)
+    return {
+        "permutation": build_perm_poly(_permutation(ctx))[1],
+        "gcd(e, q-1) > 1, sigma a permutation": CosetMap(
+            ctx, 2, through(2, range(q + 1))),
+        "sigma with a repeated value": CosetMap(ctx, 1, through(1, sigma)),
+        "a zero entry of T": CosetMap(ctx, 1, zero_entry),
+        "a negative exponent": CosetMap(ctx, -unit,
+                                        through(-unit, sigma[::-1])),
+        "an exponent past q^2-1": CosetMap(ctx, N + unit,
+                                           through(unit, range(q + 1))),
+        "e = 0": CosetMap(ctx, 0, through(0, range(q + 1))),
+        "T all zero": CosetMap(ctx, 1, [0] * (q + 1)),
+    }
+
+
+def _oracle_rows(monkeypatch):
+    """Make every exp_rows pass append its rows' values to the returned
+    list, as its reader receives them."""
+    values = []
+    real = CosetMap.exp_rows
+    monkeypatch.setattr(CosetMap, "exp_rows", lambda self: (
+        values.extend(row) or (s, row) for s, row in real(self)))
+    return values
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (11, 1), (3, 4)])
+def test_the_oracle_refuses_a_non_bijection_whatever_the_agw_test_says(
+        p, k, monkeypatch):
+    """With CosetMap.permutes forced True, the oracle still refuses the
+    three ways a coset map fails to permute, with the point loop's first
+    collision, which eval_packed confirms.  gcd(e, q-1) > 1 repeats values
+    inside every row while each row in exponent order holds q-1 distinct
+    ones, so the oracle must find from the spread itself that
+    k -> e*k mod (q-1) is no bijection and make no row pass; a repeated
+    sigma value and a zero entry of T leave a slot unmarked after one."""
+    ctx = make_field(p, k)
+    kinds = _map_kinds(ctx)
+    monkeypatch.setattr(CosetMap, "permutes", lambda self: True)
+    passes = _record(monkeypatch)
+    for kind, rows in (("gcd(e, q-1) > 1, sigma a permutation", []),
+                       ("sigma with a repeated value", ["exp_rows"]),
+                       ("a zero entry of T", ["exp_rows"])):
+        cm = kinds[kind]
+        passes.clear()
+        _, (a, b, v) = reference_scan(ctx, cm.eval_packed)
+        ok, pair = is_permutation_bruteforce(ctx, cm)
+        assert (ok, pair) == (False, (Felt(ctx, a), Felt(ctx, b))), kind
+        assert a != b and cm.eval_packed(a) == cm.eval_packed(b) == v
+        assert [name for _, name, _ in passes] == rows, kind
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (11, 1), (5, 2), (3, 3), (3, 4)])
+def test_the_oracle_rows_hold_the_values_of_the_map(p, k, monkeypatch):
+    """For every kind of map, with the AGW test forced True so that the
+    oracle reads the rows of each, the values in the rows it marks, sorted,
+    are the map's values at the q^2-1 nonzero points, sorted: rows in
+    exponent order lose no value and add none.  A map whose spread is no
+    bijection (gcd(e, q-1) > 1, e = 0) has no such rows, and the oracle
+    reads none."""
+    ctx = make_field(p, k)
+    monkeypatch.setattr(CosetMap, "permutes", lambda self: True)
+    marked = _oracle_rows(monkeypatch)
+    for kind, cm in _map_kinds(ctx).items():
+        marked.clear()
+        values = sorted(cm.eval_range(1, ctx.q2))
+        ok, _ = is_permutation_bruteforce(ctx, cm)
+        assert ok == (len(set(values)) == ctx.units), kind
+        if math.gcd(cm.e, ctx.q - 1) == 1:
+            assert sorted(marked) == values, kind
+        else:
+            assert marked == [], kind
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (3, 5)])
+def test_log_rows_are_the_map_in_point_order(p, k):
+    """On F_{81^2} and F_{243^2}, for every kind of map, log_rows hands out
+    row s as the values at gamma^(s + (q+1)k), k = 0..q-2, by eval_packed,
+    and as the spread of exp_rows' row s."""
+    ctx = make_field(p, k)
+    exp, q1, N = ctx._exp, ctx.q + 1, ctx.units
+    for kind, cm in _map_kinds(ctx).items():
+        spread = cm.spread()
+        for (s, row), (s2, by_exp) in zip(cm.log_rows(), cm.exp_rows(),
+                                          strict=True):
+            assert s == s2
+            assert row == tuple(cm.eval_packed(exp[(s + q1 * j) % N])
+                                for j in range(ctx.q - 1)), (kind, s)
+            assert row == tuple(by_exp[i] for i in spread), (kind, s)
