@@ -32,6 +32,17 @@ the one layout of a whole map: inverse.packed_table lays any map out in
 it for the value digest and the composition check.  make_field bounds
 these loops.
 
+F's two cross-checked builds, the gh_coeffs pair behind the coefficient
+form and the q+1 gh_table values behind the coset table, depend on (n,
+alpha) and on the variant alone, not on m, so each is memoised per
+process (_redei_pair, _factor_values: functools.lru_cache, MEMO_SIZE
+entries each, least recently used evicted).  The key holds alpha itself,
+whose equality includes its field, so specs that differ only in m share
+an entry and two fields never do.  An entry's cross-checks ran when it
+was built; a hit repeats none of them, while the oracle still runs in
+full for every spec.  Two threads that miss on one key at once both
+build it, and the entries are equal.
+
 Also here: the generic multiplicative-coset criterion (x^r f(x^(q-1))
 permutes F_{q^2} iff gcd(r, q-1) = 1 and x^r f(x)^(q-1) permutes mu_{q+1}),
 the binomial (n=3) and trinomial (n=5) families with their published
@@ -43,11 +54,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .field_tower import Felt, FieldCtx, find_item, require_field
 from .polyring import CosetMap, Poly, poly_eval, reduce_functional
-from .redei import gh_coeffs, gh_table
+from .redei import RedeiPair, gh_coeffs, gh_table
 
 CASE_IN = "sqrt_in_mu"
 CASE_OUT = "sqrt_not_in_mu"
@@ -167,15 +179,37 @@ def check_criterion(spec: PermSpec) -> PermVerdict:
     return PermVerdict(all(c.passed for c in conditions), case, conditions)
 
 
+# Entries of each of the two memos of F below: sweeping n <= 15 over a
+# few fields and two alphas each takes a few hundred.  An entry of
+# _factor_values holds q+1 ints, and an entry keeps alpha's field alive,
+# as make_field's own cache does.
+MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _redei_pair(n: int, alpha: Felt) -> RedeiPair:
+    """gh_coeffs(n, alpha), built and cross-checked once per key."""
+    return gh_coeffs(n, alpha)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _factor_values(n: int, alpha: Felt, pick: int) -> tuple[int, ...]:
+    """gh_table's G_n (pick 0) or H_n (pick 1) at zeta^i, i = 0..q, built
+    and spot-checked once per key."""
+    ctx = alpha.ctx  # zeta^i = gamma^((q-1)i), i = 0..q, is exp[::q-1]
+    return tuple(gh_table(ctx, n, alpha.val, pick, ctx._exp[::ctx.q - 1]))
+
+
 def coset_factor_table(spec: PermSpec) -> list[int]:
-    """Packed values of F(zeta^i, alpha) for i = 0..q, F = H_n or G_n.
+    """Packed values of F(zeta^i, alpha) for i = 0..q, F = H_n or G_n, as a
+    new list.
 
     Built by the closed form (x +- sqrt(alpha))^n and spot-checked against
-    pair powering (redei.gh_table).
+    pair powering (redei.gh_table) the first time (n, alpha, variant) is
+    asked for; later calls copy the memoised values (_factor_values, at
+    most MEMO_SIZE keys, keyed on alpha with its field, so never on m).
     """
-    ctx = spec.ctx  # zeta^i = gamma^((q-1)i), i = 0..q, is exp[::q-1]
-    return gh_table(ctx, spec.n, spec.alpha.val, spec.gh_index,
-                    ctx._exp[::ctx.q - 1])
+    return list(_factor_values(spec.n, spec.alpha, spec.gh_index))
 
 
 def perm_coset_map(spec: PermSpec) -> CosetMap:
@@ -187,8 +221,10 @@ def perm_coset_map(spec: PermSpec) -> CosetMap:
 
 def perm_factor(spec: PermSpec) -> Poly:
     """F's coefficient form, H_n (variant H) or G_n (variant G), from one
-    gh_coeffs call."""
-    pair = gh_coeffs(spec.n, spec.alpha)
+    gh_coeffs call per (n, alpha): the pair, cross-checked when it was
+    built, is memoised (_redei_pair, at most MEMO_SIZE keys, keyed on
+    alpha with its field), so every m and both variants share it."""
+    pair = _redei_pair(spec.n, spec.alpha)
     return (pair.g, pair.h)[spec.gh_index]
 
 

@@ -1,12 +1,20 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from redeiperm import make_field
+from redeiperm import construct, make_field
 
 settings.register_profile(
     "exact", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("exact")
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with construct's memos of F empty, so a test that
+    patches a cross-check or counts gh_coeffs calls sees F built again."""
+    construct._redei_pair.cache_clear()
+    construct._factor_values.cache_clear()
 
 
 @pytest.fixture(scope="session")

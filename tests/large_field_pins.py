@@ -14,7 +14,9 @@ value digest of P's inverse must equal its pinned value, so a slip in the
 digest's byte layout shows here, and the oracle must refuse the
 non-permutation H, n = 2, m = 0, l = 1 with a pair of points that
 eval_packed sends to one value, found by the packed-order loop's early
-exit.  The first failed check exits 1 with its message.  Stdlib only; a few seconds and about 100 MB of memory.
+exit.  From an empty memo of F, P's spec and the same spec with m + 1 must
+share one gh_table call and get P's coset table.  The first failed check
+exits 1 with its message.  Stdlib only; a few seconds and about 100 MB of memory.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import random
 import time
 
-from redeiperm import (PermSpec, cli, inverse_table, is_permutation_bruteforce,
-                       make_field)
+from redeiperm import (PermSpec, cli, construct, coset_factor_table,
+                       inverse_table, is_permutation_bruteforce, make_field)
 from redeiperm.construct import perm_coset_map
 from redeiperm.field_tower import _mulmod
 from redeiperm.inverse import _value_digest, packed_table
@@ -68,6 +70,25 @@ def check_refusal(ctx, cm) -> None:
                          "collide")
 
 
+def check_shared_table(ctx, spec, cm) -> None:
+    """spec, cm's spec, and spec with m + 1 share one gh_table call and get
+    cm's table."""
+    construct._factor_values.cache_clear()
+    real, calls = construct.gh_table, []
+    construct.gh_table = lambda *args: calls.append(args) or real(*args)
+    try:
+        tables = [coset_factor_table(spec._replace(m=m))
+                  for m in (spec.m, spec.m + 1)]
+    finally:
+        construct.gh_table = real
+    if len(calls) != 1:
+        raise SystemExit(f"{ctx}: two specs that differ only in m made "
+                         f"{len(calls)} gh_table calls, not one")
+    if tables != [cm.table, cm.table]:
+        raise SystemExit(f"{ctx}: two specs that differ only in m got "
+                         "different coset tables")
+
+
 def check_field(f, c, pin: str) -> None:
     """The tables of f, and the composition and pinned digest of c's inverse."""
     exp, log, N = f._exp, f._log, f.units
@@ -90,10 +111,12 @@ def check_field(f, c, pin: str) -> None:
 def main() -> None:
     for i, ((p, k), (variant, n, m, l), pin) in enumerate(PINS):
         ctx = make_field(p, k)
-        cm = perm_coset_map(PermSpec(variant, n, m, ctx.alpha_from_l(l)))
+        spec = PermSpec(variant, n, m, ctx.alpha_from_l(l))
+        cm = perm_coset_map(spec)
         if i == 0:  # the timed field, F_{1021^2}
             check_inverses(ctx, cm)
         check_field(ctx, cm, pin)
+        check_shared_table(ctx, spec, cm)
         variant, n, m, l = NON_PERMUTATION
         check_refusal(ctx, perm_coset_map(PermSpec(variant, n, m,
                                                    ctx.alpha_from_l(l))))

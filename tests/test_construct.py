@@ -2,9 +2,12 @@
 the published binomial/trinomial families, counting."""
 
 import math
+import sys
+import threading
 
 import pytest
 
+from redeiperm import construct, field_tower, redei
 from redeiperm import (CASE_IN, CASE_OUT, CosetMap, InverseTable, PermSpec,
                        Poly, build_perm_poly, check_criterion,
                        coset_factor_table, count_valid_n, cyclotomic_criterion,
@@ -12,7 +15,7 @@ from redeiperm import (CASE_IN, CASE_OUT, CosetMap, InverseTable, PermSpec,
                        family_special_condition, gh_coeffs, inverse_table,
                        is_permutation_bruteforce, make_field, poly_eval,
                        sqrt_case)
-from redeiperm.construct import scan
+from redeiperm.construct import MEMO_SIZE, perm_coset_map, perm_factor, scan
 from redeiperm.inverse import packed_table
 
 
@@ -99,6 +102,128 @@ def test_coset_factor_table(q9):
     for i, fv in enumerate(table):
         assert poly_eval(pair.h, q9.zeta ** i).val == fv
 
+
+# Each memo test starts from empty memos (conftest.cold_memos).
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count construct's gh_coeffs and gh_table calls, which the memos of F
+    make on a miss only."""
+    calls = {"gh_coeffs": 0, "gh_table": 0}
+    for name in calls:
+        real = getattr(construct, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(construct, name, counted)
+    return calls
+
+
+def _cold_build(spec):
+    construct._redei_pair.cache_clear()
+    construct._factor_values.cache_clear()
+    return build_perm_poly(spec)
+
+
+def test_specs_differing_in_m_or_variant_share_one_build(monkeypatch, q25):
+    alpha = q25.alpha_from_l(3)
+    specs = [PermSpec(v, 5, m, alpha) for v in "HG" for m in (0, 1, 2)]
+    calls = _count_builds(monkeypatch)
+    warm = [build_perm_poly(spec) for spec in specs]
+    assert calls == {"gh_coeffs": 1, "gh_table": 2}
+    for spec, (poly, cm) in zip(specs, warm):
+        cold_poly, cold_cm = _cold_build(spec)
+        assert poly == cold_poly
+        assert (cm.e, cm.table) == (cold_cm.e, cold_cm.table)
+    assert calls == {"gh_coeffs": 7, "gh_table": 8}
+
+
+def test_a_fresh_field_gets_its_own_entries(monkeypatch, q25):
+    spec = PermSpec("H", 5, 1, q25.alpha_from_l(3))
+    table, f = coset_factor_table(spec), perm_factor(spec)
+    monkeypatch.setattr(field_tower, "_FIELD_CACHE", {})
+    other = make_field(5, 2)
+    assert other is not q25
+    twin = PermSpec("H", 5, 1, other.alpha_from_l(3))
+    assert twin.alpha.val == spec.alpha.val and twin.alpha != spec.alpha
+    calls = _count_builds(monkeypatch)
+    assert coset_factor_table(twin) == table
+    assert perm_factor(twin).ctx is other and perm_factor(twin) != f
+    assert calls == {"gh_coeffs": 1, "gh_table": 1}
+    assert construct._factor_values.cache_info().currsize == 2
+    assert construct._redei_pair.cache_info().currsize == 2
+    assert perm_factor(spec) is f  # the first field's entry is still there
+
+
+def test_a_returned_table_is_the_callers_own(q25):
+    spec = PermSpec("G", 7, 0, q25.alpha_from_l(4))
+    table = coset_factor_table(spec)
+    kept = list(table)
+    table[0] ^= 1
+    table.append(0)
+    assert coset_factor_table(spec) == kept
+    assert perm_coset_map(spec).table == kept
+
+
+def test_an_evicted_key_is_rebuilt_equal(monkeypatch, q25):
+    keys = [(n, alpha) for alpha in q25.mu(q25.q + 1)
+            for n in range(1, 21)][:MEMO_SIZE + 1]
+    assert len(keys) == MEMO_SIZE + 1
+    specs = [PermSpec("H", n, 0, alpha) for n, alpha in keys]
+    first = (perm_factor(specs[0]), coset_factor_table(specs[0]))
+    calls = _count_builds(monkeypatch)
+    for spec in specs[1:]:
+        perm_factor(spec), coset_factor_table(spec)
+    assert calls == {"gh_coeffs": MEMO_SIZE, "gh_table": MEMO_SIZE}
+    assert construct._factor_values.cache_info().currsize == MEMO_SIZE
+    again = (perm_factor(specs[0]), coset_factor_table(specs[0]))
+    assert calls == {"gh_coeffs": MEMO_SIZE + 1, "gh_table": MEMO_SIZE + 1}
+    assert again == first and again[0] is not first[0]
+
+
+def test_a_failed_build_leaves_no_entry(monkeypatch, q25):
+    """A build whose spot check fails raises and is not memoised, so the
+    next call builds and checks again."""
+    spec = PermSpec("H", 5, 0, q25.alpha_from_l(2))
+    real = redei._gh_closed_packed
+    monkeypatch.setattr(redei, "_gh_closed_packed",
+                        lambda *a: [v ^ 1 for v in real(*a)])
+    with pytest.raises(ArithmeticError, match="disagrees with matrix powering"):
+        coset_factor_table(spec)
+    assert construct._factor_values.cache_info().currsize == 0
+    monkeypatch.setattr(redei, "_gh_closed_packed", real)
+    assert coset_factor_table(spec) == [
+        poly_eval(gh_coeffs(5, spec.alpha).h, q25.zeta ** i).val
+        for i in range(q25.q + 1)]
+
+
+def test_racing_threads_build_equal_entries(q25):
+    """Threads that miss on one key at once may each build it: every result
+    equals a serial build, and the memos end with one entry per key."""
+    specs = [PermSpec(v, n, m, q25.alpha_from_l(l)) for v in "HG"
+             for n in (3, 5, 7) for m in (0, 1) for l in (1, 2)]
+    serial = [(perm_factor(s), coset_factor_table(s)) for s in specs]
+    construct._redei_pair.cache_clear()
+    construct._factor_values.cache_clear()
+    results = [[] for _ in range(6)]
+
+    def work(out):
+        out.extend((perm_factor(s), coset_factor_table(s)) for s in specs)
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == serial for out in results)
+    assert construct._redei_pair.cache_info().currsize == 6
+    assert construct._factor_values.cache_info().currsize == 12
 
 def test_bruteforce_oracle(q3):
     ok, witness = is_permutation_bruteforce(q3, Poly.from_terms(q3, [(1, 1)]))
