@@ -181,8 +181,10 @@ def check_criterion(spec: PermSpec) -> PermVerdict:
 
 # Entries of each of the two memos of F below: sweeping n <= 15 over a
 # few fields and two alphas each takes a few hundred.  An entry of
-# _factor_values holds q+1 ints, and an entry keeps alpha's field alive,
-# as make_field's own cache does.
+# _factor_values is a tuple of q+1 pointers, about 8 KB at q = 1021: its
+# ints are the objects of the field's exp list, which the closed form reads
+# them from.  An entry keeps alpha's field alive, as make_field's own
+# cache does.
 MEMO_SIZE = 512
 
 

@@ -2,8 +2,6 @@
 the published binomial/trinomial families, counting."""
 
 import math
-import sys
-import threading
 
 import pytest
 
@@ -166,6 +164,15 @@ def test_a_returned_table_is_the_callers_own(q25):
     assert perm_coset_map(spec).table == kept
 
 
+def test_a_table_entry_points_at_the_fields_ints(q25):
+    """A memoised table adds q+1 pointers and no ints: its values are the
+    objects of the field's exp list."""
+    coset_factor_table(PermSpec("H", 7, 0, q25.alpha_from_l(3)))
+    values = construct._factor_values(7, q25.alpha_from_l(3), 1)
+    assert any(v > 256 for v in values)
+    assert all(v == 0 or v is q25._exp[q25._log[v]] for v in values)
+
+
 def test_an_evicted_key_is_rebuilt_equal(monkeypatch, q25):
     keys = [(n, alpha) for alpha in q25.mu(q25.q + 1)
             for n in range(1, 21)][:MEMO_SIZE + 1]
@@ -197,33 +204,6 @@ def test_a_failed_build_leaves_no_entry(monkeypatch, q25):
         poly_eval(gh_coeffs(5, spec.alpha).h, q25.zeta ** i).val
         for i in range(q25.q + 1)]
 
-
-def test_racing_threads_build_equal_entries(q25):
-    """Threads that miss on one key at once may each build it: every result
-    equals a serial build, and the memos end with one entry per key."""
-    specs = [PermSpec(v, n, m, q25.alpha_from_l(l)) for v in "HG"
-             for n in (3, 5, 7) for m in (0, 1) for l in (1, 2)]
-    serial = [(perm_factor(s), coset_factor_table(s)) for s in specs]
-    construct._redei_pair.cache_clear()
-    construct._factor_values.cache_clear()
-    results = [[] for _ in range(6)]
-
-    def work(out):
-        out.extend((perm_factor(s), coset_factor_table(s)) for s in specs)
-    threads = [threading.Thread(target=work, args=(out,)) for out in results]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(out == serial for out in results)
-    assert construct._redei_pair.cache_info().currsize == 6
-    assert construct._factor_values.cache_info().currsize == 12
 
 def test_bruteforce_oracle(q3):
     ok, witness = is_permutation_bruteforce(q3, Poly.from_terms(q3, [(1, 1)]))

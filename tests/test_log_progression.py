@@ -361,7 +361,9 @@ def _swap_two_entries(monkeypatch):
 
 def _corrupt_off_the_spot_checks(monkeypatch):
     """Entry 1 of every closed-form G/H table, never one gh_table spot-checks
-    against pair powering on tables of q+1 = 26 points."""
+    against pair powering on tables of q+1 = 26 points.  construct's memos
+    of F are emptied, so P's coset table is built again from the corrupted
+    closed form, as is I's."""
     real = redei._gh_closed_packed
 
     def corrupted(ctx, n, av, pick, points):
@@ -371,6 +373,8 @@ def _corrupt_off_the_spot_checks(monkeypatch):
 
     assert 1 not in redei.spot_positions(26)
     monkeypatch.setattr(redei, "_gh_closed_packed", corrupted)
+    construct._redei_pair.cache_clear()
+    construct._factor_values.cache_clear()
 
 
 def _leave_mu(monkeypatch):
