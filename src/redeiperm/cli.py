@@ -90,8 +90,7 @@ def _header(args: argparse.Namespace):
 def cmd_construct(args: argparse.Namespace) -> int:
     spec, verdict, doc, first = _header(args)
     ctx = spec.ctx
-    f = perm_factor(spec)  # one gh_coeffs call for both coefficient forms
-    poly = perm_poly(spec, f)
+    poly = perm_poly(spec)
     oracle_doc: dict = {"ran": False}
     verified = True
     if not args.skip_oracle:
@@ -100,7 +99,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if witness is not None:
             oracle_doc["witness"] = [witness[0].to_coeffs(), witness[1].to_coeffs()]
         verified = ok == verdict.is_perm
-    unreduced = [(e, c.to_coeffs()) for e, c in perm_terms(spec, f)]
+    unreduced = [(e, c.to_coeffs()) for e, c in perm_terms(spec)]
     doc.update(poly=[[e, c] for e, c in poly.to_pairs()],
                poly_unreduced=[[e, c] for e, c in unreduced],
                oracle=oracle_doc, verified=verified)
@@ -138,12 +137,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _compose_identity_holds(ctx: FieldCtx, perm: CosetMap, backward) -> bool:
     """backward(P(x)) = x for every x, P = perm: backward's packed_table
-    sends 0 to 0, and each checked coset row of P (CosetMap.log_rows),
-    gathered through it in C, gives back the row's points exp[s::q+1].
+    sends 0 to 0, and each checked coset row of P, a (points, row) pair of
+    CosetMap.log_rows, gathered through it in C, gives back its points.
     It reads P only through its rows, never through a scan of P."""
-    table, exp, q1 = packed_table(ctx, backward), ctx._exp, ctx.q + 1
-    return table[0] == 0 and all(itemgetter(*row)(table) == tuple(exp[s::q1])
-                                 for s, row in perm.log_rows())
+    table = packed_table(ctx, backward)
+    return table[0] == 0 and all(itemgetter(*row)(table) == tuple(points)
+                                 for points, row in perm.log_rows())
 
 
 def cmd_invert(args: argparse.Namespace) -> int:

@@ -20,8 +20,8 @@ Every exhaustive loop reads f in packed order, a range of consecutive
 points at a time (f.eval_range), with one exception: a CosetMap is read
 one checked coset row at a time by the oracle and the scan when the map
 passes CosetMap.permutes (_in_log_order).  The scan stores each value's
-point, so it reads the rows in point order (CosetMap.log_rows).  The
-oracle only marks which values occur, which no order inside a row can
+point, so it reads (points, row) pairs in point order (CosetMap.log_rows).
+The oracle only marks which values occur, which no order inside a row can
 change, so it reads them in exponent order (CosetMap.exp_rows), with no
 rearrangement, once the row order k -> e*k mod (q-1) is a bijection.
 After a repeated value in the rows, and for every other map, they run the
@@ -230,26 +230,26 @@ def perm_factor(spec: PermSpec) -> Poly:
     return (pair.g, pair.h)[spec.gh_index]
 
 
-def perm_terms(spec: PermSpec, f: Poly) -> list[tuple[int, Felt]]:
-    """The terms of x^r * f(x^(q-1)), f = perm_factor(spec), unreduced: each
-    term c*x^e of f gives (r + (q-1)e, c), r not normalised, highest first."""
-    qm = spec.ctx.q - 1
+def perm_terms(spec: PermSpec) -> list[tuple[int, Felt]]:
+    """The terms of x^r * F(x^(q-1)), F = perm_factor(spec), unreduced: each
+    term c*x^e of F gives (r + (q-1)e, c), r not normalised, highest first."""
+    f, qm = perm_factor(spec), spec.ctx.q - 1
     return [(spec.r + qm * e, f.terms[e]) for e in sorted(f.terms, reverse=True)]
 
 
-def perm_poly(spec: PermSpec, f: Poly) -> Poly:
-    """x^r * f(x^(q-1)) reduced, for f = perm_factor(spec): each exponent e
-    of perm_terms goes to ((e - 1) mod (q^2-1)) + 1, as reduce_functional
-    sends a positive one, so P(0) = 0 whatever the sign of r."""
+def perm_poly(spec: PermSpec) -> Poly:
+    """x^r * F(x^(q-1)) reduced: each exponent e of perm_terms goes to
+    ((e - 1) mod (q^2-1)) + 1, as reduce_functional sends a positive one,
+    so P(0) = 0 whatever the sign of r."""
     N = spec.ctx.units
     return Poly.from_terms(spec.ctx, (((e - 1) % N + 1, c)
-                                      for e, c in perm_terms(spec, f)))
+                                      for e, c in perm_terms(spec)))
 
 
 def build_perm_poly(spec: PermSpec) -> tuple[Poly, CosetMap]:
     """(perm_poly, perm_coset_map): the reduced coefficient polynomial and a
     fast point evaluator, built by independent paths that agree pointwise."""
-    return perm_poly(spec, perm_factor(spec)), perm_coset_map(spec)
+    return perm_poly(spec), perm_coset_map(spec)
 
 
 # The first range has RANGE_START points, each later one as many as all
@@ -305,20 +305,19 @@ def scan(ctx: FieldCtx, f) -> tuple[array, tuple[int, int, int] | None]:
     packed value.  Values come a range at a time, so f may have been
     evaluated past b, to the end of b's range.  A map that _in_log_order
     picks is read one checked coset row at a time in point order
-    (CosetMap.log_rows): each value's preimage is stored with no per-point
-    test, and a slot left at q^2 (find_item, from the array's bytes) then
-    means a repeated value, so the packed-order loop runs over the map
-    itself.  Every other map runs that loop alone.
+    (CosetMap.log_rows' (points, row) pairs): each value's point is stored
+    with no per-point test, and a slot left at q^2 (find_item, from the
+    array's bytes) then means a repeated value, so the packed-order loop
+    runs over the map itself.  Every other map runs that loop alone.
     """
     require_field(ctx, f)
     q2 = ctx.q2
     if not _in_log_order(f):
         return _packed_scan(q2, f)
-    exp, q1 = ctx._exp, ctx.q + 1
     first = _packed_table(q2, q2)
     first[0] = 0
-    for s, row in f.log_rows():
-        for x, v in zip(exp[s::q1], row):
+    for points, row in f.log_rows():
+        for x, v in zip(points, row):
             first[v] = x
     if find_item(first, q2) >= 0:
         return _packed_scan(q2, f)

@@ -443,19 +443,18 @@ def packed_table(ctx: FieldCtx, f) -> array:
     array, the one layout of a whole map.
 
     An InverseTable that holds an array is that array, returned as it is,
-    with no copy.  A CosetMap's checked rows (CosetMap.log_rows) are
-    scattered to their points, as the scan stores preimages, with slot 0
-    left at 0.  Any other map, a Poly or a list-backed InverseTable, is
-    filled a range at a time from its eval_range.
+    with no copy.  A CosetMap's checked rows come as (points, row) pairs
+    (CosetMap.log_rows), each value scattered to its point as the scan
+    stores preimages, with slot 0 left at 0.  Any other map, a Poly or a
+    list-backed InverseTable, is filled a range at a time from eval_range.
     """
     require_field(ctx, f)
     if isinstance(f, InverseTable) and isinstance(f._table, array):
         return f._table
     table = _packed_table(ctx.q2, 0)
     if isinstance(f, CosetMap):
-        exp, q1 = ctx._exp, ctx.q + 1
-        for s, row in f.log_rows():
-            for x, v in zip(exp[s::q1], row):
+        for points, row in f.log_rows():
+            for x, v in zip(points, row):
                 table[x] = v
     else:
         for start, stop in _ranges(ctx.q2):

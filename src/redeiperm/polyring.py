@@ -30,11 +30,11 @@ comprehension.  A loop that reads every point of a CosetMap takes it in
 coset rows instead, O(q) Python steps for all q+1: CosetMap.exp_rows
 makes row s, the map's values on the coset gamma^s * F_q^*, as a strided
 slice of the exp table in exponent order and checks it as it is made;
-CosetMap.log_rows puts each checked row in point order, row[k] the value
-at gamma^(s + (q+1)k), by one itemgetter over CosetMap.spread.  A loop
-that stores each value at its point reads log_rows.  The oracle only marks
-which values occur, and the order inside a row cannot change that, so it
-reads exp_rows once spread is a bijection.
+CosetMap.log_rows yields (points, row) for the loops that store each value
+at its point: points = exp[s::q+1], and the checked row put in point order
+by one itemgetter over CosetMap.spread, row[k] the value at points[k].
+The oracle only marks which values occur, and the order inside a row
+cannot change that, so it reads exp_rows once spread is a bijection.
 """
 
 from __future__ import annotations
@@ -287,13 +287,15 @@ class CosetMap:
                         f"log-order value table disagrees with the map at gamma^{t}")
             yield s, row
 
-    def log_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """exp_rows in point order: (s, row) for s = 0..q, with row[k] the
-        value at gamma^(s + (q+1)k), k = 0..q-2, each checked row of
-        exp_rows rearranged by one itemgetter over spread, in C."""
+    def log_rows(self) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+        """exp_rows in point order: (points, row) for s = 0..q, points =
+        exp[s::q+1], the packed gamma^(s + (q+1)k) for k = 0..q-2, and row[k]
+        the value at points[k], each checked row of exp_rows rearranged by
+        one itemgetter over spread, in C."""
+        exp, q1 = self.ctx._exp, self.ctx.q + 1
         spread = itemgetter(*self.spread())
         for s, row in self.exp_rows():
-            yield s, spread(row)
+            yield exp[s::q1], spread(row)
 
     def __call__(self, x: Felt) -> Felt:
         require_field(self.ctx, x)

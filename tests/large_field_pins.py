@@ -11,10 +11,11 @@ gated.  On both fields (P on F_{729^2} is H, n = 3, m = 1, l = 1): log must
 invert exp, 256 sampled powers must step to the next by gamma, P composed
 with its inverse must be the identity and P with itself must not, the
 value digest of P's inverse must equal its pinned value, so a slip in the
-digest's byte layout shows here, and the oracle must refuse the
-non-permutation H, n = 2, m = 0, l = 1 with a pair of points that
-eval_packed sends to one value, found by the packed-order loop's early
-exit.  From an empty memo of F, P's spec and the same spec with m + 1 must
+digest's byte layout shows here, the points that P's coset rows
+(CosetMap.log_rows) carry must cover F_{q^2}^* exactly once, and the
+oracle must refuse the non-permutation H, n = 2, m = 0, l = 1 with a pair
+of points that eval_packed sends to one value, found by the packed-order
+loop's early exit.  From an empty memo of F, P's spec and the same spec with m + 1 must
 share one gh_table call and get P's coset table.  The first failed check
 exits 1 with its message.  Stdlib only; a few seconds and about 100 MB of memory.
 """
@@ -89,6 +90,19 @@ def check_shared_table(ctx, spec, cm) -> None:
                          "different coset tables")
 
 
+def check_row_points(ctx, cm) -> None:
+    """The points of cm's q+1 coset rows mark every nonzero point once."""
+    seen = bytearray(ctx.q2)
+    for points, _ in cm.log_rows():
+        for x in points:
+            if seen[x]:
+                raise SystemExit(f"{ctx}: the point {x} lies in two coset rows")
+            seen[x] = 1
+    if seen.count(0) != 1:
+        raise SystemExit(f"{ctx}: the coset rows miss "
+                         f"{seen.count(0) - 1} nonzero points")
+
+
 def check_field(f, c, pin: str) -> None:
     """The tables of f, and the composition and pinned digest of c's inverse."""
     exp, log, N = f._exp, f._log, f.units
@@ -116,6 +130,7 @@ def main() -> None:
         if i == 0:  # the timed field, F_{1021^2}
             check_inverses(ctx, cm)
         check_field(ctx, cm, pin)
+        check_row_points(ctx, cm)
         check_shared_table(ctx, spec, cm)
         variant, n, m, l = NON_PERMUTATION
         check_refusal(ctx, perm_coset_map(PermSpec(variant, n, m,

@@ -51,7 +51,7 @@ def _values(spec: PermSpec) -> list[int]:
     cm = perm_coset_map(spec)
     assert cm.eval_packed(0) == 0
     values = [0] * cm.ctx.units
-    for s, row in cm.log_rows():
+    for s, (_, row) in enumerate(cm.log_rows()):
         values[s::cm.ctx.q + 1] = row
     return values
 

@@ -399,7 +399,7 @@ def test_a_corrupted_row_of_the_log_table_is_refused(q11, row, monkeypatch):
     message = f"log-order value table disagrees with the map at gamma\\^{row}$"
     for rows in (cm.exp_rows, cm.log_rows):
         with pytest.raises(ArithmeticError, match=message):
-            dict(rows())
+            list(rows())
     with pytest.raises(ArithmeticError, match=message):
         is_permutation_bruteforce(q11, cm)
     with pytest.raises(ArithmeticError, match=message):
@@ -864,15 +864,39 @@ def test_the_oracle_rows_hold_the_values_of_the_map(p, k, monkeypatch):
 @pytest.mark.parametrize("p,k", [(3, 4), (3, 5)])
 def test_log_rows_are_the_map_in_point_order(p, k):
     """On F_{81^2} and F_{243^2}, for every kind of map, log_rows hands out
-    row s as the values at gamma^(s + (q+1)k), k = 0..q-2, by eval_packed,
-    and as the spread of exp_rows' row s."""
+    row s with its points exp[s::q+1], as the values at gamma^(s + (q+1)k),
+    k = 0..q-2, by eval_packed, and as the spread of exp_rows' row s."""
     ctx = make_field(p, k)
     exp, q1, N = ctx._exp, ctx.q + 1, ctx.units
     for kind, cm in _map_kinds(ctx).items():
         spread = cm.spread()
-        for (s, row), (s2, by_exp) in zip(cm.log_rows(), cm.exp_rows(),
-                                          strict=True):
-            assert s == s2
+        for (points, row), (s, by_exp) in zip(cm.log_rows(), cm.exp_rows(),
+                                              strict=True):
+            assert points == exp[s::q1], (kind, s)
             assert row == tuple(cm.eval_packed(exp[(s + q1 * j) % N])
                                 for j in range(ctx.q - 1)), (kind, s)
             assert row == tuple(by_exp[i] for i in spread), (kind, s)
+
+
+def test_log_rows_carry_their_points():
+    """On F_{81^2}, for a permutation, a map whose T has a zero entry and
+    maps with e < 0 and e >= q^2-1, row s of log_rows comes with its points
+    gamma^(s + (q+1)k), k = 0..q-2, in that order, stepped by field
+    multiplication; the q+1 rows' points cover F_{q^2}^* exactly once; and
+    row[k] is the map at points[k] by eval_packed."""
+    ctx = make_field(3, 4)
+    kinds = _map_kinds(ctx)
+    step = ctx.gamma ** (ctx.q + 1)
+    for kind in ("permutation", "a zero entry of T", "a negative exponent",
+                 "an exponent past q^2-1"):
+        cm, covered = kinds[kind], []
+        for s, (points, row) in enumerate(cm.log_rows()):
+            x, want = ctx.gamma ** s, []
+            for _ in range(ctx.q - 1):
+                want.append(x.val)
+                x = x * step
+            assert points == want, (kind, s)
+            assert list(row) == [cm.eval_packed(xv) for xv in points], (kind, s)
+            covered += points
+        assert s == ctx.q, kind
+        assert sorted(covered) == list(range(1, ctx.q2)), kind
