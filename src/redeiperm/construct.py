@@ -364,10 +364,11 @@ def cyclotomic_criterion(ctx: FieldCtx, r: int, f: Poly) -> bool:
     True iff gcd(r, q-1) = 1 and b -> b^r * f(b)^(q-1) permutes mu_{q+1}
     (CosetMap.permutes).  A zero of f on mu_{q+1} sends the whole coset
     above b to 0 and the map value out of mu_{q+1}, so permuting (not
-    merely being injective on) mu_{q+1} is the decisive property.
+    merely being injective on) mu_{q+1} is the decisive property.  f is
+    read at the packed zeta^i = gamma^((q-1)i), i = 0..q, exp[::q-1].
     """
     require_field(ctx, f)
-    table = [poly_eval(f, b).val for b in ctx.mu(ctx.q + 1)]
+    table = [poly_eval(f, v) for v in ctx._exp[::ctx.q - 1]]
     return CosetMap(ctx, r, table).permutes()
 
 

@@ -46,7 +46,8 @@ the Akbary-Ghioca-Wang check that perm.inverse() exists (ArithmeticError).
 Route agreement digests each route's values at all q^2 points from one
 unsigned array per map (packed_table), hashed from its bytes a range at a
 time: the InverseTable's own array, a CosetMap's rows laid out at their
-points, or the cyclotomic Poly filled by poly_eval per point.
+points, or the cyclotomic Poly filled by poly_eval per packed point
+(Poly.eval_range), which makes no Felt for a point or its value.
 All exponents of the cyclotomic inverse are congruent to r1 mod q-1, so
 poly_eval evaluates it through its coset form x^r1 * g(x^(q-1)): g is
 tabulated on mu_{q+1} once, by the term sum at the q+1 coset

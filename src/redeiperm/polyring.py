@@ -23,11 +23,13 @@ shape on first use, tabulates g on mu_{q+1} in O(q * terms) once per Poly
 (the term sum at the q+1 coset representatives), and then costs O(1) per
 point (a discrete log, a table pick, one multiplication) whatever the number
 of terms.  Every other polynomial is evaluated by the term sum, O(terms)
-per point.  The exhaustive loops read a map a range of consecutive points
-at a time through eval_range: Poly.eval_range calls poly_eval once per
-point, CosetMap.eval_range runs eval_packed's arithmetic in one
-comprehension.  A loop that reads every point of a CosetMap takes it in
-coset rows instead, O(q) Python steps for all q+1: CosetMap.exp_rows
+per point.  poly_eval takes a Felt or a packed point, an int in
+0..q^2-1, and returns the same kind.  The exhaustive loops read a map a
+range of consecutive points at a time through eval_range: Poly.eval_range
+calls poly_eval once per packed point, so no Felt is made per point, and
+CosetMap.eval_range runs eval_packed's arithmetic in one comprehension.
+A loop that reads every point of a CosetMap takes it in coset rows
+instead, O(q) Python steps for all q+1: CosetMap.exp_rows
 makes row s, the map's values on the coset gamma^s * F_q^*, as a strided
 slice of the exp table in exponent order and checks it as it is made;
 CosetMap.log_rows yields (points, row) for the loops that store each value
@@ -119,9 +121,9 @@ class Poly:
 
     def eval_range(self, start: int, stop: int) -> list[int]:
         """Packed values at the packed points start, ..., stop-1, by one
-        poly_eval call per point."""
-        ctx = self.ctx
-        return [poly_eval(self, Felt(ctx, xv)).val for xv in range(start, stop)]
+        poly_eval call per point on the packed int itself: no Felt is
+        made for a point or its value."""
+        return [poly_eval(self, xv) for xv in range(start, stop)]
 
     # -- serialization -----------------------------------------------------------
 
@@ -312,19 +314,29 @@ def _eval_terms(f: Poly, xv: int) -> int:
     return f.ctx.sum_powers([log[c.val] + e * lx for e, c in f.terms.items()])
 
 
-def poly_eval(f: Poly, x: Felt) -> Felt:
-    """f(x), exact.
+def poly_eval(f: Poly, x: "Felt | int") -> "Felt | int":
+    """f(x), exact, of the kind x is: a Felt of f's field gives a Felt, a
+    packed point, an int in 0..q^2-1, gives the packed value, so a loop
+    over packed points makes no Felt; any other int is refused with a
+    ValueError that names the range.
 
     A coset-shaped f goes through its CosetMap, built on the first call
     (O(q * terms)) and cached on f; each point then costs
     O(1).  Any other f runs the term sum, O(terms) per point.
     """
-    if x.ctx is not f.ctx:
+    ctx = f.ctx
+    if packed := not isinstance(x, Felt):
+        if not 0 <= x < ctx.q2:
+            raise ValueError(f"a packed point is an int in 0..{ctx.q2 - 1}, "
+                             f"not {x}")
+    elif x.ctx is not ctx:
         raise ValueError("elements from different fields")
+    xv = x if packed else x.val
     cm = f._coset
     if cm is None:
         cm = f._coset = CosetMap.from_poly(f) or False
-    return Felt(f.ctx, cm.eval_packed(x.val) if cm else _eval_terms(f, x.val))
+    v = cm.eval_packed(xv) if cm else _eval_terms(f, xv)
+    return v if packed else Felt(ctx, v)
 
 
 def reduce_functional(f: Poly) -> Poly:

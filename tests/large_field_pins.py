@@ -7,7 +7,10 @@ F_{1021^2} timed, and the oracle's refusal of a non-permutation of each.
 On F_{1021^2}, P = perm_coset_map(H, n = 7, m = 0, l = 2): the oracle must
 certify P, and CosetMap.inverse() must equal inverse_table by values (their
 packed tables) and by value digest.  The three timings are printed, not
-gated.  On both fields (P on F_{729^2} is H, n = 3, m = 1, l = 1): log must
+gated.  On both fields (P on F_{729^2} is H, n = 3, m = 1, l = 1): the
+cyclotomic route's inverse polynomial, evaluated at every point through
+poly_eval on packed ints, must have the same pinned value digest as P's
+inverse, with its constructor and digest times printed, not gated; log must
 invert exp, 256 sampled powers must step to the next by gamma, P composed
 with its inverse must be the identity and P with itself must not, the
 value digest of P's inverse must equal its pinned value, so a slip in the
@@ -26,7 +29,8 @@ import random
 import time
 
 from redeiperm import (PermSpec, cli, construct, coset_factor_table,
-                       inverse_table, is_permutation_bruteforce, make_field)
+                       inverse_cyclotomic, inverse_table,
+                       is_permutation_bruteforce, make_field)
 from redeiperm.construct import perm_coset_map
 from redeiperm.field_tower import _mulmod
 from redeiperm.inverse import _value_digest, packed_table
@@ -58,6 +62,20 @@ def check_inverses(ctx, cm) -> None:
     if _value_digest(ctx, inv) != _value_digest(ctx, table):
         raise SystemExit("the digest of CosetMap.inverse() differs from that "
                          "of inverse_table")
+
+
+def check_cyclotomic(ctx, spec, pin: str) -> None:
+    """The timed cyclotomic route of spec, whose value digest must be pin."""
+    t = time.perf_counter()
+    inv = inverse_cyclotomic(spec)
+    t1 = time.perf_counter()
+    digest = _value_digest(ctx, inv)
+    t2 = time.perf_counter()
+    print(ctx, len(inv.terms), "terms:", round(1000 * (t1 - t)),
+          "ms inverse_cyclotomic,", round(1000 * (t2 - t1)), "ms its digest")
+    if digest != pin:
+        raise SystemExit(f"{ctx}: the digest of the cyclotomic inverse "
+                         "differs from the pinned inverse digest")
 
 
 def check_refusal(ctx, cm) -> None:
@@ -130,6 +148,7 @@ def main() -> None:
         if i == 0:  # the timed field, F_{1021^2}
             check_inverses(ctx, cm)
         check_field(ctx, cm, pin)
+        check_cyclotomic(ctx, spec, pin)
         check_row_points(ctx, cm)
         check_shared_table(ctx, spec, cm)
         variant, n, m, l = NON_PERMUTATION

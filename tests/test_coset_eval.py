@@ -10,7 +10,10 @@ the shape, inverse() must invert the map a CosetMap induces on mu_{q+1}
 (sigma, computed here by Felt arithmetic) and equal scan's table at every
 point, or be None exactly where scan finds a collision, permutes() must
 agree with the gcd criterion and the oracle, and the digest of a
-cyclotomic inverse must not fall back to the term sum per point.
+cyclotomic inverse must not fall back to the term sum per point.  A packed
+point must give the packed value of the Felt path, a packed point outside
+the field must be refused, and Poly.eval_range must make one positional
+poly_eval call per packed point.
 """
 
 import itertools
@@ -21,9 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redeiperm import (CosetMap, Felt, PermSpec, Poly, build_perm_poly,
-                       check_criterion, coset_factor_table, inverse_cyclotomic,
-                       is_permutation_bruteforce, make_field, poly_eval,
-                       polyring)
+                       check_criterion, coset_factor_table, gh_coeffs,
+                       inverse_cyclotomic, is_permutation_bruteforce,
+                       make_field, poly_eval, polyring)
 from redeiperm.construct import scan
 from redeiperm.inverse import _value_digest
 
@@ -369,3 +372,52 @@ def test_cyclotomic_digest_runs_the_term_loop_only_to_cross_check(monkeypatch):
     monkeypatch.setattr(polyring, "_eval_terms", counted_terms)
     _value_digest(ctx, inv)
     assert calls == {"poly_eval": ctx.q2, "term_loop": ctx.q + 1}
+
+
+def _packed_path_polys(ctx):
+    """A cyclotomic inverse (the coset path), G_n plus a constant term (the
+    term sum) and the zero Poly."""
+    spec = next(s for n in (1, 3, 5, 7) for l in (0, 1, 2)
+                if check_criterion(s := PermSpec("H", n, 0,
+                                                 ctx.alpha_from_l(l))).is_perm)
+    g = gh_coeffs(3, ctx.alpha_from_l(1)).g
+    return (inverse_cyclotomic(spec),
+            Poly.from_terms(ctx, [*g.terms.items(), (0, ctx.one())]),
+            Poly(ctx, {}))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+def test_a_packed_point_gives_the_packed_value_of_the_felt_path(p, k):
+    ctx = make_field(p, k)
+    inv, g_plus_one, zero = _packed_path_polys(ctx)
+    for f in (inv, g_plus_one, zero):
+        for xv in range(ctx.q2):
+            v = poly_eval(f, xv)
+            assert type(v) is int
+            assert v == poly_eval(f, Felt(ctx, xv)).val
+    assert inv._coset and g_plus_one._coset is False and zero._coset is False
+
+
+@pytest.mark.parametrize("xv", [-1, 81, 86])
+def test_a_packed_point_outside_the_field_is_refused(q9, xv):
+    for f in _packed_path_polys(q9):
+        with pytest.raises(ValueError, match=rf"packed point is an int in "
+                                             rf"0\.\.80, not {xv}$"):
+            poly_eval(f, xv)
+
+
+def test_eval_range_makes_one_positional_int_call_per_point(q9, monkeypatch):
+    calls = []
+    real = polyring.poly_eval
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polyring, "poly_eval", recorded)
+    for f in _packed_path_polys(q9):
+        calls.clear()
+        values = f.eval_range(3, 40)
+        assert calls == [((f, xv), {}) for xv in range(3, 40)]
+        assert all(type(args[1]) is int for args, _ in calls)
+        assert values == [real(f, Felt(q9, xv)).val for xv in range(3, 40)]
